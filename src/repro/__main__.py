@@ -69,12 +69,6 @@ options:
                  per-stage virtual-time profile afterwards
   -p, --profile  like --trace, plus a call-tree profiler; prints the
                  perf-report-style tree after each experiment
-  --no-jit       run eBPF programs through the interpreter instead of
-                 the JIT (same observables, slower wall-clock; equal to
-                 EBPF_JIT=0)
-  --no-dpjit     run megaflow action chains through the generic datapath
-                 walk instead of compiled closures (same observables,
-                 slower wall-clock; equal to DP_JIT=0)
 """
 
 
@@ -96,19 +90,10 @@ def main(argv: "list[str]") -> int:
         return 0
     with_profile = "--profile" in argv or "-p" in argv
     with_trace = with_profile or "--trace" in argv or "-t" in argv
-    if "--no-jit" in argv:
-        from repro.ebpf import jit
-
-        jit.set_enabled(False)
-    if "--no-dpjit" in argv:
-        from repro.ovs import dpjit
-
-        dpjit.set_enabled(False)
     flags = [a for a in argv if a.startswith("-")]
     unknown_flags = [
         f for f in flags if f not in ("--trace", "-t", "--profile", "-p",
-                                      "--list", "-l", "--help", "-h",
-                                      "--no-jit", "--no-dpjit")
+                                      "--list", "-l", "--help", "-h")
     ]
     if unknown_flags:
         print(f"unknown option(s): {', '.join(unknown_flags)}",

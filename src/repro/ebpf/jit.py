@@ -32,15 +32,14 @@ jump sets ``label`` and ``continue``s, which skips every earlier segment
 
 Programs the translator cannot prove it can compile are *declined* and
 run on the interpreter forever (per-program, recorded in
-:func:`stats`).  Gating: module switch :data:`ENABLED` (initialised from
-``EBPF_JIT``, ``EBPF_JIT=0`` disables) AND the global
-:mod:`repro.sim.fastpath` switch, checked by the attachment layers
-(``ebpf/xdp.py``, ``kernel/tc.py``) per packet.
+:func:`stats`).  Gating: module switch :data:`ENABLED` (tests turn it
+off with :func:`disabled` to run the interpreter as the oracle) AND the
+global :mod:`repro.sim.fastpath` switch, checked by the attachment
+layers (``ebpf/xdp.py``, ``kernel/tc.py``) per packet.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -62,14 +61,7 @@ from repro.ebpf.verifier import MAX_INSNS, STACK_SIZE
 from repro.sim import trace as _trace
 from repro.sim.costs import DEFAULT_COSTS
 
-#: ``EBPF_JIT=0`` in the environment is the escape hatch the kernel's
-#: ``net.core.bpf_jit_enable=0`` sysctl provides.
-ENABLED: bool = os.environ.get("EBPF_JIT", "1") != "0"
-
-
-def set_enabled(on: bool) -> None:
-    global ENABLED
-    ENABLED = bool(on)
+ENABLED: bool = True
 
 
 @contextmanager

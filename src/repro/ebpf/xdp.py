@@ -205,9 +205,9 @@ class XdpContext:
         # Memo misses execute through compiled code when the fastpath
         # allows it: cyclic traffic replays from the memo, diverse
         # traffic runs the JIT, and the interpreter remains the fallback
-        # for declined programs (or EBPF_JIT=0).  Charges and counters
-        # are identical either way by the JIT's charge-exactness
-        # contract, so memo entries are engine-agnostic.
+        # for declined programs.  Charges and counters are identical
+        # either way by the JIT's charge-exactness contract, so memo
+        # entries are engine-agnostic.
         compiled = None
         if fastpath.ENABLED and _jit.ENABLED:
             compiled = _jit.compiled_for(self.program)

@@ -20,7 +20,7 @@ operator actually runs:
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
   history with per-phase recovery timings, backoff state,
 * ``shard/show`` — the last sharded run: placement, barriers,
-  cross-shard handoff queues, merge wall-time (DESIGN §17),
+  merge wall-time (DESIGN §17),
 * ``fdb/stats`` equivalents come from the bridges' OpenFlow dumps.
 
 ``pmd-perf-show`` and ``coverage/show`` read the active
@@ -247,12 +247,8 @@ class OvsAppctl:
         lines = [
             f"batch-classify: {onoff(dpif_netdev.BATCH_CLASSIFY)}",
             f"wall-clock memos: {onoff(fastpath.ENABLED)}",
-            "ebpf-jit: "
-            + onoff(fastpath.ENABLED and jit.ENABLED)
-            + ("" if jit.ENABLED else " (EBPF_JIT=0)"),
-            "dp-jit: "
-            + onoff(fastpath.ENABLED and dpjit.ENABLED)
-            + ("" if dpjit.ENABLED else " (DP_JIT=0)"),
+            f"ebpf-jit: {onoff(fastpath.ENABLED and jit.ENABLED)}",
+            f"dp-jit: {onoff(fastpath.ENABLED and dpjit.ENABLED)}",
             dpjit.render(),
         ]
         stats = jit.stats()
@@ -371,8 +367,7 @@ class OvsAppctl:
     def shard_show(self, report=None) -> str:
         """``ovs-appctl shard/show``: the most recent sharded run —
         worker count and start method, barrier count, per-shard unit
-        (or PMD) placement with wall times, cross-shard TX handoff
-        queue accounting and the coordinator's merge cost.  Reads
+        placement with wall times and the coordinator's merge cost.  Reads
         :data:`repro.sim.shard.LAST_REPORT` when no report is passed;
         wall times are real seconds and never feed any observable."""
         if report is None:

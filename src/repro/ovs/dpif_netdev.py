@@ -101,14 +101,6 @@ class DpPort:
     device: object = None
     rx_packets: int = 0
     tx_packets: int = 0
-    #: Which worker process owns this port under sharded execution
-    #: (DESIGN §17); placement metadata, byte-inert on serial runs.
-    shard: int = 0
-    #: True when tx on this port crosses into another shard (the
-    #: adapter is a cross-shard handoff ring); bumps the handoff tally.
-    handoff: bool = False
-    #: Packets that left this shard through the handoff ring.
-    tx_handoff_packets: int = 0
 
 
 @dataclass
@@ -757,12 +749,6 @@ class DpifNetdev:
             if sent is None:
                 sent = len(pkts)
             port.tx_packets += sent
-            if port.handoff:
-                # Cross-shard TX: the frames queue in the handoff ring
-                # until the coordinator ships them at the next barrier.
-                # A plain int (not a trace counter): the serial run has
-                # no handoffs and the ledgers must match byte-for-byte.
-                port.tx_handoff_packets += sent
             if sent < len(pkts):
                 # The adapter dropped the shortfall and counted it in
                 # its own per-ring counters; surface the event here too.

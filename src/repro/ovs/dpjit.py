@@ -59,15 +59,13 @@ compiled closure here so ``appctl fastpath/show`` can show invalidation
 counts; an in-place actions rebind is caught by the identity check at
 the next dispatch and recompiled.
 
-Gating: module switch :data:`ENABLED` (initialised from ``DP_JIT``,
-``DP_JIT=0`` disables; ``python -m repro --no-dpjit`` flips it) AND the
-global :mod:`repro.sim.fastpath` switch, checked per burst by the
-datapath.
+Gating: module switch :data:`ENABLED` (tests turn it off with
+:func:`disabled` to run the generic walk as the oracle) AND the global
+:mod:`repro.sim.fastpath` switch, checked per burst by the datapath.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -80,18 +78,11 @@ from repro.sim.costs import DEFAULT_COSTS
 from repro import telemetry as _telemetry
 from repro.telemetry.drops import DropReason as _DropReason
 
-#: ``DP_JIT=0`` in the environment is the escape hatch, mirroring
-#: ``EBPF_JIT=0`` for the PR 5 layer.
-ENABLED: bool = os.environ.get("DP_JIT", "1") != "0"
+ENABLED: bool = True
 
 #: Chains longer than this decline: the real datapath bounds action
 #: lists too, and an unbounded unroll would bloat the generated source.
 MAX_ACTIONS = 64
-
-
-def set_enabled(on: bool) -> None:
-    global ENABLED
-    ENABLED = bool(on)
 
 
 @contextmanager

@@ -7,22 +7,19 @@ Each adapter exposes ``rx_burst(ctx, batch, queue)`` and
 * :class:`DpdkAdapter` — a DPDK ethdev (netdev-dpdk);
 * :class:`VhostAdapter` — a vhost-user VM interface;
 * :class:`TapAdapter` — a tap/AF_PACKET system port (the slow path A);
-* :class:`RingPortAdapter` — a charged SPSC ring between two PMDs
-  (dpdk-ring style); the cross-shard TX handoff queue of DESIGN §17;
 * :class:`SimAdapter` — direct injection for tests and workload drivers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.afxdp.driver import AfxdpDriver
 from repro.dpdk.af_packet import AfPacketPort
 from repro.dpdk.ethdev import DpdkEthDev
 from repro.kernel.netdev import NetDevice
 from repro.net.packet import Packet
-from repro.sim.costs import CostModel, DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
 from repro.vhost.vhostuser import VhostUserPort
 
@@ -131,81 +128,6 @@ class InternalTapAdapter:
 
     def pending(self) -> int:
         return self.tap.user_pending()
-
-
-class RingPortAdapter:
-    """A charged SPSC packet ring between two PMDs (dpdk-ring style).
-
-    The producer PMD's ``tx_burst`` pays the doorbell plus one descriptor
-    push per frame; the consumer PMD's ``rx_burst`` pays the same on the
-    pop side — exactly the ring cost model the AF_XDP sockets use.  When
-    producer and consumer live in different shards (DESIGN §17) the
-    coordinator ships the queued frames at each burst barrier with
-    :meth:`take_all`/:meth:`feed`; the charges are unaffected, since the
-    tx side already paid in the producer's shard and the rx side pays in
-    the consumer's, which is byte-identical to both PMDs sharing one
-    process.
-    """
-
-    def __init__(self, name: str = "ring", capacity: int = 2048,
-                 costs: Optional[CostModel] = None) -> None:
-        self.name = name
-        self.capacity = capacity
-        self.costs = costs if costs is not None else DEFAULT_COSTS
-        self._ring: Deque[Packet] = deque()
-        #: Lifetime accounting for ``appctl shard/show``.
-        self.enqueued = 0
-        self.dequeued = 0
-        self.dropped_ring_full = 0
-        self.peak_depth = 0
-        self.transfers = 0
-
-    n_rxq = 1
-
-    def rx_burst(self, ctx: ExecContext, batch: int = 32,
-                 queue: int = 0) -> List[Packet]:
-        n = min(batch, len(self._ring))
-        if n == 0:
-            return []
-        costs = self.costs
-        ctx.charge(costs.ring_batch_ns + n * costs.ring_op_ns,
-                   label="ring_rx")
-        self.dequeued += n
-        return [self._ring.popleft() for _ in range(n)]
-
-    def tx_burst(self, pkts: List[Packet], ctx: ExecContext,
-                 queue: int = 0) -> int:
-        costs = self.costs
-        room = self.capacity - len(self._ring)
-        accepted = pkts if room >= len(pkts) else pkts[:room]
-        ctx.charge(costs.ring_batch_ns + len(accepted) * costs.ring_op_ns,
-                   label="ring_tx")
-        self._ring.extend(accepted)
-        self.enqueued += len(accepted)
-        self.dropped_ring_full += len(pkts) - len(accepted)
-        depth = len(self._ring)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
-        return len(accepted)
-
-    # -- coordinator-side handoff (uncharged: not a dataplane action) ---
-    def pending(self) -> int:
-        return len(self._ring)
-
-    def take_all(self) -> List[Packet]:
-        """Drain the queued frames for shipment to the consumer shard."""
-        out = list(self._ring)
-        self._ring.clear()
-        if out:
-            self.transfers += 1
-        return out
-
-    def feed(self, pkts: List[Packet]) -> None:
-        """Accept frames shipped from the producer shard's replica."""
-        self._ring.extend(pkts)
-        depth = len(self._ring)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
 
 
 class SimAdapter:

@@ -38,7 +38,6 @@ class PmdThread:
         name: str = "",
         main_thread_mode: bool = False,
         batch_size: int = 32,
-        shard: int = 0,
     ) -> None:
         self.dpif = dpif
         self.ctx = ExecContext(
@@ -49,10 +48,6 @@ class PmdThread:
         self.rxqs: List[RxqAssignment] = []
         self.main_thread_mode = main_thread_mode
         self.batch_size = batch_size
-        #: Which worker process owns this PMD under sharded execution
-        #: (DESIGN §17).  Placement metadata only: it never affects the
-        #: thread's charges, so serial runs can carry it inertly.
-        self.shard = shard
         self.packets_processed = 0
         self.iterations = 0
         self.empty_polls = 0
@@ -137,23 +132,3 @@ def assign_rxqs_round_robin(
         raise ValueError("no PMD threads")
     for i, (port, queue) in enumerate(rxqs):
         threads[i % len(threads)].add_rxq(port, queue)
-
-
-def assign_shards(threads: List[PmdThread], partition: List[int]) -> None:
-    """Place PMDs (and the ports they poll) onto shards (DESIGN §17).
-
-    ``partition[i]`` is the shard owning ``threads[i]``; each thread's
-    rx ports inherit its shard so a port is polled only by its owner.
-    Pure metadata — byte-inert on serial runs.
-    """
-    if len(partition) != len(threads):
-        raise ValueError("partition must name one shard per PMD thread")
-    for thread, shard in zip(threads, partition):
-        thread.shard = shard
-        for rxq in thread.rxqs:
-            rxq.port.shard = shard
-
-
-def shard_placement(threads: List[PmdThread]) -> List[Tuple[str, int, int]]:
-    """``(pmd name, core, shard)`` rows for ``appctl shard/show``."""
-    return [(t.ctx.name, t.ctx.cpu, t.shard) for t in threads]

@@ -7,9 +7,10 @@ simulator run several times faster in real time: the XDP verdict memo,
 NIC steering/rxhash memos, and the datapath's cross-burst flow cache
 consult this flag.
 
-``ENABLED`` exists so the benchmark harness (``repro.tools.bench_report``)
-and the equivalence test suites can A/B the optimized stack against the
-pre-batching behaviour in one process.  Production runs leave it on.
+``ENABLED`` exists so the equivalence test suites can run the optimized
+stack against the memo-free reference in one process (``reference_mode``
+in ``tests/conftest.py``); ``bench/`` records it in its host
+fingerprint.  Production runs leave it on.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 ENABLED: bool = True
-
-
-def set_enabled(on: bool) -> None:
-    global ENABLED
-    ENABLED = bool(on)
 
 
 @contextmanager

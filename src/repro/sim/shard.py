@@ -1,40 +1,25 @@
 """Deterministic multi-process scale-out of the simulator (DESIGN §17).
 
-After PR 2/5/7 made the per-packet path ~5x faster, the remaining
-wall-clock ceiling is the one CPython interpreter every PMD, softirq
-lane and experiment cell shares.  Real OVS scales by adding PMD threads
-(§5.5); the simulator scales the same way — by partitioning work across
-``multiprocessing`` workers — but with one extra obligation real OVS
-does not have: **the merged observables must be byte-identical to the
-single-process run**.  The charge-exactness contract of PR 2/5/7 (same
-floats, in the same order, into the same accumulators) now has to hold
-across process boundaries.
+One CPython interpreter runs every PMD, softirq lane and experiment
+cell.  Real OVS scales by adding PMD threads (§5.5); the simulator
+scales by partitioning work across ``multiprocessing`` workers — with
+one obligation real OVS does not have: **the merged observables must be
+byte-identical to the single-process run**.  The charge-exactness
+contract (same floats, in the same order, into the same accumulators)
+has to hold across process boundaries.
 
-Two sharding modes share this module:
-
-* **Unit sharding** (:func:`run_units`) — an experiment is a fixed
-  serial sequence of *units* (fig9 cells, fig12 points, matrix cells;
-  each builds its own world, clock, RNG streams, recorder, conservation
-  ledger).  A deterministic plan places units on shards; workers run
-  them with shard-local state; the coordinator merges outcomes **in the
-  serial unit order**, replaying each unit's recorded charge stream so
-  every float accumulator folds in exactly the order the serial run
-  would have used.  Float addition is not associative: merging by
-  adding per-shard *totals* would change the last ulps, so snapshots
-  carry run-length-compressed event streams instead (lean on the wire:
-  repeated identical charges — the common case, costs are constants —
-  collapse to ``(value, count)`` pairs).
-
-* **Pipeline sharding** (:func:`run_pipeline`) — one world whose PMDs
-  are partitioned across workers.  Stages are chained through charged
-  SPSC rings (:class:`repro.ovs.netdevs.RingPortAdapter`); rings whose
-  producer and consumer PMDs live in different shards become
-  **cross-shard TX handoff queues**: the producer's tx charges land in
-  its shard, the coordinator ships the frames at the next burst
-  barrier, and the consumer's rx charges land in its own shard — the
-  same charges, on the same lanes, as the serial run.  Every lane is
-  owned by exactly one shard, so per-lane busy time needs no replay at
-  all: the floats are exact by construction.
+There is one sharding mode, **unit sharding** (:func:`run_units`): an
+experiment is a fixed serial sequence of *units* (fig9 cells, fig12
+points, matrix cells; each builds its own world, clock, RNG streams,
+recorder, conservation ledger).  A deterministic plan places units on
+shards; workers run them with shard-local state; the coordinator merges
+outcomes **in the serial unit order**, replaying each unit's recorded
+charge stream so every float accumulator folds in exactly the order the
+serial run would have used.  Float addition is not associative: merging
+by adding per-shard *totals* would change the last ulps, so snapshots
+carry run-length-compressed event streams instead (lean on the wire:
+repeated identical charges — the common case, costs are constants —
+collapse to ``(value, count)`` pairs).
 
 Determinism guards
 ==================
@@ -549,18 +534,6 @@ def _run_assigned(task: WorkerTask) -> WorkerResult:
 # Reporting (the data plane of ``appctl shard/show``).
 # ----------------------------------------------------------------------
 @dataclass
-class HandoffStat:
-    """One cross-shard TX handoff queue's lifetime accounting."""
-
-    name: str
-    from_shard: int
-    to_shard: int
-    transfers: int = 0
-    packets: int = 0
-    peak_depth: int = 0
-
-
-@dataclass
 class ShardReport:
     """What a sharded run looked like, for ``appctl shard/show``.
 
@@ -574,9 +547,6 @@ class ShardReport:
     barriers: int = 0
     #: (unit key, shard id, weight) in serial order.
     placement: List[Tuple[Any, int, float]] = field(default_factory=list)
-    #: (pmd name, core, shard) rows for pipeline mode.
-    pmd_placement: List[Tuple[str, int, int]] = field(default_factory=list)
-    handoffs: List[HandoffStat] = field(default_factory=list)
     shard_walls: Dict[int, float] = field(default_factory=dict)
     merge_wall_s: float = 0.0
     payload_bytes: int = 0
@@ -588,10 +558,6 @@ class ShardReport:
             f"record: {self.record}",
             f"barriers: {self.barriers}",
         ]
-        if self.pmd_placement:
-            lines.append("pmd placement:")
-            for name, core, shard in self.pmd_placement:
-                lines.append(f"  {name} core {core} -> shard {shard}")
         if self.placement:
             by_shard: Dict[int, List[str]] = {}
             for key, shard, weight in self.placement:
@@ -605,13 +571,6 @@ class ShardReport:
                              f"{'s' if len(units) != 1 else ''}{suffix}")
                 for u in units:
                     lines.append(f"  {u}")
-        if self.handoffs:
-            lines.append("cross-shard handoff queues:")
-            for h in self.handoffs:
-                lines.append(
-                    f"  {h.name}: shard {h.from_shard} -> {h.to_shard}  "
-                    f"transfers:{h.transfers} packets:{h.packets} "
-                    f"peak-depth:{h.peak_depth}")
         lines.append(f"merge wall: {self.merge_wall_s * 1e3:.2f} ms "
                      f"({self.payload_bytes} snapshot bytes)")
         return "\n".join(lines)
@@ -801,360 +760,3 @@ def merge_ledgers(ledgers: Sequence) -> "Any":
         for name, n in ledger.sinks.items():
             sinks[name] = sinks.get(name, 0) + n
     return PacketLedger(offered=offered, forwarded=forwarded, sinks=sinks)
-
-
-# ----------------------------------------------------------------------
-# Pipeline sharding: one world, PMDs partitioned across workers.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PipelineSpec:
-    """A chain of PMD stages linked by charged SPSC rings.
-
-    Stage i polls ring i and outputs to ring i+1; the coordinator
-    injects bursts into ring 0 and collects the last ring.  Every stage
-    is one PMD pinned to its own CPU lane, so partitioning stages across
-    shards partitions lanes exactly (DESIGN §17).
-    """
-
-    n_stages: int = 4
-    n_flows: int = 8
-    burst: int = 32
-    ring_capacity: int = 4096
-    seed: int = 0
-
-
-class PipelineWorld:
-    """The built world: dpif + PMD per stage, rings between them."""
-
-    def __init__(self, spec: PipelineSpec) -> None:
-        from repro.net.flow import mask_from_fields
-        from repro.ovs import odp
-        from repro.ovs.dpif_netdev import DpifNetdev
-        from repro.ovs.netdevs import RingPortAdapter
-        from repro.ovs.pmd import PmdThread
-        from repro.sim.cpu import CpuModel
-
-        self.spec = spec
-        self.cpu = CpuModel(spec.n_stages)
-        self.rings = [RingPortAdapter(name=f"ring{i}",
-                                      capacity=spec.ring_capacity)
-                      for i in range(spec.n_stages + 1)]
-        self.pmds = []
-        self.dpifs = []
-        self.out_ports = []
-        mask = mask_from_fields(eth_type=-1, nw_dst=-1)
-        for i in range(spec.n_stages):
-            dpif = DpifNetdev(name=f"dp{i}")
-            p_in = dpif.add_port("in", self.rings[i])
-            p_out = dpif.add_port("out", self.rings[i + 1])
-
-            def upcall(key, ctx, _out=p_out.port_no):
-                return ((odp.Output(_out),), mask)
-
-            dpif.upcall_fn = upcall
-            pmd = PmdThread(dpif, self.cpu, core=i, name=f"pmd-c{i}")
-            pmd.add_rxq(p_in)
-            self.dpifs.append(dpif)
-            self.pmds.append(pmd)
-            self.out_ports.append(p_out)
-
-    def frames(self, n: int) -> List[bytes]:
-        """The deterministic workload: ``n`` UDP frames over the spec's
-        flow set (pure function of the spec, same in every process)."""
-        from repro.net.addresses import MacAddress
-        from repro.net.builder import make_udp_packet
-
-        spec = self.spec
-        out = []
-        for i in range(n):
-            f = (i + spec.seed) % spec.n_flows
-            out.append(make_udp_packet(
-                MacAddress.local(1), MacAddress.local(2),
-                "192.168.31.1",
-                f"10.0.{(f >> 8) & 0xFF}.{f & 0xFF}",
-                1000 + (f & 0xFF), 2000,
-            ).data)
-        return out
-
-    def run_stage(self, i: int) -> int:
-        return self.pmds[i].run_until_idle()
-
-    def lane_busy(self) -> Dict[int, Dict[str, float]]:
-        from repro.sim.cpu import CpuCategory
-
-        return {
-            c: {cat.name: self.cpu.busy_ns(cpu=c, category=cat)
-                for cat in CpuCategory
-                if self.cpu.busy_ns(cpu=c, category=cat)}
-            for c in range(self.cpu.n_cpus)
-        }
-
-    def stage_stats(self, i: int) -> Dict[str, int]:
-        s = self.dpifs[i].stats
-        return {
-            "packets": s.packets,
-            "emc_hits": s.emc_hits,
-            "megaflow_hits": s.megaflow_hits,
-            "upcalls": s.upcalls,
-            "dropped": s.dropped,
-        }
-
-
-@dataclass
-class PipelineResult:
-    """Merged observables of one pipeline run (serial or sharded)."""
-
-    forwarded: int
-    digest: str
-    lanes: Dict[int, Dict[str, float]]
-    stages: List[Dict[str, int]]
-    rounds: int
-    report: ShardReport
-
-    def identity(self) -> str:
-        """Canonical byte-comparable dump (floats via repr)."""
-        lines = [f"forwarded {self.forwarded}", f"digest {self.digest}"]
-        for c in sorted(self.lanes):
-            for cat in sorted(self.lanes[c]):
-                lines.append(f"lane {c} {cat} {self.lanes[c][cat]!r}")
-        for i, stats in enumerate(self.stages):
-            for k in sorted(stats):
-                lines.append(f"stage {i} {k} {stats[k]}")
-        return "\n".join(lines)
-
-
-def _digest(frames: Sequence[bytes]) -> "Any":
-    import hashlib
-
-    h = hashlib.sha256()
-    for data in frames:
-        h.update(len(data).to_bytes(4, "big"))
-        h.update(data)
-    return h
-
-
-def _pipeline_worker_main(conn, spec: PipelineSpec,
-                          stages: List[int]) -> None:
-    """Child process: run my stages each round, ship crossing frames."""
-    _clear_inherited_globals()
-    world = PipelineWorld(spec)
-    my = sorted(stages)
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "round":
-            feeds: Dict[int, List] = msg[1]
-            for ring_idx, pkts in feeds.items():
-                world.rings[ring_idx].feed(pkts)
-            processed = 0
-            for i in my:
-                processed += world.run_stage(i)
-            crossing: Dict[int, List] = {}
-            for i in my:
-                out_ring = i + 1
-                if out_ring == spec.n_stages or (out_ring not in
-                                                 [s for s in my]):
-                    pkts = world.rings[out_ring].take_all()
-                    if pkts:
-                        crossing[out_ring] = pkts
-            conn.send((processed, crossing))
-        elif cmd == "finish":
-            conn.send({
-                "lanes": world.lane_busy(),
-                "stages": {i: world.stage_stats(i) for i in my},
-                "rings": {
-                    i: {
-                        "enqueued": world.rings[i].enqueued,
-                        "dequeued": world.rings[i].dequeued,
-                        "peak_depth": world.rings[i].peak_depth,
-                        "transfers": world.rings[i].transfers,
-                    } for i in range(spec.n_stages + 1)
-                },
-            })
-            conn.close()
-            return
-
-
-def run_pipeline(
-    spec: PipelineSpec,
-    n_packets: int,
-    shards: int = 1,
-    partition: Optional[Sequence[int]] = None,
-    start_method: Optional[str] = None,
-) -> PipelineResult:
-    """Drive one pipeline world, optionally partitioned across workers.
-
-    The serial path (``shards <= 1``) advances the stages in order
-    between burst boundaries.  The sharded path gives each worker a
-    replica world but only its own stages to run; at each burst barrier
-    the coordinator ships frames queued on cross-shard rings to the
-    consumer's replica.  Each CPU lane and each stage's datapath state
-    is owned by exactly one process, so the merged per-lane busy time,
-    per-stage stats and the forwarded-frame digest are byte-identical
-    to the serial run — no replay needed.
-
-    Tracing is refused when sharded: a global trace ledger interleaves
-    lanes in an order a barrier-based schedule cannot reproduce; use
-    unit sharding (:func:`run_units`) for traced byte-identity gates.
-    """
-    from repro.net.packet import Packet
-
-    if shards > 1 and _trace.ACTIVE is not None:
-        raise ShardError(
-            "pipeline sharding cannot run under an ambient trace "
-            "recorder (lane charges interleave in serial order); "
-            "run traced pipelines with shards=1")
-    _guard_ambient_state((), shards)
-
-    if partition is None:
-        partition = partition_round_robin(spec.n_stages, max(1, shards))
-    partition = list(partition)
-    if len(partition) != spec.n_stages:
-        raise ShardError("partition must name one shard per stage")
-    n_shards = max(partition) + 1 if partition else 1
-
-    world = PipelineWorld(spec)
-    frames = world.frames(n_packets)
-    bursts = [frames[i:i + spec.burst]
-              for i in range(0, len(frames), spec.burst)]
-
-    if shards <= 1 or n_shards <= 1:
-        sink: List[bytes] = []
-        digest = _digest([])
-        rounds = 0
-        for burst in bursts:
-            world.rings[0].feed([Packet(data) for data in burst])
-            for i in range(spec.n_stages):
-                world.run_stage(i)
-            rounds += 1
-            for pkt in world.rings[spec.n_stages].take_all():
-                digest.update(len(pkt.data).to_bytes(4, "big"))
-                digest.update(pkt.data)
-                sink.append(True)
-        report = ShardReport(
-            n_shards=1, start_method="inline", degenerate=True,
-            barriers=rounds,
-            pmd_placement=[(p.ctx.name, p.ctx.cpu, 0)
-                           for p in world.pmds],
-        )
-        LAST_REPORT_set(report)
-        return PipelineResult(
-            forwarded=len(sink), digest=digest.hexdigest(),
-            lanes=world.lane_busy(),
-            stages=[world.stage_stats(i)
-                    for i in range(spec.n_stages)],
-            rounds=rounds, report=report,
-        )
-
-    import multiprocessing as mp
-
-    method = start_method or default_start_method()
-    ctx = mp.get_context(method)
-    owners: Dict[int, List[int]] = {}
-    for stage, s in enumerate(partition):
-        owners.setdefault(s, []).append(stage)
-    # Mark cross-shard egress ports on the coordinator's replica for the
-    # report (workers mark their own identically).
-    for stage, s in enumerate(partition):
-        nxt = partition[stage + 1] if stage + 1 < spec.n_stages else None
-        if nxt != s:
-            world.out_ports[stage].handoff = True
-            world.out_ports[stage].shard = s
-
-    procs = {}
-    conns = {}
-    for s, stages in sorted(owners.items()):
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_pipeline_worker_main,
-                           args=(child, spec, stages), daemon=True)
-        proc.start()
-        child.close()
-        procs[s], conns[s] = proc, parent
-
-    #: ring index -> owning shard of its consumer stage (None = sink).
-    consumer_of = {i: partition[i] for i in range(spec.n_stages)}
-    digest = _digest([])
-    forwarded = 0
-    rounds = 0
-    pending: Dict[int, List] = {}
-    burst_iter = iter(bursts)
-    handoff_stats: Dict[int, HandoffStat] = {}
-    remaining = len(bursts)
-    try:
-        while True:
-            feeds_by_shard: Dict[int, Dict[int, List]] = {s: {}
-                                                          for s in owners}
-            burst = next(burst_iter, None)
-            if burst is not None:
-                remaining -= 1
-                feeds_by_shard[consumer_of[0]][0] = [
-                    Packet(data) for data in burst]
-            moved = False
-            for ring_idx, pkts in pending.items():
-                feeds_by_shard[consumer_of[ring_idx]][ring_idx] = pkts
-                moved = True
-            pending = {}
-            if burst is None and not moved:
-                break
-            for s in sorted(owners):
-                conns[s].send(("round", feeds_by_shard[s]))
-            processed_total = 0
-            # Fixed shard order: the barrier and the merge order.
-            for s in sorted(owners):
-                processed, crossing = conns[s].recv()
-                processed_total += processed
-                for ring_idx in sorted(crossing):
-                    pkts = crossing[ring_idx]
-                    if ring_idx == spec.n_stages:
-                        for pkt in pkts:
-                            digest.update(
-                                len(pkt.data).to_bytes(4, "big"))
-                            digest.update(pkt.data)
-                        forwarded += len(pkts)
-                    else:
-                        pending[ring_idx] = pkts
-                        stat = handoff_stats.get(ring_idx)
-                        if stat is None:
-                            stat = handoff_stats[ring_idx] = HandoffStat(
-                                name=f"ring{ring_idx}",
-                                from_shard=partition[ring_idx - 1],
-                                to_shard=consumer_of[ring_idx],
-                            )
-                        stat.transfers += 1
-                        stat.packets += len(pkts)
-                        if len(pkts) > stat.peak_depth:
-                            stat.peak_depth = len(pkts)
-            rounds += 1
-        lanes: Dict[int, Dict[str, float]] = {}
-        stages_out: List[Optional[Dict[str, int]]] = (
-            [None] * spec.n_stages)
-        for s in sorted(owners):
-            conns[s].send(("finish",))
-            summary = conns[s].recv()
-            for stage in owners[s]:
-                lanes[stage] = summary["lanes"][stage]
-                stages_out[stage] = summary["stages"][stage]
-            # Lanes not owned by this shard stayed zero in its replica.
-    finally:
-        for s, proc in procs.items():
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-    report = ShardReport(
-        n_shards=n_shards, start_method=method, barriers=rounds,
-        pmd_placement=[(p.ctx.name, p.ctx.cpu, partition[i])
-                       for i, p in enumerate(world.pmds)],
-        handoffs=[handoff_stats[k] for k in sorted(handoff_stats)],
-    )
-    LAST_REPORT_set(report)
-    return PipelineResult(
-        forwarded=forwarded, digest=digest.hexdigest(),
-        lanes=lanes, stages=list(stages_out), rounds=rounds,
-        report=report,
-    )
-
-
-def LAST_REPORT_set(report: ShardReport) -> None:
-    """Module-global assignment helper (keeps callers one-liners)."""
-    global LAST_REPORT
-    LAST_REPORT = report

@@ -10,10 +10,10 @@ the conservation ledger.
 The session object mirrors :mod:`repro.sim.faults` and
 :mod:`repro.sim.trace`: a module global ``ACTIVE`` that hot paths read
 with a single attribute load, ``None`` meaning "telemetry off" with
-**zero** overhead — no charge, no RNG draw, no counter.  The CI gate
-(:mod:`repro.tools.telemetry_gate`) byte-diffs ledgers, counters and
-flamegraphs with telemetry absent vs installed-but-disabled to pin that
-down::
+**zero** overhead — no charge, no RNG draw, no counter.  The identity
+gate (``tests/integration/test_jit_equivalence.py``) byte-diffs ledgers,
+counters and flamegraphs with telemetry absent vs installed-but-disabled
+to pin that down::
 
     session = Telemetry(sflow=SflowConfig(rate=64),
                         ipfix=IpfixConfig(),

@@ -72,23 +72,6 @@ def test_matrix_subcommand_runs(tmp_path, capsys):
     assert "Mpps" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag,module_name", [
-    ("--no-jit", "repro.ebpf.jit"),
-    ("--no-dpjit", "repro.ovs.dpjit"),
-])
-def test_compiler_opt_out_flags(flag, module_name, monkeypatch, capsys):
-    """``--no-jit``/``--no-dpjit`` run the experiment through the
-    interpreter/generic walk and restore the default afterwards."""
-    mod = importlib.import_module(module_name)
-    assert mod.ENABLED
-    monkeypatch.setattr(mod, "ENABLED", True)  # restore on test exit
-    _shrink(monkeypatch, "fig2")
-    assert main([flag, "fig2"]) == 0
-    assert not mod.ENABLED
-    assert "[fig2 done in" in capsys.readouterr().out
-    mod.set_enabled(True)
-
-
 def test_trace_flag_composes_with_an_experiment(monkeypatch, capsys):
     _shrink(monkeypatch, "fig2")
     assert main(["--trace", "fig2"]) == 0

@@ -38,8 +38,9 @@ from repro.sim import faults, trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 from repro.sim.faults import FaultPlan, FaultRule
+from tests.conftest import reference_mode
 
-from .test_trace_determinism import _experiment_ledger, _reference_mode
+from .test_trace_determinism import _experiment_ledger
 
 
 def mac(i):
@@ -466,7 +467,7 @@ def test_batched_and_reference_classification_agree_under_faults():
 
     kwargs = dict(packets=160, n_flows=12, rates=(0.15,), seed=3)
     batched = [p.to_json() for p in run_degradation(**kwargs)]
-    with _reference_mode():
+    with reference_mode():
         reference = [p.to_json() for p in run_degradation(**kwargs)]
     assert batched == reference
 

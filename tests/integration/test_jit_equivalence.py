@@ -1,127 +1,187 @@
-"""JIT observability gates at full-experiment scale.
+"""The identity gate: every way of running an experiment other than the
+default must be invisible to every observable.
 
-The JIT's contract is that compiled execution is invisible to every
-observable: for each experiment (fig2, fig9, table2, table5) a run with
-the JIT enabled must produce the byte-identical trace ledger, the same
-counter map, and the byte-identical collapsed-stack flamegraph as a run
-with the JIT disabled (interpreter + verdict memo).  table5 — the
-all-XDP workload, where virtually every charged nanosecond flows
-through the engine under test — is additionally pinned against the full
-reference mode (no fastpath layers at all).
+For each experiment (fig2, fig9, table2, table5) the default run — every
+compiler and memo on, no telemetry session, one process — is compared
+with the same run under one changed axis:
+
+* the eBPF JIT off (interpreter + verdict memo);
+* the megaflow dp-JIT off (generic action walk);
+* full reference mode (no burst classify, no memos, no JIT);
+* an inert ``Telemetry()`` session installed (sampler and exporter off);
+* the cells spread over 2 and 4 worker processes.
+
+Each comparison byte-diffs the trace ledger, the counter map and the
+collapsed-stack flamegraph through one helper, :func:`observe`.  Every
+axis also proves the comparison can fail: the default run must have
+executed eBPF programs and dispatched compiled megaflows, 1/1 sampling
+must diverge from it, and a perturbed shard merge must diverge from it.
 """
 
 import contextlib
+import functools
+from unittest import mock
 
 import pytest
 
+from repro import telemetry
 from repro.ebpf import jit
-from repro.ovs import dpif_netdev, dpjit
-from repro.sim import fastpath, profile
+from repro.ovs import dpjit
+from repro.sim import profile, shard
 from repro.sim.profile import collapse
+from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
+from repro.telemetry.sflow import SAMPLE_POINTS
+from tests.conftest import reference_mode
 
 PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
+EXPERIMENTS = sorted(PACKETS)
+#: table5 is pure XDP: no DpifNetdev, so no dp-JIT dispatch happens there.
+DP_EXPERIMENTS = ["fig2", "fig9", "table2"]
 
 
-def _run_experiment(experiment: str, packets: int) -> None:
+def _run_experiment(experiment: str, shards: int = 1) -> None:
+    packets = PACKETS[experiment]
     if experiment == "fig2":
         from repro.experiments.fig2_single_flow import run_fig2
 
-        run_fig2(packets=packets)
+        run_fig2(packets=packets, shards=shards)
     elif experiment == "fig9":
         from repro.experiments.fig9_forwarding import run_fig9
 
-        run_fig9(packets=packets, scenarios=("P2P",))
+        run_fig9(packets=packets, scenarios=("P2P",), shards=shards)
     elif experiment == "table2":
         from repro.experiments.table2_optimizations import run_table2
 
-        run_table2(packets=packets)
+        run_table2(packets=packets, shards=shards)
     else:
         from repro.experiments.table5_xdp_cost import run_table5
 
-        run_table5(packets=packets)
+        run_table5(packets=packets, shards=shards)
 
 
-@contextlib.contextmanager
-def _reference_mode():
-    """Everything off: no burst classify, no memos, no JIT."""
-    prev = dpif_netdev.BATCH_CLASSIFY
-    dpif_netdev.BATCH_CLASSIFY = False
-    try:
-        with fastpath.disabled():
-            yield
-    finally:
-        dpif_netdev.BATCH_CLASSIFY = prev
-
-
-def _observe(experiment: str, jit_on: bool = True, dpjit_on: bool = True):
-    """One profiled run -> (ledger, counters, collapsed flamegraph)."""
+def observe(experiment: str, *contexts, shards: int = 1):
+    """One profiled run inside ``contexts`` -> (ledger, counters,
+    collapsed flamegraph)."""
     with contextlib.ExitStack() as stack:
-        if not jit_on:
-            stack.enter_context(jit.disabled())
-        if not dpjit_on:
-            stack.enter_context(dpjit.disabled())
+        for context in contexts:
+            stack.enter_context(context)
         rec = stack.enter_context(profile.profiling())
-        _run_experiment(experiment, PACKETS[experiment])
+        _run_experiment(experiment, shards)
     return rec.ledger(), dict(rec.counters), collapse(rec.profiler.root)
 
 
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
+def diff(a, b):
+    """``None`` when two observations are byte-identical, else what
+    differs."""
+    (led_a, counters_a, flame_a), (led_b, counters_b, flame_b) = a, b
+    if led_a != led_b:
+        return "trace ledger differs"
+    if counters_a != counters_b:
+        return "counters differ: %r" % {
+            k: (counters_a.get(k), counters_b.get(k))
+            for k in set(counters_a) | set(counters_b)
+            if counters_a.get(k) != counters_b.get(k)}
+    if flame_a != flame_b:
+        return "collapsed-stack flamegraph differs"
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _default(experiment: str):
+    """The default run every axis is compared with, observed once."""
+    before = dpjit.STATS.dispatched
+    observed = observe(experiment)
+    dispatched = dpjit.STATS.dispatched - before
+    # The comparisons below are not vacuous: something was recorded,
+    # eBPF programs ran, compiled megaflows were dispatched.
+    ledger, counters, flame = observed
+    assert ledger and flame
+    assert counters.get("ebpf.runs", 0) > 0
+    if experiment in DP_EXPERIMENTS:
+        assert dispatched > 0
+    return observed
+
+
+def _assert_identical(experiment: str, *contexts, shards: int = 1) -> None:
+    assert diff(_default(experiment),
+                observe(experiment, *contexts, shards=shards)) is None
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_jit_run_is_byte_identical_to_interpreter_run(experiment):
-    led_jit, counters_jit, flame_jit = _observe(experiment, jit_on=True)
-    led_off, counters_off, flame_off = _observe(experiment, jit_on=False)
-    assert led_jit == led_off
-    assert counters_jit == counters_off
-    assert flame_jit == flame_off
-    # Sanity: the gate compares something real.
-    assert led_jit and flame_jit
-    assert counters_jit.get("ebpf.runs", 0) > 0
+    _assert_identical(experiment, jit.disabled())
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_dpjit_run_is_byte_identical_to_generic_walk(experiment):
+    _assert_identical(experiment, dpjit.disabled())
+
+
+@pytest.mark.parametrize("experiment", DP_EXPERIMENTS)
+def test_run_matches_full_reference_mode(experiment):
+    _assert_identical(experiment, reference_mode())
 
 
 def test_table5_jit_matches_full_reference_mode():
-    """table5 was not covered by PR 2's batched-vs-reference gates; the
-    JIT-on ledger must match a run with every fastpath layer stripped."""
-    led_jit, counters_jit, _ = _observe("table5", jit_on=True)
-    with _reference_mode():
-        led_ref, counters_ref, _ = _observe("table5", jit_on=True)
-    assert led_jit == led_ref
-    assert counters_jit == counters_ref
+    """table5 — the all-XDP workload, where virtually every charged
+    nanosecond flows through the eBPF engine."""
+    _assert_identical("table5", reference_mode())
 
 
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
-def test_dpjit_run_is_byte_identical_to_generic_walk(experiment):
-    """Same contract for the megaflow dp-JIT: compiled action closures
-    must be invisible to the ledger, counters, and flames."""
-    dispatched_before = dpjit.STATS.dispatched
-    led_on, counters_on, flame_on = _observe(experiment)
-    dispatched = dpjit.STATS.dispatched - dispatched_before
-    led_off, counters_off, flame_off = _observe(experiment,
-                                                dpjit_on=False)
-    assert led_on == led_off
-    assert counters_on == counters_off
-    assert flame_on == flame_off
-    assert led_on and flame_on
-    if experiment != "table5":
-        # table5 is pure XDP — no DpifNetdev, so no dp dispatch there.
-        assert dispatched > 0
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_inert_telemetry_session_is_invisible(experiment):
+    """Installed but disabled must equal not installed: no hot path may
+    charge, count or draw randomness when monitoring is off."""
+    _assert_identical(experiment, telemetry.monitoring(Telemetry()))
 
 
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sharded_run_is_byte_identical_to_serial(experiment, shards):
+    _assert_identical(experiment, shards=shards)
+    assert not shard.LAST_REPORT.degenerate  # workers really ran it
+
+
+# ----------------------------------------------------------------------
+# Proof of teeth: each axis can make the comparison fail.
+# ----------------------------------------------------------------------
 def test_dpjit_actually_compiled_the_dp_experiments():
-    """Vacuousness guard: fig2's datapath flows must run through
-    compiled closures, not fall back to the generic walk."""
+    """fig2's datapath flows must run through compiled closures, not
+    fall back to the generic walk."""
     dpjit.reset_stats()
-    _run_experiment("fig2", PACKETS["fig2"])
+    _run_experiment("fig2")
     s = dpjit.STATS
     assert s.compiled > 0 and s.dispatched > 0, (
         s.compiled, s.declined, s.dispatched, s.decline_reasons)
 
 
 def test_jit_actually_ran_the_experiments():
-    """Guard against the gate passing vacuously because every run fell
-    back to the interpreter: table5's four programs must all execute
-    through compiled code with zero declines."""
+    """table5's four programs must all execute through compiled code
+    with zero declines, not fall back to the interpreter."""
     jit.reset_stats()
-    _run_experiment("table5", PACKETS["table5"])
+    _run_experiment("table5")
     stats = jit.stats()
     ran = {name: st for name, st in stats.items() if st.jit_runs}
     assert len(ran) >= 4, stats
     assert all(st.declined is None for st in stats.values()), stats
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_full_sampling_diverges(experiment):
+    """The telemetry hooks are alive: a fully monitored run observes
+    packets somewhere, so something differs from the default run."""
+    session = Telemetry(sflow=SflowConfig(rate=1, points=SAMPLE_POINTS),
+                        ipfix=IpfixConfig())
+    full = observe(experiment, telemetry.monitoring(session))
+    assert diff(_default(experiment), full) is not None
+
+
+@pytest.mark.parametrize("mutation", ["reorder", "collapse"])
+def test_merge_mutations_diverge(mutation):
+    """A unit replayed out of serial order, or a run-length group folded
+    as one multiplication, must change an observable."""
+    mutated_merge = mock.patch.object(
+        shard, "run_units",
+        functools.partial(shard.run_units, _mutate_merge=mutation))
+    assert diff(_default("fig9"),
+                observe("fig9", mutated_merge, shards=2)) is not None

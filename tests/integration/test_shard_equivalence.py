@@ -1,11 +1,11 @@
 """Sharded execution is invisible: byte-identity, determinism,
 arbitrary partitions (DESIGN §17).
 
-The heavyweight gate (``repro.tools.shard_gate``) checks the full
-experiment set at CI packet counts; this suite proves the same
-properties at test-sized workloads, plus the ones only a property test
-can state — *any* port->shard partition of a seeded fault-plan world
-merges to the serial conservation ledger.
+The identity gate (``test_jit_equivalence.py``) byte-diffs the full
+experiment set serial vs sharded; this suite adds run-twice determinism
+and the properties only a property test can state — *any* port->shard
+partition of a seeded fault-plan world merges to the serial conservation
+ledger.
 """
 
 import json
@@ -19,12 +19,7 @@ from repro.experiments.fig9_forwarding import cell_units, run_fig9
 from repro.experiments.fig12_multiqueue import run_fig12
 from repro.sim import profile
 from repro.sim.profile import collapse
-from repro.sim.shard import (
-    PipelineSpec,
-    merge_ledgers,
-    run_pipeline,
-    run_units,
-)
+from repro.sim.shard import merge_ledgers, run_units
 from repro.tools.conservation import PacketLedger
 
 N_PORTS = 4
@@ -67,31 +62,6 @@ def test_merge_mutations_trip_on_a_real_experiment():
         with profile.profiling() as rec:
             run_units(units, shards=2, _mutate_merge=mutation)
         assert rec.ledger() != serial, mutation
-
-
-# ----------------------------------------------------------------------
-# Pipeline sharding.
-# ----------------------------------------------------------------------
-def test_pipeline_partitions_merge_to_the_serial_identity():
-    spec = PipelineSpec(n_stages=4, n_flows=8, burst=32)
-    serial = run_pipeline(spec, n_packets=320, shards=1)
-    assert serial.forwarded == 320
-    for partition in ([0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 2, 0]):
-        sharded = run_pipeline(spec, n_packets=320,
-                               shards=max(partition) + 1,
-                               partition=partition)
-        assert sharded.identity() == serial.identity()
-        assert sharded.report.handoffs, "no cross-shard handoffs seen"
-
-
-def test_pipeline_handoff_accounting_is_truthful():
-    spec = PipelineSpec(n_stages=2, n_flows=4, burst=32)
-    result = run_pipeline(spec, n_packets=96, shards=2, partition=[0, 1])
-    (handoff,) = result.report.handoffs
-    assert handoff.name == "ring1"
-    assert (handoff.from_shard, handoff.to_shard) == (0, 1)
-    assert handoff.packets == 96
-    assert handoff.transfers == result.rounds - 1  # last round drains
 
 
 # ----------------------------------------------------------------------

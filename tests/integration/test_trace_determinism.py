@@ -8,25 +8,10 @@ experiment with batching plus every wall-clock memo layer must produce
 the byte-identical trace ledger the per-packet reference path produces.
 """
 
-import contextlib
-
 import pytest
 
-from repro.ovs import dpif_netdev
-from repro.sim import fastpath, trace
-
-
-@contextlib.contextmanager
-def _reference_mode():
-    """Run with burst classification and all wall-clock memos off —
-    the pre-batching observable behaviour."""
-    prev = dpif_netdev.BATCH_CLASSIFY
-    dpif_netdev.BATCH_CLASSIFY = False
-    try:
-        with fastpath.disabled():
-            yield
-    finally:
-        dpif_netdev.BATCH_CLASSIFY = prev
+from repro.sim import trace
+from tests.conftest import reference_mode
 
 
 def _experiment_ledger(experiment: str, packets: int) -> str:
@@ -58,7 +43,7 @@ def test_fig9_ledgers_are_byte_identical():
                          [("fig2", 400), ("fig9", 300), ("table2", 400)])
 def test_batched_ledger_matches_reference(experiment, packets):
     batched = _experiment_ledger(experiment, packets)
-    with _reference_mode():
+    with reference_mode():
         reference = _experiment_ledger(experiment, packets)
     assert batched == reference
 

@@ -8,7 +8,7 @@ real 2-worker) run and checks the live ``shard.LAST_REPORT`` path.
 from repro.hosts.host import Host
 from repro.ovs.appctl import OvsAppctl
 from repro.sim import shard
-from repro.sim.shard import HandoffStat, ShardReport, Unit, run_units
+from repro.sim.shard import ShardReport, Unit, run_units
 
 
 def _appctl():
@@ -33,8 +33,6 @@ def test_shard_show_golden_multi_worker():
         placement=[("fig9:P2P:kernel", 0, 3.0),
                    ("fig9:P2P:dpdk", 1, 1.0),
                    ("fig9:P2P:ebpf", 1, 1.5)],
-        handoffs=[HandoffStat(name="ring1", from_shard=0, to_shard=1,
-                              transfers=20, packets=640, peak_depth=32)],
         shard_walls={0: 0.25, 1: 0.125},
         merge_wall_s=0.002,
         payload_bytes=4096,
@@ -49,8 +47,6 @@ def test_shard_show_golden_multi_worker():
         "shard 1: 2 units  wall 0.125s",
         "  'fig9:P2P:dpdk' (w=1)",
         "  'fig9:P2P:ebpf' (w=1.5)",
-        "cross-shard handoff queues:",
-        "  ring1: shard 0 -> 1  transfers:20 packets:640 peak-depth:32",
         "merge wall: 2.00 ms (4096 snapshot bytes)",
     ])
 
@@ -77,21 +73,6 @@ def test_shard_show_golden_degenerate_single_shard():
         "  'port1' (w=2)",
         "merge wall: 0.00 ms (0 snapshot bytes)",
     ])
-
-
-def test_shard_show_pmd_placement_rows():
-    report = ShardReport(
-        n_shards=2, start_method="fork", barriers=20,
-        pmd_placement=[("pmd-c0", 0, 0), ("pmd-c1", 1, 1)],
-        handoffs=[HandoffStat(name="ring2", from_shard=1, to_shard=0,
-                              transfers=5, packets=160, peak_depth=32)],
-    )
-    out = _appctl().shard_show(report)
-    assert "pmd placement:" in out
-    assert "  pmd-c0 core 0 -> shard 0" in out
-    assert "  pmd-c1 core 1 -> shard 1" in out
-    assert "barriers: 20" in out
-    assert "ring2: shard 1 -> 0" in out
 
 
 def test_shard_show_reads_last_report_and_handles_none():

@@ -29,12 +29,12 @@ from repro.net.flow import MaskSpec, mask_from_fields
 from repro.net.tunnel import TunnelConfig
 from repro.ovs import dpjit, odp
 from repro.ovs.dpif_netdev import DpifNetdev
-from repro.ovs import dpif_netdev
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.netdevs import SimAdapter
-from repro.sim import fastpath, faults, trace
+from repro.sim import faults, trace
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 from repro.sim.faults import FaultPlan, FaultRule
+from tests.conftest import reference_mode
 
 #: Low byte 1..16 selects the chain shape in the upcall below.
 DSTS = [f"10.1.0.{i}" for i in range(1, 17)]
@@ -117,13 +117,9 @@ def _packets(burst):
 
 def _observe(bursts, plan=None, dpjit_on=True, reference=False):
     dpif, ctx, cpu, emc, p_rx, outs = _make_world()
-    prev_batch = dpif_netdev.BATCH_CLASSIFY
     with contextlib.ExitStack() as stack:
         if reference:
-            dpif_netdev.BATCH_CLASSIFY = False
-            stack.callback(
-                lambda: setattr(dpif_netdev, "BATCH_CLASSIFY", prev_batch))
-            stack.enter_context(fastpath.disabled())
+            stack.enter_context(reference_mode())
         elif not dpjit_on:
             stack.enter_context(dpjit.disabled())
         if plan is not None:

@@ -199,7 +199,7 @@ def test_fastpath_show_lists_layers_and_jit_counts(world):
     st = jit.stats_for(program.name)
     assert st.jit_runs == 1 and st.compiled
     with jit.disabled():
-        assert "ebpf-jit: off (EBPF_JIT=0)" in appctl.fastpath_show()
+        assert "ebpf-jit: off" in appctl.fastpath_show()
 
 
 def test_fastpath_show_lists_dpjit_counts(world):
@@ -218,7 +218,7 @@ def test_fastpath_show_lists_dpjit_counts(world):
     assert tuple(int(x) for x in m.groups()) == (
         s.compiled, s.declined, s.invalidated, s.dispatched)
     with dpjit.disabled():
-        assert "dp-jit: off (DP_JIT=0)" in appctl.fastpath_show()
+        assert "dp-jit: off" in appctl.fastpath_show()
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,7 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.ovs.netdevs import RingPortAdapter
-from repro.net.packet import Packet
 from repro.sim import faults, profile, trace
-from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 from repro.sim.profile import collapse
 from repro.sim.shard import (
     RunLog,
@@ -23,9 +19,7 @@ from repro.sim.shard import (
     TraceSnapshot,
     Unit,
     partition_round_robin,
-    run_pipeline,
     run_units,
-    PipelineSpec,
 )
 
 
@@ -260,13 +254,6 @@ def test_bad_runner_specs_raise_shard_errors():
                         runner="tests.sim.test_shard:missing")], shards=1)
 
 
-def test_pipeline_sharding_refuses_ambient_tracing():
-    with trace.recording():
-        with pytest.raises(ShardError, match="ambient trace"):
-            run_pipeline(PipelineSpec(n_stages=2), n_packets=32, shards=2,
-                         partition=[0, 1])
-
-
 # ----------------------------------------------------------------------
 # Start methods (spawn-safety satellite).
 # ----------------------------------------------------------------------
@@ -276,50 +263,3 @@ def test_every_start_method_merges_byte_identically(method):
     serial = _observe(units, shards=1)
     sharded = _observe(units, shards=2, start_method=method)
     assert sharded == serial
-
-
-# ----------------------------------------------------------------------
-# RingPortAdapter: the cross-shard TX handoff queue.
-# ----------------------------------------------------------------------
-def _ctx():
-    return ExecContext(CpuModel(1), 0, CpuCategory.USER, name="t")
-
-
-def test_ring_charges_per_burst_plus_per_frame():
-    ring = RingPortAdapter(name="r")
-    tx, rx = _ctx(), _ctx()
-    pkts = [Packet(bytes(60)) for _ in range(4)]
-    assert ring.tx_burst(pkts, tx) == 4
-    assert tx.local_time_ns == \
-        DEFAULT_COSTS.ring_batch_ns + 4 * DEFAULT_COSTS.ring_op_ns
-    got = ring.rx_burst(rx, batch=32)
-    assert [p.data for p in got] == [p.data for p in pkts]
-    assert rx.local_time_ns == tx.local_time_ns
-    assert ring.enqueued == ring.dequeued == 4
-
-
-def test_ring_empty_rx_is_free_and_capacity_drops_are_counted():
-    ring = RingPortAdapter(name="r", capacity=3)
-    ctx = _ctx()
-    assert ring.rx_burst(ctx) == []
-    assert ctx.local_time_ns == 0.0
-    sent = ring.tx_burst([Packet(bytes(60)) for _ in range(5)], ctx)
-    assert sent == 3
-    assert ring.dropped_ring_full == 2
-    assert ring.peak_depth == 3
-
-
-def test_ring_handoff_take_all_and_feed_are_uncharged():
-    ring = RingPortAdapter(name="r")
-    ctx = _ctx()
-    ring.tx_burst([Packet(bytes(60)) for _ in range(3)], ctx)
-    charged = ctx.local_time_ns
-    assert ring.pending() == 3
-    pkts = ring.take_all()
-    assert len(pkts) == 3 and ring.pending() == 0
-    assert ring.transfers == 1
-    other = RingPortAdapter(name="r2")
-    other.feed(pkts)
-    assert other.pending() == 3 and other.peak_depth == 3
-    assert ctx.local_time_ns == charged  # no coordinator charges
-    assert ring.take_all() == [] and ring.transfers == 1
