@@ -22,7 +22,6 @@ scheduler wakeups.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -218,7 +217,7 @@ def run_fig10(n_transactions: int = N_TRANSACTIONS) -> Fig10Result:
     for config in ("kernel", "afxdp", "dpdk"):
         path = _RrPath(config)
         runner = TcpRrRunner(path.contexts(), _JITTER[config],
-                             seed=zlib.crc32(config.encode()) & 0xFFFF)
+                             seed=hash(config) & 0xFFFF)
         results[config] = runner.run(path.one_transaction, n_transactions)
     return Fig10Result(results=results)
 

@@ -14,13 +14,15 @@ with the same run under one changed axis:
 Each comparison byte-diffs the trace ledger, the counter map and the
 collapsed-stack flamegraph through one helper, :func:`observe`.  Every
 axis also proves the comparison can fail: the default run must have
-executed eBPF programs and dispatched compiled megaflows, 1/1 sampling
-must diverge from it, and a perturbed shard merge must diverge from it.
+executed eBPF programs and dispatched compiled megaflows, and 1/1 sampling
+must diverge from it.  The shard axis's proof — a ``reorder`` or
+``collapse`` merge mutation changes fig9's ledger at shards=2 — is
+``test_merge_mutations_trip_on_a_real_experiment`` in
+``test_shard_equivalence.py``.
 """
 
 import contextlib
 import functools
-from unittest import mock
 
 import pytest
 
@@ -175,13 +177,3 @@ def test_full_sampling_diverges(experiment):
     full = observe(experiment, telemetry.monitoring(session))
     assert diff(_default(experiment), full) is not None
 
-
-@pytest.mark.parametrize("mutation", ["reorder", "collapse"])
-def test_merge_mutations_diverge(mutation):
-    """A unit replayed out of serial order, or a run-length group folded
-    as one multiplication, must change an observable."""
-    mutated_merge = mock.patch.object(
-        shard, "run_units",
-        functools.partial(shard.run_units, _mutate_merge=mutation))
-    assert diff(_default("fig9"),
-                observe("fig9", mutated_merge, shards=2)) is not None
