@@ -322,24 +322,27 @@ def install_ruleset(
             f"structural rules ({self_count}) already exceed the target"
         )
     n_switches = len(topo.subnets)
+    # One frozen allow-action tuple per zone, shared by that zone's rules.
+    allow_actions = [
+        (CtAction(zone=100 + ls, commit=True, table=T_L3),)
+        for ls in range(n_switches)
+    ]
+    net_10 = ip_to_int("10.0.0.0")
+    # Plain ints, so the GC can untrack each all-int match key.
+    tcp, udp = int(IPProto.TCP), int(IPProto.UDP)
     for i in range(remaining):
         ls = i % n_switches
-        table = T_DFW_BASE + ls
-        zone = 100 + ls
-        proto = IPProto.TCP if rng.random() < 0.7 else IPProto.UDP
-        src_net = ip_to_int(f"10.{rng.randrange(256)}.{rng.randrange(256)}.0")
-        dst_net = ip_to_int(f"10.{rng.randrange(256)}.{rng.randrange(256)}.0")
+        proto = tcp if rng.random() < 0.7 else udp
+        src_net = net_10 | rng.randrange(256) << 16 | rng.randrange(256) << 8
+        dst_net = net_10 | rng.randrange(256) << 16 | rng.randrange(256) << 8
         port = rng.randrange(1024, 65535)
         allow = rng.random() < 0.5
-        actions = (
-            [CtAction(zone=zone, commit=True, table=T_L3)] if allow else []
-        )
-        add(table, 300,
+        add(T_DFW_BASE + ls, 300,
             Match(metadata=ls, eth_type=0x0800, nw_proto=proto,
                   nw_src=(src_net, 0xFFFFFF00),
                   nw_dst=(dst_net, 0xFFFFFF00),
                   tp_dst=port),
-            actions)
+            allow_actions[ls] if allow else ())
     return self_count
 
 

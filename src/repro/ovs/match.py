@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from repro.net.flow import FlowKey, FlowMask, N_FLOW_FIELDS, apply_mask
+from repro.net.flow import FlowKey, FlowMask, MaskSpec, N_FLOW_FIELDS
 
 _FIELD_INDEX = {name: i for i, name in enumerate(FlowKey._fields)}
 
@@ -44,69 +44,135 @@ _FULL_MASK = {
 }
 
 
-class Match:
-    """An immutable-after-construction field match."""
+class _Shape(MaskSpec):
+    """What every match with one ``(fields, masks)`` signature shares.
 
-    __slots__ = ("_fields", "_mask", "_masked_key_cache")
+    ``mask`` is the dense :data:`FlowMask` (what ``probed_masks`` and
+    megaflow masks are built from) and ``fields`` the non-zero ``(index,
+    bits)`` pairs a packet key is projected through, both inherited;
+    ``names`` is every constrained field in :class:`FlowKey` order,
+    including zero-mask ones such as ``nw_src=(0, 0)``, which constrain
+    nothing but still tell two matches apart.  Shapes are interned, so
+    matches compare them by identity.
+    """
+
+    __slots__ = ("names", "mask_hash")
+
+    def __init__(self, names: Tuple[str, ...], mask: FlowMask) -> None:
+        super().__init__(mask)
+        self.names = names
+        self.mask_hash = hash(self.mask)
+
+    def __reduce__(self):
+        # Copies and unpickles re-intern instead of forking the identity.
+        return _intern, (self.names, self.mask)
+
+
+#: The intern tables: pure caches, no behaviour depends on what they
+#: hold.  ``_SHAPES`` is keyed canonically, ``_SIGNATURES`` by the
+#: constraints as a call site wrote them (names in keyword order, raw
+#: masks, -1 for "exact").
+_SHAPES: Dict[Tuple[Tuple[str, ...], FlowMask], _Shape] = {}
+_SIGNATURES: Dict[tuple, Tuple[_Shape, Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
+def _intern(names: Tuple[str, ...], mask: FlowMask) -> _Shape:
+    shape = _SHAPES.get((names, mask))
+    if shape is None:
+        shape = _SHAPES[names, mask] = _Shape(names, mask)
+    return shape
+
+
+def _compile(names: Tuple[str, ...], raw_masks: Tuple[int, ...]):
+    """``(shape, normalised masks as written, where the key's values sit)``."""
+    masks = []
+    dense = [0] * N_FLOW_FIELDS
+    for name, mask in zip(names, raw_masks):
+        if name not in _FIELD_INDEX:
+            raise KeyError(f"unknown match field: {name}")
+        mask &= _FULL_MASK[name]
+        masks.append(mask)
+        dense[_FIELD_INDEX[name]] = mask
+    order = sorted(range(len(names)), key=lambda i: _FIELD_INDEX[names[i]])
+    shape = _intern(tuple(names[i] for i in order), tuple(dense))
+    return shape, tuple(masks), tuple(i for i in order if masks[i])
+
+
+class Match:
+    """An immutable-after-construction field match.
+
+    Stored sparsely: an interned :class:`_Shape` plus ``key``, the values
+    of the shape's non-zero-mask fields in :class:`FlowKey` order —
+    exactly what a packet key projects to when it matches, so ``key`` is
+    the classifier's bucket key as is.
+    """
+
+    __slots__ = ("shape", "key")
 
     def __init__(self, **constraints: "int | Tuple[int, int]") -> None:
-        fields: Dict[str, Tuple[int, int]] = {}
-        for name, spec in constraints.items():
-            if name not in _FIELD_INDEX:
-                raise KeyError(f"unknown match field: {name}")
+        values, raw_masks = [], []
+        for spec in constraints.values():
             if isinstance(spec, tuple):
-                value, mask = spec
+                values.append(spec[0])
+                raw_masks.append(spec[1])
             else:
-                value, mask = spec, _FULL_MASK[name]
-            mask &= _FULL_MASK[name]
+                values.append(spec)
+                raw_masks.append(-1)
+        signature = (tuple(constraints), tuple(raw_masks))
+        compiled = _SIGNATURES.get(signature)
+        if compiled is None:
+            compiled = _SIGNATURES[signature] = _compile(*signature)
+        self.shape, masks, order = compiled
+        for name, value, mask in zip(constraints, values, masks):
             if value & ~mask:
                 raise ValueError(
                     f"{name}: value {value:#x} has bits outside mask {mask:#x}"
                 )
-            fields[name] = (value, mask)
-        self._fields = fields
-        mask_list = [0] * N_FLOW_FIELDS
-        for name, (_value, mask) in fields.items():
-            mask_list[_FIELD_INDEX[name]] = mask
-        self._mask: FlowMask = tuple(mask_list)
-        self._masked_key_cache: Tuple[int, ...] = tuple(
-            fields.get(name, (0, 0))[0] for name in FlowKey._fields
-        )
+        self.key: Tuple[int, ...] = tuple([values[i] for i in order])
 
     @property
     def mask(self) -> FlowMask:
-        return self._mask
+        return self.shape.mask
 
     @property
     def masked_value(self) -> Tuple[int, ...]:
         """The match's value projected through its own mask."""
-        return self._masked_key_cache
+        dense = [0] * N_FLOW_FIELDS
+        for (index, _bits), value in zip(self.shape.fields, self.key):
+            dense[index] = value
+        return tuple(dense)
 
     def fields(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self._fields)
+        mask = self.shape.mask
+        values = iter(self.key)
+        out = {}
+        for name in self.shape.names:
+            bits = mask[_FIELD_INDEX[name]]
+            out[name] = (next(values) if bits else 0, bits)
+        return out
 
     def field_names(self) -> Iterable[str]:
-        return self._fields.keys()
+        return self.shape.names
 
     def matches(self, key: FlowKey) -> bool:
-        return apply_mask(key, self._mask) == self._masked_key_cache
+        return self.shape.project(key) == self.key
 
     def is_catchall(self) -> bool:
-        return not self._fields
+        return not self.shape.names
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Match):
-            return self._fields == other._fields
+            return self.shape is other.shape and self.key == other.key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._mask, self._masked_key_cache))
+        return hash((self.shape.mask_hash, self.key))
 
     def __repr__(self) -> str:
-        if not self._fields:
+        if not self.shape.names:
             return "Match(*)"
         parts = []
-        for name, (value, mask) in sorted(self._fields.items()):
+        for name, (value, mask) in sorted(self.fields().items()):
             if mask == _FULL_MASK[name]:
                 parts.append(f"{name}={value:#x}")
             else:

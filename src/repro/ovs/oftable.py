@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.flow import FlowKey, FlowMask, apply_mask
+from repro.net.flow import FlowKey, FlowMask, MaskSpec
 from repro.ovs.match import Match
 from repro.ovs.ofactions import OfAction
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
 
 
-@dataclass
+@dataclass(slots=True)
 class Rule:
     priority: int
     match: Match
@@ -35,53 +35,59 @@ class Rule:
 
 
 class _Subtable:
-    __slots__ = ("mask", "rules", "max_priority")
+    __slots__ = ("mask", "spec", "rules", "n_at_priority", "max_priority")
 
-    def __init__(self, mask: FlowMask) -> None:
-        self.mask = mask
-        #: masked key -> rules sorted by priority (desc).
+    def __init__(self, spec: MaskSpec) -> None:
+        self.mask = spec.mask
+        self.spec = spec
+        #: match key (the masked packet key, wildcarded fields elided)
+        #: -> rules sorted by priority (desc).
         self.rules: Dict[Tuple[int, ...], List[Rule]] = {}
+        #: priority -> rule count, so removal never rescans the buckets.
+        self.n_at_priority: Dict[int, int] = {}
         self.max_priority = -1
 
     def insert(self, rule: Rule) -> Optional[Rule]:
         """Insert; returns a replaced rule if an identical match existed
         at the same priority (OpenFlow modify semantics)."""
-        key = rule.match.masked_value
-        bucket = self.rules.setdefault(key, [])
-        replaced = None
-        for i, existing in enumerate(bucket):
-            if existing.priority == rule.priority and existing.match == rule.match:
-                replaced = bucket[i]
-                bucket[i] = rule
-                return replaced
-        bucket.append(rule)
-        bucket.sort(key=lambda r: -r.priority)
-        self.max_priority = max(self.max_priority, rule.priority)
+        priority, key = rule.priority, rule.match.key
+        bucket = self.rules.get(key)
+        if bucket is None:
+            self.rules[key] = [rule]
+        else:
+            for i, existing in enumerate(bucket):
+                if existing.priority == priority and existing.match == rule.match:
+                    bucket[i] = rule
+                    return existing
+            bucket.append(rule)
+            bucket.sort(key=lambda r: -r.priority)
+        self.n_at_priority[priority] = self.n_at_priority.get(priority, 0) + 1
+        if priority > self.max_priority:
+            self.max_priority = priority
         return None
 
     def remove(self, rule: Rule) -> bool:
-        key = rule.match.masked_value
+        key = rule.match.key
         bucket = self.rules.get(key)
         if not bucket or rule not in bucket:
             return False
         bucket.remove(rule)
         if not bucket:
             del self.rules[key]
-        self._recompute_max()
+        left = self.n_at_priority[rule.priority] - 1
+        if left:
+            self.n_at_priority[rule.priority] = left
+        else:
+            del self.n_at_priority[rule.priority]
+            self.max_priority = max(self.n_at_priority, default=-1)
         return True
 
-    def _recompute_max(self) -> None:
-        self.max_priority = max(
-            (r.priority for bucket in self.rules.values() for r in bucket),
-            default=-1,
-        )
-
     def lookup(self, key: FlowKey) -> Optional[Rule]:
-        bucket = self.rules.get(apply_mask(key, self.mask))
+        bucket = self.rules.get(self.spec.project(key))
         return bucket[0] if bucket else None
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.rules.values())
+        return sum(self.n_at_priority.values())
 
 
 class FlowTable:
@@ -102,10 +108,10 @@ class FlowTable:
 
     def add_rule(self, rule: Rule) -> Optional[Rule]:
         rule.table_id = self.table_id
-        subtable = self._subtables.get(rule.match.mask)
+        shape = rule.match.shape
+        subtable = self._subtables.get(shape.mask)
         if subtable is None:
-            subtable = _Subtable(rule.match.mask)
-            self._subtables[rule.match.mask] = subtable
+            subtable = self._subtables[shape.mask] = _Subtable(shape)
         return subtable.insert(rule)
 
     def remove_rule(self, rule: Rule) -> bool:
@@ -116,6 +122,15 @@ class FlowTable:
         if ok and not len(subtable):
             del self._subtables[rule.match.mask]
         return ok
+
+    def find_strict(self, priority: int, match: Match) -> Optional[Rule]:
+        """The rule with exactly this priority and match, if installed."""
+        subtable = self._subtables.get(match.mask)
+        if subtable is not None:
+            for rule in subtable.rules.get(match.key, ()):
+                if rule.priority == priority and rule.match == match:
+                    return rule
+        return None
 
     def rules(self) -> List[Rule]:
         return [

@@ -52,15 +52,9 @@ class OpenFlowConnection:
         actions: Sequence[OfAction],
         cookie: int = 0,
     ) -> None:
-        self.flow_mod(
-            FlowMod(
-                FlowModCommand.ADD,
-                table_id=table_id,
-                priority=priority,
-                match=match,
-                actions=tuple(actions),
-                cookie=cookie,
-            )
+        self.n_flow_mods += 1
+        self.bridge.add_flow(
+            table_id, Rule(priority, match, tuple(actions), cookie)
         )
 
     def delete_flows(self, table_id: Optional[int] = None,
@@ -83,21 +77,16 @@ class OpenFlowConnection:
 
     # -- the protocol --------------------------------------------------------
     def flow_mod(self, fm: FlowMod) -> None:
-        self.n_flow_mods += 1
         if fm.command is FlowModCommand.ADD:
-            rule = Rule(
-                priority=fm.priority,
-                match=fm.match,
-                actions=fm.actions,
-                cookie=fm.cookie,
-            )
-            self.bridge.add_flow(fm.table_id, rule)
+            self.add_flow(fm.table_id, fm.priority, fm.match, fm.actions,
+                          fm.cookie)
             return
+        self.n_flow_mods += 1
         if fm.command is FlowModCommand.DELETE_STRICT:
             table = self.bridge.table(fm.table_id)
-            for rule in table.rules():
-                if rule.priority == fm.priority and rule.match == fm.match:
-                    table.remove_rule(rule)
+            rule = table.find_strict(fm.priority, fm.match)
+            if rule is not None:
+                table.remove_rule(rule)
             return
         if fm.command is FlowModCommand.DELETE:
             table = self.bridge.table(fm.table_id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 SCHEMA: Dict[str, Dict[str, type]] = {
     "Open_vSwitch": {"bridges": list},
@@ -66,7 +66,10 @@ class Transaction:
         """Apply atomically; returns temp-uuid -> real-uuid mapping."""
         if self.committed:
             raise OvsdbError("transaction already committed")
-        staged = self.db._clone_rows()
+        # Copy-on-write: ``staged`` holds only the rows this transaction
+        # writes (``None`` = deleted); ``_rows`` is untouched until every
+        # op has validated.
+        staged: Dict[str, Optional[Row]] = {}
         mapping: Dict[str, str] = {}
         for op, table, uuid, columns in self._ops:
             if op == "insert":
@@ -77,17 +80,20 @@ class Transaction:
                 self.db._validate_update(staged, real, columns)
             elif op == "delete":
                 real = mapping.get(uuid, uuid)
-                if real not in staged:
-                    raise OvsdbError(f"no row {real}")
-                del staged[real]
-        # Resolve temp uuid references inside column values.
-        for row in staged.values():
+                self.db._staged_row(staged, real)
+                staged[real] = None
+        rows = self.db._rows
+        for uuid, row in staged.items():
+            if row is None:
+                rows.pop(uuid, None)
+                continue
+            # Resolve temp uuid references inside column values.
             for col, value in row.columns.items():
                 if isinstance(value, list):
                     row.columns[col] = [mapping.get(v, v) for v in value]
                 elif isinstance(value, str) and value in mapping:
                     row.columns[col] = mapping[value]
-        self.db._rows = staged
+            rows[uuid] = row
         self.committed = True
         self.db._notify()
         return mapping
@@ -136,13 +142,16 @@ class OvsdbServer:
             cb()
 
     # -- validation helpers used by Transaction ------------------------------
-    def _clone_rows(self) -> Dict[str, Row]:
-        return {
-            uuid: Row(row.uuid, row.table, dict(row.columns))
-            for uuid, row in self._rows.items()
-        }
+    def _staged_row(self, staged: Dict[str, Optional[Row]], uuid: str) -> Row:
+        """The transaction's private copy of a row, made on first write."""
+        row = staged[uuid] if uuid in staged else self._rows.get(uuid)
+        if row is None:
+            raise OvsdbError(f"no row {uuid}")
+        if uuid not in staged:
+            row = staged[uuid] = Row(row.uuid, row.table, dict(row.columns))
+        return row
 
-    def _validate_insert(self, staged: Dict[str, Row], table: str,
+    def _validate_insert(self, staged: Dict[str, Optional[Row]], table: str,
                          columns: Dict[str, object]) -> str:
         schema = SCHEMA.get(table)
         if schema is None:
@@ -160,18 +169,17 @@ class OvsdbServer:
                 )
         if "name" in schema:
             name = merged.get("name")
-            for row in staged.values():
+            live = (r for u, r in self._rows.items() if u not in staged)
+            for row in itertools.chain(live, filter(None, staged.values())):
                 if row.table == table and row.columns.get("name") == name:
                     raise OvsdbError(f"{table} {name!r} already exists")
         uuid = f"uuid{next(self._uuid_counter)}"
         staged[uuid] = Row(uuid, table, merged)
         return uuid
 
-    def _validate_update(self, staged: Dict[str, Row], uuid: str,
+    def _validate_update(self, staged: Dict[str, Optional[Row]], uuid: str,
                          columns: Dict[str, object]) -> None:
-        row = staged.get(uuid)
-        if row is None:
-            raise OvsdbError(f"no row {uuid}")
+        row = self._staged_row(staged, uuid)
         schema = SCHEMA[row.table]
         for col, value in columns.items():
             if col not in schema:

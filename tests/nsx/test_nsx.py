@@ -1,11 +1,17 @@
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.hosts.host import Host
 from repro.net.addresses import int_to_ip, ip_to_int
 from repro.nsx.agent import NsxAgent
-from repro.nsx.ruleset import TARGET_RULES, collect_stats
+from repro.nsx.ruleset import (
+    TARGET_RULES, PortMap, collect_stats, install_ruleset)
 from repro.nsx.topology import build_topology
 from repro.ovs.emc import ExactMatchCache
+from repro.ovs.ofproto import Bridge
 from repro.sim.cpu import CpuCategory, ExecContext
 
 
@@ -34,18 +40,23 @@ class TestTopology:
         assert len(set(ips)) == len(ips)
 
 
-@pytest.fixture(scope="module")
-def deployed():
-    """A full NSX deployment on the userspace datapath (scaled rule count
-    for test speed; the benchmark uses the full 103,302)."""
+def _hypervisor():
+    """A host with ``br-int`` on the userspace datapath and its uplink."""
     host = Host("hv1", n_cpus=16)
-    host.kernel.init_ns  # touch
     nic = host.add_nic("ens1")
     host.kernel.init_ns.add_address("ens1", "192.168.1.1", 16)
     vs = host.install_ovs("netdev")
     vs.add_bridge(NsxAgent.INTEGRATION_BRIDGE)
     uplink, uplink_adapter = vs.add_sim_port(NsxAgent.INTEGRATION_BRIDGE, "up0")
     vs.dpif_netdev.ports[uplink.dp_port_no].device = nic
+    return host, vs, uplink, uplink_adapter
+
+
+@pytest.fixture(scope="module")
+def deployed():
+    """A full NSX deployment on the userspace datapath (scaled rule count
+    for test speed; the benchmark uses the full 103,302)."""
+    host, vs, uplink, uplink_adapter = _hypervisor()
     agent = NsxAgent(vs)
     vif_ports = {}
     adapters = {}
@@ -80,6 +91,90 @@ class TestDeployment:
 
     def test_full_scale_constant(self):
         assert TARGET_RULES == 103_302
+
+
+#: sha256 of :func:`_canonical_dump` of the default full-size deployment,
+#: recorded at commit 2bb53d9 - before matches went sparse, the ACL nets
+#: were computed arithmetically, action tuples were shared per zone and
+#: ``add_flow`` stopped round-tripping a ``FlowMod``.
+FULL_INSTALL_SHA256 = (
+    "f8650a094bac744a6146cb0a96a046cf844b4aeabe54bf8fedd03a9a747121e3")
+
+
+def _canonical_dump(bridge):
+    """Every rule of every table, sorted, as text: table id, priority,
+    sorted fields (as ints), actions, cookie - preceded per table by its
+    subtable masks in classifier order, since that order decides which
+    masks a lookup probes."""
+    for table_id in sorted(bridge.tables):
+        table = bridge.tables[table_id]
+        masks = [s.mask for s in table._subtables.values()]
+        yield f"table {table_id} masks {masks}"
+        yield from sorted(
+            f"{r.table_id} {r.priority} "
+            f"{sorted((n, int(v), int(m)) for n, (v, m) in r.match.fields().items())} "
+            f"{r.actions!r} {r.cookie}"
+            for r in table.rules())
+
+
+def test_full_size_install_is_the_rule_set_it_always_was():
+    """The 103,302-rule pipeline, rule for rule and subtable for subtable,
+    through ``NsxAgent.deploy`` as the benchmark and table3 build it."""
+    _host, vs, uplink, _adapter = _hypervisor()
+    stats = NsxAgent(vs).deploy(uplink, {})
+    assert (stats.n_rules, stats.n_tables, stats.n_match_fields,
+            stats.n_tunnels) == (103_302, 40, 31, 291)
+    digest = hashlib.sha256()
+    for line in _canonical_dump(vs.bridge(NsxAgent.INTEGRATION_BRIDGE)):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == FULL_INSTALL_SHA256
+
+
+def _install_footprint(n_rules):
+    """``(GC-tracked objects, tracemalloc bytes)`` one install keeps alive."""
+    topo = build_topology()
+    ports = PortMap(
+        1, "up0",
+        {v.vif_id: (100 + v.vif_id, f"vif{v.vif_id}") for v in topo.vifs},
+        {v.index: (1000 + v.index, f"geneve{v.index}") for v in topo.vteps})
+    bridge = Bridge("br-int")
+    gc.collect()
+    n_objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        assert install_ruleset(bridge, topo, ports,
+                               target_rules=n_rules) == n_rules
+        gc.collect()
+        n_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return len(gc.get_objects()) - n_objects, n_bytes
+
+
+def test_rule_footprint_stays_sparse():
+    """What one more rule costs, counted rather than timed.
+
+    The 3,000-rule smoke set is 43 % structural rules that own their
+    action objects, so the per-rule cost that scales to 103,302 is read
+    off the 3,000 ACL rules between a 3,000- and a 6,000-rule install:
+
+    ====================  ================  =================
+    per added rule        commit 2bb53d9    sparse matches
+    ====================  ================  =================
+    GC-tracked objects    7.0               3.0 (Rule, Match, bucket list)
+    tracemalloc bytes     1,854             438
+    ====================  ================  =================
+
+    (Whole smoke set, per rule: 6.28 -> 4.97 objects, 1,555 -> 474 B.)
+    A dict, a dense tuple or a per-rule action list coming back trips the
+    bounds below - 4 objects, and 60 % of the old bytes - instead of
+    quietly returning the full build to 229 MB.
+    """
+    small_objects, small_bytes = _install_footprint(3_000)
+    objects, n_bytes = _install_footprint(6_000)
+    assert (objects - small_objects) / 3_000 <= 4
+    assert (n_bytes - small_bytes) / 3_000 <= 0.60 * 1_854
+    assert small_bytes / 3_000 <= 0.60 * 1_555
 
 
 class TestDataplaneThroughNsxPipeline:

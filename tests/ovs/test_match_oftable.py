@@ -137,6 +137,61 @@ class TestFlowTable:
         assert t.n_subtables == 0
         assert not t.remove_rule(r)
 
+    def test_max_priority_after_removing_the_only_top_rule(self, ctx, cpu):
+        """``max_priority`` is kept by a per-priority count; it must drop
+        when the last rule at the top goes, or the early exit probes a
+        subtable that can no longer win."""
+        from repro.sim.costs import DEFAULT_COSTS
+
+        t = FlowTable()
+        top = self._rule(100, Match(nw_proto=17), "top")
+        twin = self._rule(50, Match(nw_proto=6), "twin")
+        t.add_rule(top)
+        t.add_rule(twin)
+        t.add_rule(self._rule(50, Match(nw_proto=6), "twin2"))  # replaces
+        t.add_rule(self._rule(50, Match(nw_proto=1), "icmp"))
+        t.add_rule(self._rule(70, Match(nw_dst=ip_to_int("10.0.0.2")), "dst"))
+        [sub] = [s for s in t._subtables.values() if s.mask == top.match.mask]
+        assert (sub.max_priority, len(sub)) == (100, 3)
+        assert t.remove_rule(top)
+        assert (sub.max_priority, len(sub)) == (50, 2)
+        assert not t.remove_rule(twin)  # it was replaced, not installed
+        assert (sub.max_priority, len(sub)) == (50, 2)
+        # The nw_dst subtable (70) now goes first and ends the search.
+        cpu.reset()
+        probed = []
+        hit = t.lookup(key_of(udp_pkt()), ctx, probed_masks=probed)
+        assert hit.actions[0].port == "dst"
+        assert probed == [Match(nw_dst=1).mask]
+        assert cpu.busy_ns() == pytest.approx(
+            DEFAULT_COSTS.classifier_subtable_ns)
+
+    def test_subtable_dropped_with_its_last_rule_and_order_kept(self):
+        """Subtables probe in (max priority, insertion) order.  Removing a
+        subtable's last rule drops it; re-adding the shape appends it, as
+        it always did, and the others keep their relative order."""
+        t = FlowTable()
+        shapes = [Match(nw_proto=6), Match(tp_dst=2000), Match(in_port=9)]
+        rules = [self._rule(10, m, f"r{i}") for i, m in enumerate(shapes)]
+        for rule in rules:
+            t.add_rule(rule)
+
+        def probe_order():
+            probed = []
+            # A UDP packet to port 1 on port 0 misses all three: all probed.
+            assert t.lookup(key_of(udp_pkt(dport=1)), probed_masks=probed) is None
+            return probed
+
+        assert probe_order() == [m.mask for m in shapes]
+        assert t.remove_rule(rules[0])
+        assert t.n_subtables == 2
+        assert t.find_strict(10, shapes[0]) is None
+        assert probe_order() == [shapes[1].mask, shapes[2].mask]
+        t.add_rule(rules[0])
+        assert probe_order() == [shapes[1].mask, shapes[2].mask, shapes[0].mask]
+        assert t.find_strict(10, shapes[0]) is rules[0]
+        assert t.find_strict(11, shapes[0]) is None
+
     def test_stats(self):
         t = FlowTable()
         t.add_rule(self._rule(10, Match()))
