@@ -93,12 +93,15 @@ class NetDevice:
         if not self.up:
             self.stats.tx_dropped += 1
             return False
-        if len(pkt) > self.mtu + 14 and not pkt.meta.gso_size:
-            self.stats.tx_dropped += 1
+        size = len(pkt.data)
+        stats = self.stats
+        if size > self.mtu + 14 and not pkt.meta.gso_size:
+            stats.tx_dropped += 1
             return False
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += len(pkt)
-        self._run_taps(pkt, "tx")
+        stats.tx_packets += 1
+        stats.tx_bytes += size
+        if self._taps:
+            self._run_taps(pkt, "tx")
         return self._transmit(pkt, ctx)
 
     def _transmit(self, pkt: Packet, ctx: ExecContext) -> bool:
@@ -110,13 +113,16 @@ class NetDevice:
         if not self.up:
             self.stats.rx_dropped += 1
             return
-        self.stats.rx_packets += 1
-        self.stats.rx_bytes += len(pkt)
-        self._run_taps(pkt, "rx")
-        if self.rx_handler is None:
-            self.stats.rx_dropped += 1
+        stats = self.stats
+        stats.rx_packets += 1
+        stats.rx_bytes += len(pkt.data)
+        if self._taps:
+            self._run_taps(pkt, "rx")
+        rx_handler = self.rx_handler
+        if rx_handler is None:
+            stats.rx_dropped += 1
             return
-        self.rx_handler(pkt, ctx)
+        rx_handler(pkt, ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "UP" if self.up else "DOWN"

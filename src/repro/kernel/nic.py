@@ -170,14 +170,16 @@ class PhysicalNic(NetDevice):
                                  octets=len(pkt.data))
             return False
         pkt = pkt.clone()
-        pkt.meta.in_port = self.ifindex
-        if self.features.rx_hash:
+        meta = pkt.meta
+        features = self.features
+        meta.in_port = self.ifindex
+        if features.rx_hash:
             if fastpath.ENABLED:
-                pkt.meta.rxhash = rxhash_of(pkt.data)
+                meta.rxhash = rxhash_of(pkt.data)
             else:
-                pkt.meta.rxhash = rss_hash(extract_flow(pkt.data).five_tuple())
-        if self.features.rx_checksum:
-            pkt.meta.csum_verified = True
+                meta.rxhash = rss_hash(extract_flow(pkt.data).five_tuple())
+        if features.rx_checksum:
+            meta.csum_verified = True
         ring.append(pkt)
         return True
 
@@ -310,14 +312,15 @@ class PhysicalNic(NetDevice):
     # ------------------------------------------------------------------
     def _transmit(self, pkt: Packet, ctx: ExecContext) -> bool:
         costs = DEFAULT_COSTS
-        if pkt.meta.gso_size and len(pkt) > self.mtu + 14:
+        meta = pkt.meta
+        if meta.gso_size and len(pkt.data) > self.mtu + 14:
             if not self.features.tso:
                 # Software GSO: segment on the CPU before hitting the wire.
                 return self._software_gso(pkt, ctx)
             # Hardware TSO: the NIC segments; CPU cost is one descriptor.
-        if pkt.meta.csum_partial and not self.features.tx_checksum:
-            ctx.charge(costs.checksum_cost(len(pkt)), label="sw_csum")
-            pkt.meta.csum_partial = False
+        if meta.csum_partial and not self.features.tx_checksum:
+            ctx.charge(costs.checksum_cost(len(pkt.data)), label="sw_csum")
+            meta.csum_partial = False
         ctx.charge(costs.nic_tx_ns, label="nic_tx")
         if self.wire_peer is not None:
             return self._put_on_wire(pkt)

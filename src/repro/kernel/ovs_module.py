@@ -11,11 +11,12 @@ high load (§5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.kernel.netdev import NetDevice
 from repro.net.addresses import MacAddress
-from repro.net.flow import FlowKey, FlowMask, apply_mask, extract_flow
+from repro.net.flow import FlowKey, FlowMask, MaskSpec, extract_flow
 from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
@@ -75,39 +76,46 @@ class KernelFlowTable:
     """
 
     def __init__(self) -> None:
-        self._masks: List[FlowMask] = []
-        self._tables: Dict[FlowMask, Dict[Tuple[int, ...], Tuple[odp.OdpAction, ...]]] = {}
+        #: mask -> (its MaskSpec, subtable keyed on ``spec.project(key)``).
+        #: Dict order is the probe order: a mask joins at the end and
+        #: leaves with its last flow, so one that returns is probed last.
+        self._tables: Dict[
+            FlowMask,
+            Tuple[MaskSpec, Dict[Tuple[int, ...], Tuple[odp.OdpAction, ...]]],
+        ] = {}
         self.n_hit = 0
         self.n_missed = 0
-        self.lookups_per_hit_acc = 0
+        #: Subtables probed over all lookups, misses included: the
+        #: ``masks: hit:`` figure of ``ovs-dpctl show``.
+        self.n_mask_hit = 0
 
     def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
+        return sum(len(table) for _spec, table in self._tables.values())
 
     @property
     def n_masks(self) -> int:
-        return len(self._masks)
+        return len(self._tables)
 
     def insert(
         self, key: FlowKey, mask: FlowMask, actions: Tuple[odp.OdpAction, ...]
     ) -> None:
         odp.validate_actions(actions)
-        if mask not in self._tables:
-            self._tables[mask] = {}
-            self._masks.append(mask)
-        self._tables[mask][apply_mask(key, mask)] = tuple(actions)
+        entry = self._tables.get(mask)
+        if entry is None:
+            entry = self._tables[mask] = (MaskSpec(mask), {})
+        spec, table = entry
+        table[spec.project(key)] = tuple(actions)
 
     def remove(self, key: FlowKey, mask: FlowMask) -> None:
-        table = self._tables.get(mask)
-        if table is None:
+        entry = self._tables.get(mask)
+        if entry is None:
             raise KeyError("no such mask")
-        del table[apply_mask(key, mask)]
+        spec, table = entry
+        del table[spec.project(key)]
         if not table:
             del self._tables[mask]
-            self._masks.remove(mask)
 
     def flush(self) -> None:
-        self._masks.clear()
         self._tables.clear()
 
     def lookup(
@@ -115,20 +123,21 @@ class KernelFlowTable:
     ) -> Optional[Tuple[odp.OdpAction, ...]]:
         costs = DEFAULT_COSTS
         probed = 0
-        for mask in self._masks:
+        for spec, table in self._tables.values():
             probed += 1
-            actions = self._tables[mask].get(apply_mask(key, mask))
+            actions = table.get(spec.project(key))
             if actions is not None:
                 ctx.charge(
                     probed * costs.megaflow_subtable_ns, label="megaflow"
                 )
                 self.n_hit += 1
-                self.lookups_per_hit_acc += probed
+                self.n_mask_hit += probed
                 return actions
         ctx.charge(
             max(probed, 1) * costs.megaflow_subtable_ns, label="megaflow"
         )
         self.n_missed += 1
+        self.n_mask_hit += probed
         return None
 
 
@@ -156,9 +165,7 @@ class KernelDatapath:
         """Attach a device: its receive path now enters the datapath."""
         port = Vport(self._next_port, device.name, device=device)
         self._register(port)
-        device.set_rx_handler(
-            lambda pkt, ctx, p=port.port_no: self.receive(p, pkt, ctx)
-        )
+        device.set_rx_handler(partial(self.receive, port.port_no))
         return port
 
     def add_internal_port(self, name: str, mac: MacAddress) -> Tuple[Vport, InternalPort]:
@@ -232,16 +239,12 @@ class KernelDatapath:
                                  octets=len(pkt.data))
             return  # loop mitigation, as the real module does
         ctx.charge(costs.flow_extract_ns, label="flow_extract")
+        meta = pkt.meta
+        tunnel = meta.tunnel
         key = extract_flow(
-            pkt.data,
-            in_port=pkt.meta.in_port,
-            recirc_id=pkt.meta.recirc_id,
-            ct_state=pkt.meta.ct_state,
-            ct_zone=pkt.meta.ct_zone,
-            ct_mark=pkt.meta.ct_mark,
-            tun_id=pkt.meta.tunnel.vni,
-            tun_src=pkt.meta.tunnel.remote_ip,
-            tun_dst=pkt.meta.tunnel.local_ip,
+            pkt.data, meta.in_port, meta.recirc_id, meta.ct_state,
+            meta.ct_zone, meta.ct_mark, tunnel.vni, tunnel.remote_ip,
+            tunnel.local_ip,
         )
         actions = self.flows.lookup(key, ctx)
         if actions is None:
@@ -347,7 +350,7 @@ class KernelDatapath:
             key.five_tuple(),
             zone=act.zone,
             tcp_flags=key.tcp_flags,
-            nbytes=len(pkt),
+            nbytes=len(pkt.data),
             commit=act.commit,
             now_ns=self.now_ns_fn(),
         )
@@ -356,10 +359,11 @@ class KernelDatapath:
                 costs.conntrack_commit_ns - costs.conntrack_lookup_ns,
                 label="ct_commit",
             )
-        pkt.meta.ct_state = result.state_bits
-        pkt.meta.ct_zone = act.zone
+        meta = pkt.meta
+        meta.ct_state = result.state_bits
+        meta.ct_zone = act.zone
         if result.connection is not None:
-            pkt.meta.ct_mark = result.connection.mark
+            meta.ct_mark = result.connection.mark
 
     def _output(self, pkt: Packet, port_no: int, ctx: ExecContext) -> None:
         port = self.ports.get(port_no)

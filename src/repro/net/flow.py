@@ -156,6 +156,30 @@ def mask_from_fields(**fields: int) -> FlowMask:
     return tuple(mask)
 
 
+#: The compiled frame layouts :func:`extract_flow` walks, one unpack per
+#: header.  Each MAC is read as a 16-bit and a 32-bit half (there is no
+#: 48-bit struct code); ``x`` pads skip the bytes the key does not carry.
+_ETH = struct.Struct("!HIHIH")  # dst hi/lo, src hi/lo, ethertype
+_VLAN = struct.Struct("!HH")  # TCI, inner ethertype
+#: version/IHL, TOS, flags + fragment offset, TTL, protocol, src, dst.
+_IPV4 = struct.Struct("!BB4xHBB2xII")
+_L4_PORTS = struct.Struct("!HH")  # TCP/UDP source and destination port
+_ARP = struct.Struct("!6xH6xI6xI")  # op, sender IP, target IP
+
+# Plain ints: an ``IntEnum`` member compares through ``Enum.__eq__``.
+_ETH_P_IP = int(EtherType.IPV4)
+_ETH_P_ARP = int(EtherType.ARP)
+_ETH_P_8021Q = int(EtherType.VLAN)
+_ICMP = int(IPProto.ICMP)
+_TCP = int(IPProto.TCP)
+_UDP = int(IPProto.UDP)
+
+_new_key = tuple.__new__
+#: metadata, reg0-reg8: never carried by a packet.  Appended as one
+#: constant: ten more literals in the key tuple measure slower.
+_ZERO_REGS = (0,) * 10
+
+
 def extract_flow(
     data: bytes,
     in_port: int = 0,
@@ -172,70 +196,39 @@ def extract_flow(
     Unknown/short packets still yield a key — with L3/L4 fields zero — the
     same forgiving behaviour the real extractor has.
     """
-    eth_dst = int.from_bytes(data[0:6], "big")
-    eth_src = int.from_bytes(data[6:12], "big")
-    (eth_type,) = struct.unpack_from("!H", data, 12)
+    size = len(data)
+    dst_hi, dst_lo, src_hi, src_lo, eth_type = _ETH.unpack_from(data)
     offset = ETH_HLEN
     vlan_tci = 0
-    if eth_type == EtherType.VLAN and len(data) >= offset + VLAN_HLEN:
-        tci, eth_type = struct.unpack_from("!HH", data, offset)
+    if eth_type == _ETH_P_8021Q and size >= ETH_HLEN + VLAN_HLEN:
+        tci, eth_type = _VLAN.unpack_from(data, ETH_HLEN)
         vlan_tci = tci | 0x1000
-        offset += VLAN_HLEN
+        offset = ETH_HLEN + VLAN_HLEN
 
     nw_src = nw_dst = nw_proto = nw_tos = nw_ttl = nw_frag = 0
     tp_src = tp_dst = tcp_flags = 0
 
-    if eth_type == EtherType.IPV4 and len(data) >= offset + IPV4_HLEN:
-        ver_ihl, tos = struct.unpack_from("!BB", data, offset)
-        ihl = (ver_ihl & 0xF) * 4
-        (flags_frag,) = struct.unpack_from("!H", data, offset + 6)
-        ttl, proto = struct.unpack_from("!BB", data, offset + 8)
-        nw_src, nw_dst = struct.unpack_from("!II", data, offset + 12)
-        nw_proto = proto
-        nw_tos = tos
-        nw_ttl = ttl
-        frag_off = flags_frag & 0x1FFF
-        more_frags = (flags_frag >> 13) & 0x1
-        if frag_off or more_frags:
-            nw_frag = 1 if frag_off == 0 else 3  # first vs later fragment
-        l4 = offset + ihl
-        if nw_frag in (0, 1) and len(data) >= l4 + 4:
-            if proto in (IPProto.TCP, IPProto.UDP):
-                tp_src, tp_dst = struct.unpack_from("!HH", data, l4)
-                if proto == IPProto.TCP and len(data) >= l4 + 14:
-                    (tcp_flags,) = struct.unpack_from("!B", data, l4 + 13)
-            elif proto == IPProto.ICMP:
-                icmp_type, icmp_code = struct.unpack_from("!BB", data, l4)
-                tp_src, tp_dst = icmp_type, icmp_code
-    elif eth_type == EtherType.ARP and len(data) >= offset + 28:
-        (op,) = struct.unpack_from("!H", data, offset + 6)
-        (spa,) = struct.unpack_from("!I", data, offset + 14)
-        (tpa,) = struct.unpack_from("!I", data, offset + 24)
-        nw_src, nw_dst, nw_proto = spa, tpa, op
+    if eth_type == _ETH_P_IP and size >= offset + IPV4_HLEN:
+        (ver_ihl, nw_tos, flags_frag, nw_ttl, nw_proto,
+         nw_src, nw_dst) = _IPV4.unpack_from(data, offset)
+        if flags_frag & 0x3FFF:  # more-fragments bit or a fragment offset
+            nw_frag = 3 if flags_frag & 0x1FFF else 1  # later vs first
+        l4 = offset + (ver_ihl & 0xF) * 4
+        if nw_frag != 3 and size >= l4 + 4:
+            if nw_proto == _UDP or nw_proto == _TCP:
+                tp_src, tp_dst = _L4_PORTS.unpack_from(data, l4)
+                if nw_proto == _TCP and size >= l4 + 14:
+                    tcp_flags = data[l4 + 13]
+            elif nw_proto == _ICMP:
+                tp_src, tp_dst = data[l4], data[l4 + 1]  # type, code
+    elif eth_type == _ETH_P_ARP and size >= offset + _ARP.size:
+        nw_proto, nw_src, nw_dst = _ARP.unpack_from(data, offset)
 
-    return FlowKey(
-        in_port=in_port,
-        eth_src=eth_src,
-        eth_dst=eth_dst,
-        eth_type=eth_type,
-        vlan_tci=vlan_tci,
-        nw_src=nw_src,
-        nw_dst=nw_dst,
-        nw_proto=nw_proto,
-        nw_tos=nw_tos,
-        nw_ttl=nw_ttl,
-        nw_frag=nw_frag,
-        tp_src=tp_src,
-        tp_dst=tp_dst,
-        tcp_flags=tcp_flags,
-        recirc_id=recirc_id,
-        ct_state=ct_state,
-        ct_zone=ct_zone,
-        ct_mark=ct_mark,
-        tun_id=tun_id,
-        tun_src=tun_src,
-        tun_dst=tun_dst,
-    )
+    return _new_key(FlowKey, (
+        in_port, src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, eth_type,
+        vlan_tci, nw_src, nw_dst, nw_proto, nw_tos, nw_ttl, nw_frag,
+        tp_src, tp_dst, tcp_flags, recirc_id, ct_state, ct_zone, ct_mark,
+        tun_id, tun_src, tun_dst) + _ZERO_REGS)
 
 
 def rss_hash(five_tuple: FiveTuple) -> int:
@@ -282,12 +275,14 @@ def rxhash_of(data: bytes) -> int:
 
 def l4_offset_of(data: bytes) -> Optional[int]:
     """Byte offset of the L4 header of an IPv4 frame, if present."""
-    (eth_type,) = struct.unpack_from("!H", data, 12)
+    size = len(data)
+    eth_type = _ETH.unpack_from(data)[4]
     offset = ETH_HLEN
-    if eth_type == EtherType.VLAN:
-        (eth_type,) = struct.unpack_from("!H", data, offset + 2)
-        offset += VLAN_HLEN
-    if eth_type != EtherType.IPV4 or len(data) < offset + IPV4_HLEN:
+    if eth_type == _ETH_P_8021Q:
+        if size < ETH_HLEN + VLAN_HLEN:
+            return None  # truncated inside the tag
+        eth_type = _VLAN.unpack_from(data, ETH_HLEN)[1]
+        offset = ETH_HLEN + VLAN_HLEN
+    if eth_type != _ETH_P_IP or size < offset + IPV4_HLEN:
         return None
-    ver_ihl = data[offset]
-    return offset + (ver_ihl & 0xF) * 4
+    return offset + (data[offset] & 0xF) * 4

@@ -62,6 +62,9 @@ class PacketMeta:
     tunnel: TunnelMeta = field(default_factory=TunnelMeta)
 
 
+_new = object.__new__
+
+
 class Packet:
     """A network frame: immutable-ish bytes plus mutable metadata."""
 
@@ -84,16 +87,17 @@ class Packet:
     def clone(self) -> "Packet":
         """Deep copy — used by mirror/flood actions.
 
-        Copies field dicts directly rather than re-running the dataclass
-        constructors; clone sits on the per-packet hot path (every NIC
-        receive clones).
+        Copies the two field dicts flat rather than re-running the
+        dataclass constructors; clone sits on the per-packet hot path
+        (every NIC receive clones).
         """
-        tunnel = TunnelMeta.__new__(TunnelMeta)
-        tunnel.__dict__.update(self.meta.tunnel.__dict__)
-        meta = PacketMeta.__new__(PacketMeta)
-        meta.__dict__.update(self.meta.__dict__)
+        old = self.meta
+        tunnel = _new(TunnelMeta)
+        tunnel.__dict__ = old.tunnel.__dict__.copy()
+        meta = _new(PacketMeta)
+        meta.__dict__ = old.__dict__.copy()
         meta.tunnel = tunnel
-        pkt = Packet.__new__(Packet)
+        pkt = _new(Packet)
         pkt.data = self.data
         pkt.meta = meta
         return pkt
@@ -104,7 +108,7 @@ class Packet:
         Used by header-rewrite actions; offsets are the caller's problem
         (exactly as with the real dp_packet API).
         """
-        pkt = Packet.__new__(Packet)
+        pkt = _new(Packet)
         pkt.data = bytes(data)
         pkt.meta = self.meta
         return pkt

@@ -94,12 +94,20 @@ class OvsAppctl:
                 )
         if self.vs.dpif_netlink is not None:
             dp = self.vs.dpif_netlink.dp
+            flows = dp.flows
+            lookups = flows.n_hit + flows.n_missed
             lines.append(f"system@{dp.name}:")
             lines.append(
-                f"  lookups: hit:{dp.flows.n_hit} "
-                f"missed:{dp.flows.n_missed} lost:{dp.n_lost}"
+                f"  lookups: hit:{flows.n_hit} "
+                f"missed:{flows.n_missed} lost:{dp.n_lost}"
             )
-            lines.append(f"  flows: {len(dp.flows)}")
+            lines.append(f"  flows: {len(flows)}")
+            # Subtables probed per lookup: how far the linear mask walk
+            # goes before the hitting mask (1.00 = first mask always).
+            lines.append(
+                f"  masks: hit:{flows.n_mask_hit} total:{flows.n_masks} "
+                f"hit/pkt:{flows.n_mask_hit / lookups if lookups else 0.0:.2f}"
+            )
             for port in sorted(dp.ports.values(), key=lambda p: p.port_no):
                 lines.append(
                     f"  port {port.port_no}: {port.name} ({port.kind}) "

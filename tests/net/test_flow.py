@@ -160,7 +160,28 @@ def test_l4_offset_non_ip():
     assert l4_offset_of(pkt.data) is None
 
 
+def test_l4_offset_truncated_vlan_tag():
+    """A frame cut inside its 802.1Q tag has no L4 header; it used to die
+    with ``struct.error`` reading the inner ethertype at offset 16, which
+    a ``SetField(tp_src)`` on such a frame surfaced as the wrong error."""
+    import pytest
+
+    from repro.ovs.packet_ops import set_field
+
+    pkt = make_udp_packet(SRC, DST, "10.0.0.1", "10.0.0.2")
+    tagged = push_vlan(pkt.data, VlanTag(vid=7))
+    for size in (14, 15, 16, 17):
+        assert l4_offset_of(tagged[:size]) is None
+        assert extract_flow(tagged[:size]).eth_type == 0x8100
+        with pytest.raises(ValueError, match="no L4 header"):
+            set_field(tagged[:size], "tp_src", 99)
+    assert l4_offset_of(tagged[:18]) is None  # tag whole, no IP header
+    assert l4_offset_of(tagged[:38]) == 38
+
+
 @given(st.binary(min_size=14, max_size=100))
 def test_extract_never_crashes(data):
     key = extract_flow(data)
     assert isinstance(key, FlowKey)
+    l4 = l4_offset_of(data)
+    assert l4 is None or l4 >= 14

@@ -7,7 +7,9 @@ from repro.hosts.host import Host
 from repro.kernel.netdev import NetDevice, Wire
 from repro.net.addresses import MacAddress, ip_to_int
 from repro.net.builder import make_tcp_packet, make_udp_packet
+from repro.net.flow import extract_flow, mask_from_fields
 from repro.net.tunnel import decapsulate
+from repro.ovs import odp
 from repro.ovs.appctl import OvsAppctl
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.match import Match
@@ -98,6 +100,47 @@ class TestAppctl:
         out = OvsAppctl(vs).dpctl_show()
         assert "system@" in out
         assert "p1" in out
+
+    def test_kernel_dpctl_show_masks_line(self):
+        """``ovs-dpctl show``'s third line: subtables probed over all
+        lookups, and per lookup — how deep the linear mask walk goes."""
+        host = Host("k", n_cpus=2)
+        vs = host.install_ovs("system")
+        vs.add_bridge("br0")
+        devs = [NetDevice(name, mac(i)) for i, name in enumerate(("p1", "p2"))]
+        for dev in devs:
+            host.kernel.init_ns.register(dev)
+            dev.set_up()
+            vs.add_system_port("br0", dev)
+        dp = vs.dpif_netlink.dp
+        appctl = OvsAppctl(vs)
+        ctx = ExecContext(host.cpu, 0, CpuCategory.SOFTIRQ)
+        key = extract_flow(udp_pkt().data, in_port=dp.port_no("p1"))
+        by_port = mask_from_fields(in_port=-1)
+        dp.flow_put(key, by_port, [odp.Output(dp.port_no("p2"))])
+        for _ in range(8):
+            devs[0].deliver(udp_pkt(), ctx)
+        assert appctl.dpctl_show() == "\n".join((
+            f"system@{dp.name}:",
+            "  lookups: hit:8 missed:0 lost:0",
+            "  flows: 1",
+            "  masks: hit:8 total:1 hit/pkt:1.00",
+            "  port 1: br0 (internal) rx:0 tx:0",
+            "  port 2: p1 (netdev) rx:8 tx:0",
+            "  port 3: p2 (netdev) rx:0 tx:8",
+        ))
+        # A second mask ahead of the hitting one: every lookup now
+        # probes it first, misses, and hits on the second probe.
+        dp.flow_del(key, by_port)
+        dp.flow_put(key._replace(in_port=99),
+                    mask_from_fields(in_port=-1, recirc_id=-1),
+                    [odp.Output(dp.port_no("p2"))])
+        dp.flow_put(key, by_port, [odp.Output(dp.port_no("p2"))])
+        for _ in range(8):
+            devs[0].deliver(udp_pkt(), ctx)
+        out = appctl.dpctl_show()
+        assert "  lookups: hit:16 missed:0 lost:0" in out
+        assert "  masks: hit:24 total:2 hit/pkt:1.50" in out
 
 
 class TestMirrors:
