@@ -218,37 +218,33 @@ class AfxdpDriver:
         """Receive a burst on a queue (PMD thread context)."""
         rec = trace.ACTIVE
         prof = rec.profiler if rec is not None else None
-        if prof is None:
-            return self._rx_burst(queue, ctx)
-        prof.enter("afxdp.rx")
+        if prof is not None:
+            prof.enter("afxdp.rx")
         try:
-            return self._rx_burst(queue, ctx)
-        finally:
-            prof.exit_()
-
-    def _rx_burst(self, queue: int, ctx: ExecContext) -> List[Packet]:
-        costs = DEFAULT_COSTS
-        opts = self.options
-        sock = self.sockets[queue]
-        if opts.interrupt_mode:
-            # Blocking service: poll() syscall, then a wakeup when the
-            # interrupt fires.  This is what "interrupt" in Figure 8a
-            # means.  The sleep/wake cycle costs real CPU (scheduler out
-            # and in) as well as latency.
-            with ctx.as_category(CpuCategory.SYSTEM):
-                ctx.charge(costs.poll_ns, label="poll")
-            if len(sock.rx_ring):
-                ctx.charge(costs.context_switch_ns, label="irq_resched")
-                trace.count("kernel.ctx_switches")
-                ctx.wait(costs.irq_entry_ns + costs.thread_wakeup_ns,
-                         label="irq_wakeup")
-        pkts = sock.user_rx_batch(ctx, batch=opts.batch_size)
-        if not pkts:
+            opts = self.options
+            sock = self.sockets[queue]
+            if opts.interrupt_mode:
+                # Blocking service: poll() syscall, then a wakeup when the
+                # interrupt fires.  This is what "interrupt" in Figure 8a
+                # means.  The sleep/wake cycle costs real CPU (scheduler
+                # out and in) as well as latency.
+                costs = DEFAULT_COSTS
+                with ctx.as_category(CpuCategory.SYSTEM):
+                    ctx.charge(costs.poll_ns, label="poll")
+                if len(sock.rx_ring):
+                    ctx.charge(costs.context_switch_ns, label="irq_resched")
+                    trace.count("kernel.ctx_switches")
+                    ctx.wait(costs.irq_entry_ns + costs.thread_wakeup_ns,
+                             label="irq_wakeup")
+            pkts = sock.user_rx_batch(ctx, batch=opts.batch_size)
+            if pkts:
+                for pkt in pkts:
+                    self._init_metadata(pkt, ctx)
+                self.rx_packets += len(pkts)
             return pkts
-        for pkt in pkts:
-            self._init_metadata(pkt, ctx)
-        self.rx_packets += len(pkts)
-        return pkts
+        finally:
+            if prof is not None:
+                prof.exit_()
 
     def _init_metadata(self, pkt: Packet, ctx: ExecContext) -> None:
         costs = DEFAULT_COSTS
@@ -280,33 +276,28 @@ class AfxdpDriver:
     def tx_burst(self, queue: int, pkts: List[Packet], ctx: ExecContext) -> int:
         rec = trace.ACTIVE
         prof = rec.profiler if rec is not None else None
-        if prof is None:
-            return self._tx_burst(queue, pkts, ctx)
-        prof.enter("afxdp.tx")
+        if prof is not None:
+            prof.enter("afxdp.tx")
         try:
-            return self._tx_burst(queue, pkts, ctx)
+            sock = self.sockets[queue]
+            if self.options.sw_checksum_on_tx:
+                # AF_XDP exposes no checksum offload (§3.2 O5): the driver
+                # checksums every outgoing packet in software.
+                checksum_cost = DEFAULT_COSTS.checksum_cost
+                for pkt in pkts:
+                    ctx.charge(checksum_cost(len(pkt.data)), label="sw_csum")
+                    pkt.meta.csum_partial = False
+            else:
+                # The O5 estimate: stamp a fixed value, assume correctness.
+                for pkt in pkts:
+                    pkt.meta.csum_partial = False
+            sent = sock.user_tx_batch(pkts, ctx)
+            sock.reap_completions(ctx)
+            self.tx_packets += sent
+            return sent
         finally:
-            prof.exit_()
-
-    def _tx_burst(self, queue: int, pkts: List[Packet],
-                  ctx: ExecContext) -> int:
-        costs = DEFAULT_COSTS
-        opts = self.options
-        sock = self.sockets[queue]
-        if opts.sw_checksum_on_tx:
-            # AF_XDP exposes no checksum offload (§3.2 O5): the driver
-            # checksums every outgoing packet in software.
-            for pkt in pkts:
-                ctx.charge(costs.checksum_cost(len(pkt)), label="sw_csum")
-                pkt.meta.csum_partial = False
-        else:
-            # The O5 estimate: stamp a fixed value, assume correctness.
-            for pkt in pkts:
-                pkt.meta.csum_partial = False
-        sent = sock.user_tx_batch(pkts, ctx)
-        sock.reap_completions(ctx)
-        self.tx_packets += sent
-        return sent
+            if prof is not None:
+                prof.exit_()
 
 
 class _SetupCtx:

@@ -53,12 +53,21 @@ class DescRing:
 
     def produce_batch(self, descs: Sequence[Desc]) -> int:
         """Enqueue as many as fit; returns how many were enqueued."""
-        n = min(len(descs), self.free_space)
-        if n < len(descs):
+        prod = self._prod
+        n = len(descs)
+        free = self.size - (prod - self._cons)
+        if n > free:
             self.full_events += 1
-        for desc in descs[:n]:
-            self._slots[self._prod & (self.size - 1)] = desc
-            self._prod += 1
+            n = free
+            descs = descs[:n]
+        start = prod & (self.size - 1)
+        head = self.size - start  # slots left before the array wraps
+        if n <= head:
+            self._slots[start:start + n] = descs
+        else:
+            self._slots[start:] = descs[:head]
+            self._slots[:n - head] = descs[head:]
+        self._prod = prod + n
         return n
 
     def consume(self) -> Optional[Desc]:
@@ -70,15 +79,19 @@ class DescRing:
         return desc
 
     def consume_batch(self, max_n: int) -> List[Desc]:
-        n = min(max_n, len(self))
-        if n == 0:
+        cons = self._cons
+        n = self._prod - cons
+        if max_n < n:
+            n = max_n
+        if n <= 0:
             self.empty_events += 1
             return []
-        out = []
-        for _ in range(n):
-            out.append(self._slots[self._cons & (self.size - 1)])
-            self._cons += 1
-        return out
+        start = cons & (self.size - 1)
+        end = start + n
+        self._cons = cons + n
+        if end <= self.size:
+            return self._slots[start:end]
+        return self._slots[start:] + self._slots[:end - self.size]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DescRing(size={self.size}, queued={len(self)})"

@@ -130,13 +130,16 @@ class XskSocket:
         ctx.charge(costs.ring_batch_ns, label="rx_batch")
         descs = self.rx_ring.consume_batch(batch)
         if not descs:
-            trace.count("afxdp.rx_ring_empty")
+            rec = trace.ACTIVE
+            if rec is not None:
+                rec.count("afxdp.rx_ring_empty")
             return []
         ctx.charge(len(descs) * costs.ring_op_ns, label="rx_pop")
+        read_frame = self.umem.read_frame
         pkts = []
         freed = []
         for addr, _length in descs:
-            pkts.append(self.umem.read_frame(addr))
+            pkts.append(read_frame(addr))
             freed.append(addr)
         # Frames are recycled through the pool, then re-posted to fill.
         self.pool.free(freed, ctx)
@@ -189,16 +192,19 @@ class XskSocket:
             telemetry.drop_event(DropReason.XSK_TX_NO_UMEM,
                                  n=len(pkts) - n,
                                  octets=sum(len(p) for p in pkts[n:]))
-        for addr, pkt in zip(addrs, pkts[:n]):
-            if self.bind_mode is BindMode.COPY:
-                ctx.charge(costs.copy_cost(len(pkt)), label="tx_copy")
+        copy_mode = self.bind_mode is BindMode.COPY
+        write_frame = self.umem.write_frame
+        descs = []
+        for addr, pkt in zip(addrs, pkts):  # the first n packets
+            nbytes = len(pkt.data)
+            if copy_mode:
+                ctx.charge(costs.copy_cost(nbytes), label="tx_copy")
                 if rec is not None:
                     rec.count("afxdp.copies")
-                    rec.count("afxdp.copy_bytes", len(pkt))
-            self.umem.write_frame(addr, pkt)
-        produced = self.tx_ring.produce_batch(
-            [(addr, len(pkt)) for addr, pkt in zip(addrs, pkts[:n])]
-        )
+                    rec.count("afxdp.copy_bytes", nbytes)
+            write_frame(addr, pkt)
+            descs.append((addr, nbytes))
+        produced = self.tx_ring.produce_batch(descs)
         if produced < n:
             # Ring full: drop the overflow *and* return its frames to
             # the pool (they used to leak here).
@@ -221,7 +227,9 @@ class XskSocket:
         costs = DEFAULT_COSTS
         device = self.bound_device
         plan = faults.ACTIVE
-        trace.count("afxdp.tx_kick_syscalls")
+        rec = trace.ACTIVE
+        if rec is not None:
+            rec.count("afxdp.tx_kick_syscalls")
         with ctx.as_category(CpuCategory.SYSTEM):
             if plan is not None:
                 attempt = 0
@@ -258,9 +266,10 @@ class XskSocket:
                     attempt += 1
             ctx.charge(costs.syscall_base_ns, label="tx_kick")
             descs = self.tx_ring.consume_batch(self.tx_ring.size)
+            read_frame = self.umem.read_frame
             done = []
             for addr, _length in descs:
-                pkt = self.umem.read_frame(addr)
+                pkt = read_frame(addr)
                 if device is not None:
                     device.transmit(pkt, ctx)
                 self.tx_sent += 1
@@ -284,9 +293,8 @@ class XskSocket:
     def reap_completions(self, ctx: ExecContext) -> int:
         """Collect transmitted frames back into the pool."""
         costs = DEFAULT_COSTS
-        descs = self.umem.completion_ring.consume_batch(
-            self.umem.completion_ring.size
-        )
+        ring = self.umem.completion_ring
+        descs = ring.consume_batch(ring.size)
         if not descs:
             return 0
         ctx.charge(costs.ring_batch_ns + len(descs) * costs.ring_op_ns,

@@ -83,7 +83,8 @@ class UmemPool:
         the XSK passes ``batched=True`` there; O3's change is about the
         per-packet receive/refill path.
         """
-        n = min(n, len(self._free))
+        free = self._free
+        n = min(n, len(free))
         if n == 0:
             return []
         if self.batched if batched is None else batched:
@@ -91,8 +92,8 @@ class UmemPool:
         else:
             for _ in range(n):
                 self._lock_cost(ctx)
-        out = self._free[-n:]
-        del self._free[-n:]
+        out = free[-n:]
+        del free[-n:]
         return out
 
     def free(self, addrs: List[int], ctx: ExecContext,
@@ -104,6 +105,7 @@ class UmemPool:
         else:
             for _ in range(len(addrs)):
                 self._lock_cost(ctx)
+        clear_frame = self.umem.clear_frame
         for addr in addrs:
-            self.umem.clear_frame(addr)
+            clear_frame(addr)
         self._free.extend(addrs)

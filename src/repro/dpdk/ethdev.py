@@ -38,12 +38,11 @@ class DpdkEthDev:
         the rx descriptor, so no software rxhash is needed (§5.5's DPDK
         advantage).
         """
-        costs = DEFAULT_COSTS
         ring = self.nic.rx_rings[queue]
-        n = min(batch, len(ring))
-        if n == 0:
+        if not ring or batch <= 0:
             return []
-        granted = self.mempool.alloc(n, ctx)
+        costs = DEFAULT_COSTS
+        granted = self.mempool.alloc(min(batch, len(ring)), ctx)
         self._outstanding_mbufs += granted
         pkts = []
         for _ in range(granted):

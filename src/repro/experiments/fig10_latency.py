@@ -40,6 +40,9 @@ from repro.sim.cpu import CpuCategory, ExecContext
 from repro.traffic.netperf import NetperfResult, TcpRrRunner
 
 N_TRANSACTIONS = 400
+#: A direction settles in 2-3 rounds of the client host's pumps; a path
+#: still moving after this many is wedged.
+PUMP_ITERATIONS = 50
 
 PAPER_US = {
     "kernel": (58, 68, 94),
@@ -154,6 +157,16 @@ class _RrPath:
         self._wire_out: List = []
         nic_in.wire_peer.set_rx_handler(  # type: ignore[union-attr]
             lambda pkt, ctx: self._wire_out.append(pkt))
+        # One round's frames are byte-identical: build each once; every
+        # transaction sends a fresh clone (own Packet + PacketMeta) — the
+        # request's made here, the reply's by the NIC's DMA copy
+        # (``host_receive`` clones before it touches metadata).
+        self._request = make_tcp_packet(
+            self.vm.nic.mac, self.nic.mac,
+            "10.0.0.5", "10.0.0.9", 40000, 12865, payload=b"x")
+        self._reply = make_tcp_packet(
+            self.nic.mac, self.vm.nic.mac,
+            "10.0.0.9", "10.0.0.5", 12865, 40000, payload=b"y")
         # Warm the caches so measured transactions see steady state.
         for _ in range(4):
             self.one_transaction()
@@ -169,16 +182,20 @@ class _RrPath:
         return ctxs
 
     def _pump_client(self) -> None:
-        for _ in range(50):
+        pmd, qemu, nic = self.pmd, self.vm.qemu, self.nic
+        kernel = self.host.kernel if self.config != "dpdk" else None
+        for _ in range(PUMP_ITERATIONS):
             moved = 0
-            if self.pmd is not None:
-                moved += self.pmd.run_iteration()
-            if self.config != "dpdk":
-                moved += self.host.kernel.service_nic(self.nic, budget=8)
-            if self.vm.qemu is not None:
-                moved += self.vm.qemu.pump()
-            if not moved and not self.nic.pending():
+            if pmd is not None:
+                moved += pmd.run_iteration()
+            if kernel is not None:
+                moved += kernel.service_nic(nic, budget=8)
+            if qemu is not None:
+                moved += qemu.pump()
+            if not moved and not nic.pending():
                 return
+        raise AssertionError(
+            f"path did not quiesce in {PUMP_ITERATIONS} pump iterations")
 
     def one_transaction(self) -> None:
         costs = DEFAULT_COSTS
@@ -186,12 +203,10 @@ class _RrPath:
         self.guest_ctx.charge(costs.tcp_segment_ns, label="guest_tcp")
         self.guest_ctx.charge(costs.socket_copy_per_byte_ns * 1,
                               label="guest_copy")
-        request = make_tcp_packet(
-            self.vm.nic.mac, self.nic.mac,
-            "10.0.0.5", "10.0.0.9", 40000, 12865, payload=b"x")
-        self.vm.nic.transmit(request, self.guest_ctx)
+        self.vm.nic.transmit(self._request.clone(), self.guest_ctx)
         self._pump_client()
-        assert self._wire_out, "request never reached the wire"
+        if not self._wire_out:
+            raise AssertionError("request never reached the wire")
         self._wire_out.clear()
 
         # 2. The server host: NIC rx -> stack -> netserver -> reply tx.
@@ -200,15 +215,12 @@ class _RrPath:
             + costs.tcp_segment_ns, label="server_rx")
         self.server_ctx.charge(costs.tcp_segment_ns + costs.skb_free_ns
                                + costs.nic_tx_ns, label="server_tx")
-        reply = make_tcp_packet(
-            self.nic.mac, self.vm.nic.mac,
-            "10.0.0.9", "10.0.0.5", 12865, 40000, payload=b"y")
 
         # 3. Back through the switch into the guest.
-        self.nic.host_receive(reply)
+        self.nic.host_receive(self._reply)
         self._pump_client()
-        got = self.vm.nic.rx_queue.pop_batch(4)
-        assert got, "reply never reached the guest"
+        if not self.vm.nic.rx_queue.pop_batch(4):
+            raise AssertionError("reply never reached the guest")
         self.guest_ctx.charge(costs.tcp_segment_ns, label="guest_tcp")
 
 

@@ -37,6 +37,8 @@ from repro.sim.cpu import CpuCategory, ExecContext
 from repro.traffic.netperf import NetperfResult, TcpRrRunner
 
 N_TRANSACTIONS = 400
+#: The PMD drains a direction in 2-3 iterations; see fig10.
+PUMP_ITERATIONS = 20
 
 PAPER_US = {
     "kernel": (15, 16, 20),
@@ -151,6 +153,13 @@ class _ContainerRrPath:
             lambda pkt, ctx: self._at_client.append(pkt))
         self.c2.inside.set_rx_handler(
             lambda pkt, ctx: self._at_server.append(pkt))
+        # Built once, cloned per transaction (see fig10's _RrPath).
+        self._request = make_tcp_packet(
+            self.c1.inside.mac, self.c2.inside.mac,
+            "172.17.0.2", "172.17.0.3", 40000, 12865, payload=b"x")
+        self._reply = make_tcp_packet(
+            self.c2.inside.mac, self.c1.inside.mac,
+            "172.17.0.3", "172.17.0.2", 12865, 40000, payload=b"y")
         for _ in range(4):
             self.one_transaction()
 
@@ -162,30 +171,30 @@ class _ContainerRrPath:
         return ctxs
 
     def _pump(self) -> None:
-        if self.pmd is not None:
-            for _ in range(20):
-                if not self.pmd.run_iteration():
-                    break
+        pmd = self.pmd
+        if pmd is None:
+            return
+        for _ in range(PUMP_ITERATIONS):
+            if not pmd.run_iteration():
+                return
+        raise AssertionError(
+            f"PMD did not quiesce in {PUMP_ITERATIONS} pump iterations")
 
     def one_transaction(self) -> None:
         costs = DEFAULT_COSTS
         # Client container: netperf writes a byte through its stack.
         self.client_ctx.charge(costs.tcp_segment_ns, label="client_tcp")
-        request = make_tcp_packet(
-            self.c1.inside.mac, self.c2.inside.mac,
-            "172.17.0.2", "172.17.0.3", 40000, 12865, payload=b"x")
-        self.c1.inside.transmit(request, self.client_ctx)
+        self.c1.inside.transmit(self._request.clone(), self.client_ctx)
         self._pump()
-        assert self._at_server, "request did not reach the server container"
+        if not self._at_server:
+            raise AssertionError("request did not reach the server container")
         self._at_server.clear()
         # Server container: stack rx + netserver + stack tx.
         self.server_ctx.charge(2 * costs.tcp_segment_ns, label="server_tcp")
-        reply = make_tcp_packet(
-            self.c2.inside.mac, self.c1.inside.mac,
-            "172.17.0.3", "172.17.0.2", 12865, 40000, payload=b"y")
-        self.c2.inside.transmit(reply, self.server_ctx)
+        self.c2.inside.transmit(self._reply.clone(), self.server_ctx)
         self._pump()
-        assert self._at_client, "reply did not reach the client container"
+        if not self._at_client:
+            raise AssertionError("reply did not reach the client container")
         self._at_client.clear()
         self.client_ctx.charge(costs.tcp_segment_ns, label="client_tcp")
 

@@ -39,25 +39,25 @@ class QemuTapBackend:
 
     def pump(self, budget: int = 64) -> int:
         costs = DEFAULT_COSTS
+        ctx = self.ctx
+        tap = self.tap
         moved = 0
         # Host -> guest: tap user face -> virtio rx queue.  QEMU copies
         # the frame from its buffer into the guest's virtio buffers (on
         # top of the tap read's own kernel->user copy).
-        for _ in range(budget):
-            if self.tap.user_pending() == 0:
-                break
-            pkt = self.tap.user_read(self.ctx)
+        for _ in range(min(budget, tap.user_pending())):
+            pkt = tap.user_read(ctx)
             if pkt is None:
                 break
-            self.ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-            self.ctx.charge(costs.copy_cost(len(pkt)), label="qemu_copy")
+            ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
+            ctx.charge(costs.copy_cost(len(pkt.data)), label="qemu_copy")
             if self.guest_nic.rx_queue.push(pkt):
                 moved += 1
         # Guest -> host: virtio tx queue -> tap user face (sendto each).
         for pkt in self.guest_nic.tx_queue.pop_batch(budget):
-            self.ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-            self.ctx.charge(costs.copy_cost(len(pkt)), label="qemu_copy")
-            self.tap.user_write(pkt, self.ctx)
+            ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
+            ctx.charge(costs.copy_cost(len(pkt.data)), label="qemu_copy")
+            tap.user_write(pkt, ctx)
             moved += 1
         return moved
 
@@ -79,28 +79,31 @@ class VhostNetBackend:
         guest_nic.backend_polls = False
 
     def pump(self, budget: int = 64) -> int:
+        to_user = self.tap._to_user
+        # Nothing below touches the guest's tx ring before its turn.
+        from_guest = self.guest_nic.tx_queue.pop_batch(budget)
+        if not to_user and not from_guest:
+            return 0
         costs = DEFAULT_COSTS
-        moved = 0
-        with self.ctx.as_category(CpuCategory.SYSTEM):
+        ctx = self.ctx
+        with ctx.as_category(CpuCategory.SYSTEM):
             # Host -> guest: tap queue -> guest rx ring (one copy).
             pushed = 0
-            for _ in range(budget):
-                if self.tap.user_pending() == 0:
-                    break
-                pkt = self.tap._to_user.popleft()
-                self.ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-                self.ctx.charge(costs.copy_cost(len(pkt)), label="vhost_copy")
+            for _ in range(min(budget, len(to_user))):
+                pkt = to_user.popleft()
+                ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
+                ctx.charge(costs.copy_cost(len(pkt.data)), label="vhost_copy")
                 if self.guest_nic.rx_queue.push(pkt):
                     pushed += 1
             if pushed:
                 # One guest interrupt per burst.
-                self.ctx.charge(costs.virtqueue_kick_ns, label="guest_kick")
-            moved += pushed
+                ctx.charge(costs.virtqueue_kick_ns, label="guest_kick")
+            moved = pushed
             # Guest -> host: guest tx ring -> the tap's kernel face.
-            for pkt in self.guest_nic.tx_queue.pop_batch(budget):
-                self.ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-                self.ctx.charge(costs.copy_cost(len(pkt)), label="vhost_copy")
-                self.tap.deliver(pkt, self.ctx)
+            for pkt in from_guest:
+                ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
+                ctx.charge(costs.copy_cost(len(pkt.data)), label="vhost_copy")
+                self.tap.deliver(pkt, ctx)
                 moved += 1
         return moved
 

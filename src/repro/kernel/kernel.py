@@ -90,15 +90,17 @@ class Kernel:
         if prof is not None:
             prof.enter("kernel.service_nic")
         try:
-            for queue in range(nic.n_queues):
-                if not nic.pending(queue):
+            for queue, ring in enumerate(nic.rx_rings):
+                if not ring:
                     continue
                 ctx = self.softirq_ctx(self.cpu_for_queue(nic, queue))
                 if interrupt_mode:
                     ctx.charge(costs.irq_entry_ns, label="irq")
-                    trace.count("kernel.irqs")
+                    if rec is not None:
+                        rec.count("kernel.irqs")
                 ctx.charge(costs.napi_poll_ns, label="napi")
-                trace.count("kernel.napi_polls")
+                if rec is not None:
+                    rec.count("kernel.napi_polls")
                 total += nic.service_queue(queue, ctx, budget=budget)
         finally:
             if prof is not None:

@@ -236,7 +236,7 @@ class PhysicalNic(NetDevice):
     def pending(self, queue: Optional[int] = None) -> int:
         if queue is not None:
             return len(self.rx_rings[queue])
-        return sum(len(r) for r in self.rx_rings)
+        return sum(map(len, self.rx_rings))
 
     def _dispatch_xdp(self, pkt: Packet, verdict, queue: int, ctx: ExecContext) -> None:
         costs = DEFAULT_COSTS

@@ -320,10 +320,11 @@ class DpifNetdev:
             rec.note_batch("dp.rx", n)
         self._burst_upcalls = 0
         for pkt in pkts:
-            pkt.meta.in_port = in_port
-            pkt.meta.recirc_id = 0
-            pkt.meta.ct_state = 0
-            pkt.meta.ct_zone = 0
+            meta = pkt.meta
+            meta.in_port = in_port
+            meta.recirc_id = 0
+            meta.ct_state = 0
+            meta.ct_zone = 0
         batched = self.batch_classify
         if batched is None:
             batched = BATCH_CLASSIFY

@@ -75,43 +75,40 @@ class PmdThread:
         costs = DEFAULT_COSTS
         self.iterations += 1
         processed = 0
+        ctx = self.ctx
         # Profiler-only frame: attributes everything this iteration
         # charges to this PMD thread in the call tree.
         rec = trace.ACTIVE
         prof = rec.profiler if rec is not None else None
         if prof is not None:
-            prof.enter(f"pmd/{self.ctx.name}")
+            prof.enter(f"pmd/{ctx.name}")
         try:
-            processed = self._poll_rxqs(costs)
+            for rxq in self.rxqs:
+                port = rxq.port
+                if self.main_thread_mode:
+                    # The shared main thread: a poll() syscall per service
+                    # and a context switch back from whatever else it was
+                    # doing (OpenFlow handling, OVSDB, stats) — what strace
+                    # showed before O1.
+                    with ctx.as_category(CpuCategory.SYSTEM):
+                        ctx.charge(costs.poll_ns, label="poll")
+                    ctx.charge(costs.context_switch_ns, label="resched")
+                    trace.count("kernel.ctx_switches")
+                pkts = port.adapter.rx_burst(
+                    ctx, batch=self.batch_size, queue=rxq.queue
+                )
+                if not pkts:
+                    self.empty_polls += 1
+                    continue
+                self.dpif.process_batch(
+                    pkts, port.port_no, ctx, self.emc,
+                    tx_queue=rxq.queue, stats=self.stats,
+                )
+                processed += len(pkts)
         finally:
             if prof is not None:
                 prof.exit_()
         self.packets_processed += processed
-        return processed
-
-    def _poll_rxqs(self, costs) -> int:
-        processed = 0
-        for rxq in self.rxqs:
-            if self.main_thread_mode:
-                # The shared main thread: a poll() syscall per service and
-                # a context switch back from whatever else it was doing
-                # (OpenFlow handling, OVSDB, stats) — what strace showed
-                # before O1.
-                with self.ctx.as_category(CpuCategory.SYSTEM):
-                    self.ctx.charge(costs.poll_ns, label="poll")
-                self.ctx.charge(costs.context_switch_ns, label="resched")
-                trace.count("kernel.ctx_switches")
-            pkts = rxq.port.adapter.rx_burst(
-                self.ctx, batch=self.batch_size, queue=rxq.queue
-            )
-            if not pkts:
-                self.empty_polls += 1
-                continue
-            self.dpif.process_batch(
-                pkts, rxq.port.port_no, self.ctx, self.emc,
-                tx_queue=rxq.queue, stats=self.stats,
-            )
-            processed += len(pkts)
         return processed
 
     def run_until_idle(self, max_iterations: int = 100_000) -> int:

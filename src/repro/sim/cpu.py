@@ -68,6 +68,8 @@ class LatencyTrace:
         self.components: Dict[str, float] = {}
 
     def add(self, ns: float, label: str) -> None:
+        """The definition of a traced charge; ``ExecContext`` runs these
+        two statements inline."""
         self.total_ns += ns
         self.components[label] = self.components.get(label, 0.0) + ns
 
@@ -150,6 +152,26 @@ class CpuModel:
                 lane[i] = 0.0
 
 
+class _CategoryScope:
+    """``with ctx.as_category(cat):`` — swap the context's category on
+    entry, put the previous one back on exit (exception or not).  A
+    plain object, not a generator: the tx kick and the vhost-net pump
+    enter one per burst."""
+
+    __slots__ = ("ctx", "category", "prev")
+
+    def __init__(self, ctx: "ExecContext", category: CpuCategory) -> None:
+        self.ctx = ctx
+        self.category = category
+
+    def __enter__(self) -> None:
+        ctx = self.ctx
+        self.prev, ctx.category = ctx.category, self.category
+
+    def __exit__(self, *exc: object) -> None:
+        self.ctx.category = self.prev
+
+
 class ExecContext:
     """A simulated thread of execution.
 
@@ -203,7 +225,12 @@ class ExecContext:
         self._lane[cat.idx] += ns
         self.local_time_ns += ns
         if self.trace is not None:
-            self.trace.add(ns, label)
+            # LatencyTrace.add, inline: a latency run (burst size 1)
+            # makes every charge with a trace attached.
+            tr = self.trace
+            tr.total_ns += ns
+            components = tr.components
+            components[label] = components.get(label, 0.0) + ns
         rec = _trace.ACTIVE
         if rec is not None:
             rec.note_cpu(ns)
@@ -241,11 +268,13 @@ class ExecContext:
                 local += ns
             self.local_time_ns = local
             return
+        components = tr.components if tr is not None else None
         for _ in range(n):
             lane[idx] += ns
             self.local_time_ns += ns
             if tr is not None:
-                tr.add(ns, label)
+                tr.total_ns += ns
+                components[label] = components.get(label, 0.0) + ns
             if rec is not None:
                 rec.note_cpu(ns)
                 rec.record(label, ns)
@@ -260,7 +289,10 @@ class ExecContext:
             raise ValueError(f"negative wait: {ns}")
         self.local_time_ns += ns
         if self.trace is not None:
-            self.trace.add(ns, label)
+            tr = self.trace
+            tr.total_ns += ns
+            components = tr.components
+            components[label] = components.get(label, 0.0) + ns
         rec = _trace.ACTIVE
         if rec is not None:
             rec.record_wait(label, ns)
@@ -274,18 +306,13 @@ class ExecContext:
         finally:
             self.trace = prev
 
-    @contextmanager
-    def as_category(self, category: CpuCategory) -> Iterator[None]:
+    def as_category(self, category: CpuCategory) -> "_CategoryScope":
         """Temporarily run this context in a different accounting bucket.
 
         Used when a userspace thread enters the kernel (USER -> SYSTEM) or
         when the kernel borrows the current CPU for softirq work.
         """
-        prev, self.category = self.category, category
-        try:
-            yield
-        finally:
-            self.category = prev
+        return _CategoryScope(self, category)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

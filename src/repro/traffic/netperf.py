@@ -12,11 +12,12 @@ P50/P90/P99 columns of Figures 10 and 11.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
 from repro.sim.cpu import ExecContext, LatencyTrace
-from repro.sim.rng import lognormal_jitter, make_rng
+from repro.sim.rng import make_rng
 from repro.sim.stats import Histogram
 
 
@@ -64,21 +65,35 @@ class TcpRrRunner:
         if n_transactions <= 0:
             raise ValueError("need at least one transaction")
         samples = Histogram()
-        component_acc: Dict[str, float] = {}
-        for _ in range(n_transactions):
-            trace = LatencyTrace()
-            for ctx in self.contexts:
-                ctx.trace = trace
-            try:
+        component_acc: Dict[str, float] = defaultdict(float)
+        # ``lognormal_jitter`` per term, its check made once and its
+        # bound method read once: the same draws in the same order.
+        jitter = []
+        for label, (median, sigma) in self.jitter_terms.items():
+            if median <= 0:
+                raise ValueError("median must be positive")
+            jitter.append((label, median, sigma))
+        lognormvariate = self._rng.lognormvariate
+        # One trace stays attached for the run and starts every
+        # transaction empty; a run nested in ``with ctx.tracing(outer):``
+        # hands ``outer`` back afterwards, not None.
+        trace = LatencyTrace()
+        previous = [ctx.trace for ctx in self.contexts]
+        for ctx in self.contexts:
+            ctx.trace = trace
+        try:
+            for _ in range(n_transactions):
+                trace.total_ns = 0.0
+                components = trace.components = {}
                 transaction()
-            finally:
-                for ctx in self.contexts:
-                    ctx.trace = None
-            for label, (median, sigma) in self.jitter_terms.items():
-                trace.add(lognormal_jitter(self._rng, median, sigma), label)
-            samples.add(trace.total_ns / 1_000.0)  # us
-            for label, ns in trace.components.items():
-                component_acc[label] = component_acc.get(label, 0.0) + ns
+                for label, median, sigma in jitter:
+                    trace.add(median * lognormvariate(0.0, sigma), label)
+                samples.add(trace.total_ns / 1_000.0)  # us
+                for label, ns in components.items():
+                    component_acc[label] += ns
+        finally:
+            for ctx, prev in zip(self.contexts, previous):
+                ctx.trace = prev
         mean_us = samples.mean()
         return NetperfResult(
             p50_us=samples.percentile(50),

@@ -38,7 +38,7 @@ class VhostUserPort:
         pkts = self.guest_nic.tx_queue.pop_batch(batch)
         for pkt in pkts:
             ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-            ctx.charge(costs.copy_cost(len(pkt)), label="vhost_copy")
+            ctx.charge(costs.copy_cost(len(pkt.data)), label="vhost_copy")
             self.rx_packets += 1
         return pkts
 
@@ -51,16 +51,19 @@ class VhostUserPort:
         """
         costs = DEFAULT_COSTS
         sent = 0
+        rx_queue = self.guest_nic.rx_queue
         for pkt in pkts:
+            nbytes = len(pkt.data)
+            meta = pkt.meta
             ctx.charge(costs.virtqueue_op_ns, label="virtqueue")
-            ctx.charge(costs.copy_cost(len(pkt)), label="vhost_copy")
-            if not pkt.meta.csum_verified and not pkt.meta.csum_partial:
+            ctx.charge(costs.copy_cost(nbytes), label="vhost_copy")
+            if not meta.csum_verified and not meta.csum_partial:
                 # virtio requires a checksum verdict: OVS validates in
                 # software before handing the frame to the guest (the
                 # AF_XDP no-rx-offload penalty, §4).
-                ctx.charge(costs.checksum_cost(len(pkt)), label="csum_fixup")
-                pkt.meta.csum_verified = True
-            if self.guest_nic.rx_queue.push(pkt):
+                ctx.charge(costs.checksum_cost(nbytes), label="csum_fixup")
+                meta.csum_verified = True
+            if rx_queue.push(pkt):
                 sent += 1
             else:
                 self.tx_dropped += 1

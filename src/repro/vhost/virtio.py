@@ -38,8 +38,11 @@ class Virtqueue:
         return True
 
     def pop_batch(self, max_n: int) -> List[Packet]:
-        n = min(max_n, len(self._ring))
-        return [self._ring.popleft() for _ in range(n)]
+        ring = self._ring
+        if not ring:
+            return []
+        popleft = ring.popleft
+        return [popleft() for _ in range(min(max_n, len(ring)))]
 
     def kick(self) -> None:
         self.kicks += 1

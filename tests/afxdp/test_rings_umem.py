@@ -63,6 +63,82 @@ class TestDescRing:
         assert out == addrs[:n]
 
 
+class LoopRing:
+    """The slot-by-slot ring ``DescRing``'s batch operations replaced
+    (they now move whole slices), kept as their definition."""
+
+    def __init__(self, size):
+        self.size = size
+        self._slots = [None] * size
+        self._prod = 0
+        self._cons = 0
+        self.full_events = 0
+        self.empty_events = 0
+
+    def __len__(self):
+        return self._prod - self._cons
+
+    def produce_batch(self, descs):
+        n = min(len(descs), self.size - len(self))
+        if n < len(descs):
+            self.full_events += 1
+        for desc in descs[:n]:
+            self._slots[self._prod & (self.size - 1)] = desc
+            self._prod += 1
+        return n
+
+    def consume_batch(self, max_n):
+        n = min(max_n, len(self))
+        if n == 0:
+            self.empty_events += 1
+            return []
+        out = []
+        for _ in range(n):
+            out.append(self._slots[self._cons & (self.size - 1)])
+            self._cons += 1
+        return out
+
+
+class TestDescRingAgainstTheLoop:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 11)),
+                    max_size=60))
+    def test_any_interleaving_wrapping_or_not(self, steps):
+        """Batches that straddle the end of the slot array, overfill the
+        ring or find it empty: same descriptors out, same stall counts."""
+        ring, loop = DescRing(8), LoopRing(8)
+        serial = 0
+        for produce, n in steps:
+            if produce:
+                descs = [(serial + i, i) for i in range(n)]
+                serial += n
+                assert ring.produce_batch(descs) == loop.produce_batch(descs)
+            else:
+                assert ring.consume_batch(n) == loop.consume_batch(n)
+            assert len(ring) == len(loop)
+            assert (ring.full_events, ring.empty_events) \
+                == (loop.full_events, loop.empty_events)
+        assert ring.consume_batch(8) == loop.consume_batch(8)
+
+    def test_singles_and_batches_share_the_indexes(self):
+        ring = DescRing(4)
+        ring.produce_batch([(0, 0), (1, 0), (2, 0)])
+        assert ring.consume() == (0, 0)
+        ring.produce((3, 0))
+        ring.produce_batch([(4, 0)])  # lands in slot 0: wrapped
+        assert ring.consume_batch(9) == [(1, 0), (2, 0), (3, 0), (4, 0)]
+        assert ring.consume() is None and ring.empty_events == 1
+
+    def test_caller_keeps_its_list(self):
+        ring = DescRing(4)
+        descs = [(7, 0)]
+        ring.produce_batch(descs)
+        descs.append((8, 0))
+        got = ring.consume_batch(4)
+        got.append("scribble")
+        assert len(ring) == 0 and ring._slots.count((7, 0)) == 1
+        assert len(ring._slots) == 4
+
+
 class TestUmem:
     def test_frame_addresses_aligned(self):
         u = Umem(n_frames=4, frame_size=2048)

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.net.flow import extract_flow
-from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
+from repro.sim.cpu import CpuCategory, CpuModel, ExecContext, LatencyTrace
 from repro.traffic.iperf import measure_throughput
 from repro.traffic.netperf import TcpRrRunner
 from repro.traffic.trex import FlowSpec, TrexStream, max_lossless_mpps
@@ -167,6 +167,40 @@ class TestNetperf:
         cpu = CpuModel(1)
         ctx = ExecContext(cpu, 0, CpuCategory.USER)
         TcpRrRunner([ctx], {}).run(lambda: ctx.charge(1), 10)
+        assert ctx.trace is None
+
+    def test_run_inside_a_tracing_block_hands_the_outer_trace_back(self):
+        cpu = CpuModel(1)
+        ctx = ExecContext(cpu, 0, CpuCategory.USER)
+        bystander = ExecContext(cpu, 0, CpuCategory.USER)
+        outer = LatencyTrace()
+        with ctx.tracing(outer):
+            ctx.charge(5, label="before")
+            TcpRrRunner([ctx, bystander], {}).run(lambda: ctx.charge(1), 10)
+            assert ctx.trace is outer and bystander.trace is None
+            ctx.charge(7, label="after")
+        assert ctx.trace is None
+        # The run's own charges went to its own trace, not to ``outer``.
+        assert outer.components == {"before": 5.0, "after": 7.0}
+
+    def test_failed_transaction_restores_the_previous_trace(self):
+        cpu = CpuModel(1)
+        ctx = ExecContext(cpu, 0, CpuCategory.USER)
+        outer = LatencyTrace()
+
+        def lost():
+            raise AssertionError("request never reached the wire")
+
+        with ctx.tracing(outer):
+            with pytest.raises(AssertionError):
+                TcpRrRunner([ctx], {}).run(lost, 10)
+            assert ctx.trace is outer
+
+    def test_bad_jitter_median_is_rejected(self):
+        cpu = CpuModel(1)
+        ctx = ExecContext(cpu, 0, CpuCategory.USER)
+        with pytest.raises(ValueError, match="median must be positive"):
+            TcpRrRunner([ctx], {"irq": (0.0, 0.3)}).run(lambda: None, 1)
         assert ctx.trace is None
 
     def test_requires_transactions(self):
