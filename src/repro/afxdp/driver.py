@@ -222,13 +222,13 @@ class AfxdpDriver:
             prof.enter("afxdp.rx")
         try:
             opts = self.options
+            costs = DEFAULT_COSTS
             sock = self.sockets[queue]
             if opts.interrupt_mode:
                 # Blocking service: poll() syscall, then a wakeup when the
                 # interrupt fires.  This is what "interrupt" in Figure 8a
                 # means.  The sleep/wake cycle costs real CPU (scheduler
                 # out and in) as well as latency.
-                costs = DEFAULT_COSTS
                 with ctx.as_category(CpuCategory.SYSTEM):
                     ctx.charge(costs.poll_ns, label="poll")
                 if len(sock.rx_ring):
@@ -237,41 +237,41 @@ class AfxdpDriver:
                     ctx.wait(costs.irq_entry_ns + costs.thread_wakeup_ns,
                              label="irq_wakeup")
             pkts = sock.user_rx_batch(ctx, batch=opts.batch_size)
-            if pkts:
-                for pkt in pkts:
-                    self._init_metadata(pkt, ctx)
-                self.rx_packets += len(pkts)
+            if not pkts:
+                return pkts
+            # dp_packet initialisation, per packet.
+            charge = ctx.charge
+            prealloc = opts.preallocated_metadata
+            # The O5 estimate: receive "assumes the checksum is correct"
+            # (§3.2); otherwise the hardware verdict is lost.
+            csum_verified = not opts.sw_checksum_on_tx
+            fast = fastpath.ENABLED
+            for pkt in pkts:
+                meta = pkt.meta
+                charge(costs.dp_packet_init_ns, label="dp_packet")
+                if not meta.llc_warm:
+                    # Zero-copy AF_XDP: userspace is the first to read the
+                    # DMA'd frame (the XSK-redirect program never touched
+                    # it).
+                    charge(costs.dma_first_touch_ns, label="dma_first_touch")
+                    meta.llc_warm = True
+                if not prealloc:
+                    charge(costs.dp_packet_malloc_extra_ns, label="dp_malloc")
+                    self._alloc_counter += 1
+                    if self._alloc_counter % MMAP_ALLOC_PERIOD == 0:
+                        with ctx.as_category(CpuCategory.SYSTEM):
+                            charge(costs.mmap_ns, label="mmap")
+                # No API exposes the NIC's RSS hash through AF_XDP (§5.5):
+                # it is recomputed in software.
+                charge(costs.software_rxhash_ns, label="sw_rxhash")
+                meta.rxhash = (rxhash_of(pkt.data) if fast else rss_hash(
+                    extract_flow(pkt.data).five_tuple()))
+                meta.csum_verified = csum_verified
+            self.rx_packets += len(pkts)
             return pkts
         finally:
             if prof is not None:
                 prof.exit_()
-
-    def _init_metadata(self, pkt: Packet, ctx: ExecContext) -> None:
-        costs = DEFAULT_COSTS
-        opts = self.options
-        ctx.charge(costs.dp_packet_init_ns, label="dp_packet")
-        if not pkt.meta.llc_warm:
-            # Zero-copy AF_XDP: userspace is the first to read the DMA'd
-            # frame (the XSK-redirect program never touched it).
-            ctx.charge(costs.dma_first_touch_ns, label="dma_first_touch")
-            pkt.meta.llc_warm = True
-        if not opts.preallocated_metadata:
-            ctx.charge(costs.dp_packet_malloc_extra_ns, label="dp_malloc")
-            self._alloc_counter += 1
-            if self._alloc_counter % MMAP_ALLOC_PERIOD == 0:
-                with ctx.as_category(CpuCategory.SYSTEM):
-                    ctx.charge(costs.mmap_ns, label="mmap")
-        # No API exposes the NIC's RSS hash or checksum validation
-        # through AF_XDP (§5.5): the hash is recomputed in software, and
-        # the checksum's hardware verdict is lost — unless the O5
-        # estimate is on, in which case receive "assumes the checksum is
-        # correct" (§3.2).
-        ctx.charge(costs.software_rxhash_ns, label="sw_rxhash")
-        if fastpath.ENABLED:
-            pkt.meta.rxhash = rxhash_of(pkt.data)
-        else:
-            pkt.meta.rxhash = rss_hash(extract_flow(pkt.data).five_tuple())
-        pkt.meta.csum_verified = not opts.sw_checksum_on_tx
 
     def tx_burst(self, queue: int, pkts: List[Packet], ctx: ExecContext) -> int:
         rec = trace.ACTIVE
@@ -283,9 +283,13 @@ class AfxdpDriver:
             if self.options.sw_checksum_on_tx:
                 # AF_XDP exposes no checksum offload (§3.2 O5): the driver
                 # checksums every outgoing packet in software.
-                checksum_cost = DEFAULT_COSTS.checksum_cost
+                # ``CostModel.checksum_cost``, inline: the same float.
+                costs = DEFAULT_COSTS
+                fixed = costs.checksum_fixed_ns
+                per_byte = costs.checksum_per_byte_ns
                 for pkt in pkts:
-                    ctx.charge(checksum_cost(len(pkt.data)), label="sw_csum")
+                    ctx.charge(fixed + per_byte * len(pkt.data),
+                               label="sw_csum")
                     pkt.meta.csum_partial = False
             else:
                 # The O5 estimate: stamp a fixed value, assume correctness.

@@ -45,11 +45,12 @@ class DescRing:
         return self.size - len(self)
 
     def produce(self, desc: Desc) -> None:
-        if len(self) >= self.size:
+        prod = self._prod
+        if prod - self._cons >= self.size:
             self.full_events += 1
             raise RingFullError("ring full")
-        self._slots[self._prod & (self.size - 1)] = desc
-        self._prod += 1
+        self._slots[prod & (self.size - 1)] = desc
+        self._prod = prod + 1
 
     def produce_batch(self, descs: Sequence[Desc]) -> int:
         """Enqueue as many as fit; returns how many were enqueued."""

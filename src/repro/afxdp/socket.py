@@ -74,6 +74,7 @@ class XskSocket:
         costs = DEFAULT_COSTS
         rec = trace.ACTIVE
         plan = faults.ACTIVE
+        nbytes = len(pkt.data)
         if plan is not None:
             if plan.should_fire("afxdp.fill_ring_overrun"):
                 # The producer raced the consumer under overload: the
@@ -84,7 +85,7 @@ class XskSocket:
                 if rec is not None:
                     rec.count("afxdp.rx_dropped_overrun")
                 telemetry.drop_event(DropReason.XSK_RX_OVERRUN,
-                                     octets=len(pkt))
+                                     octets=nbytes)
                 return False
             if (self.bind_mode is BindMode.ZEROCOPY
                     and plan.should_fire("afxdp.zc_fallback")):
@@ -102,20 +103,20 @@ class XskSocket:
             if rec is not None:
                 rec.count("afxdp.rx_dropped_no_fill")
             telemetry.drop_event(DropReason.XSK_RX_NO_FILL,
-                                 octets=len(pkt))
+                                 octets=nbytes)
             return False
-        addr, _ = desc
+        addr = desc[0]
         if self.bind_mode is BindMode.COPY:
             # Generic/copy mode bounces through an skb and copies.
             ctx.charge(
-                costs.afxdp_copy_mode_ns + costs.copy_cost(len(pkt)),
+                costs.afxdp_copy_mode_ns + costs.copy_cost(nbytes),
                 label="afxdp_copy",
             )
             if rec is not None:
                 rec.count("afxdp.copies")
-                rec.count("afxdp.copy_bytes", len(pkt))
+                rec.count("afxdp.copy_bytes", nbytes)
         self.umem.write_frame(addr, pkt)
-        self.rx_ring.produce((addr, len(pkt)))
+        self.rx_ring.produce((addr, nbytes))
         ctx.charge(costs.ring_op_ns, label="rx_push")
         self.rx_delivered += 1
         return True
@@ -134,16 +135,13 @@ class XskSocket:
             if rec is not None:
                 rec.count("afxdp.rx_ring_empty")
             return []
-        ctx.charge(len(descs) * costs.ring_op_ns, label="rx_pop")
-        read_frame = self.umem.read_frame
-        pkts = []
-        freed = []
-        for addr, _length in descs:
-            pkts.append(read_frame(addr))
-            freed.append(addr)
+        n = len(descs)
+        ctx.charge(n * costs.ring_op_ns, label="rx_pop")
+        addrs = [addr for addr, _length in descs]
+        pkts = self.umem.read_frames(addrs)
         # Frames are recycled through the pool, then re-posted to fill.
-        self.pool.free(freed, ctx)
-        self.refill_fill_ring(ctx, len(descs))
+        self.pool.free(addrs, ctx)
+        self.refill_fill_ring(ctx, n)
         return pkts
 
     def refill_fill_ring(self, ctx: ExecContext, n: int) -> int:
@@ -253,8 +251,7 @@ class XskSocket:
                             telemetry.drop_event(
                                 DropReason.XSK_TX_KICK, n=len(descs),
                                 octets=sum(ln for _, ln in descs))
-                            self.umem.completion_ring.produce_batch(
-                                [(addr, 0) for addr, _ in descs])
+                            self._complete([addr for addr, _ in descs])
                         ctx.charge(
                             costs.ring_batch_ns
                             + len(descs) * costs.ring_op_ns,
@@ -266,29 +263,38 @@ class XskSocket:
                     attempt += 1
             ctx.charge(costs.syscall_base_ns, label="tx_kick")
             descs = self.tx_ring.consume_batch(self.tx_ring.size)
-            read_frame = self.umem.read_frame
-            done = []
-            for addr, _length in descs:
-                pkt = read_frame(addr)
-                if device is not None:
+            addrs = [addr for addr, _length in descs]
+            pkts = self.umem.read_frames(addrs)
+            if device is not None:
+                for pkt in pkts:
                     device.transmit(pkt, ctx)
-                self.tx_sent += 1
-                done.append((addr, 0))
-            if (plan is not None and done
+            self.tx_sent += len(pkts)
+            if (plan is not None and addrs
                     and plan.should_fire("afxdp.comp_ring_overrun")):
                 # The completion ring had no room: the kernel cannot
                 # report these frames back, so they stay "in flight"
                 # forever — the pool shrinks, and umem exhaustion
                 # emerges downstream (with its own counters).
-                self.frames_leaked += len(done)
+                self.frames_leaked += len(addrs)
                 trace.count("afxdp.comp_ring_overrun")
-                trace.count("afxdp.frames_leaked", len(done))
+                trace.count("afxdp.frames_leaked", len(addrs))
                 return
-            self.umem.completion_ring.produce_batch(done)
+            self._complete(addrs)
             ctx.charge(
-                costs.ring_batch_ns + len(done) * costs.ring_op_ns,
+                costs.ring_batch_ns + len(addrs) * costs.ring_op_ns,
                 label="comp_push",
             )
+
+    def _complete(self, addrs: List[int]) -> None:
+        """Report transmitted frames on the completion ring.  A frame
+        that does not fit is leaked like an overrun's, and counted."""
+        produced = self.umem.completion_ring.produce_batch(
+            [(addr, 0) for addr in addrs])
+        lost = len(addrs) - produced
+        if lost:
+            self.frames_leaked += lost
+            trace.count("afxdp.comp_ring_full")
+            trace.count("afxdp.frames_leaked", lost)
 
     def reap_completions(self, ctx: ExecContext) -> int:
         """Collect transmitted frames back into the pool."""

@@ -8,7 +8,7 @@ transmitted frames back on the **completion ring** (§3.1's numbered paths).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.afxdp.rings import DescRing
 from repro.net.packet import Packet
@@ -34,25 +34,34 @@ class Umem:
     def all_addresses(self):
         return list(self._frames.keys())
 
-    def _check(self, addr: int) -> None:
-        if addr not in self._frames:
-            raise ValueError(f"address {addr:#x} is not a frame boundary")
-
+    # The address, empty-frame and size checks are written out inline:
+    # these run once or twice per packet, so a helper frame is not free.
     def write_frame(self, addr: int, pkt: Packet) -> None:
-        self._check(addr)
-        if len(pkt) > self.frame_size:
+        frames = self._frames
+        if addr not in frames:
+            raise ValueError(f"address {addr:#x} is not a frame boundary")
+        if len(pkt.data) > self.frame_size:
             raise ValueError(
-                f"packet ({len(pkt)}B) larger than a frame ({self.frame_size}B)"
+                f"packet ({len(pkt.data)}B) larger than a frame "
+                f"({self.frame_size}B)"
             )
-        self._frames[addr] = pkt
+        frames[addr] = pkt
 
-    def read_frame(self, addr: int) -> Packet:
-        self._check(addr)
-        pkt = self._frames[addr]
-        if pkt is None:
-            raise ValueError(f"frame {addr:#x} is empty")
-        return pkt
+    def read_frames(self, addrs: Sequence[int]) -> List[Packet]:
+        """The packets in the frames at ``addrs``, in order."""
+        frames = self._frames
+        try:
+            pkts = [frames[addr] for addr in addrs]
+        except KeyError as exc:
+            raise ValueError(
+                f"address {exc.args[0]:#x} is not a frame boundary") from None
+        if None in pkts:
+            raise ValueError(f"frame {addrs[pkts.index(None)]:#x} is empty")
+        return pkts
 
-    def clear_frame(self, addr: int) -> None:
-        self._check(addr)
-        self._frames[addr] = None
+    def clear_frames(self, addrs: Sequence[int]) -> None:
+        frames = self._frames
+        for addr in addrs:
+            if addr not in frames:
+                raise ValueError(f"address {addr:#x} is not a frame boundary")
+            frames[addr] = None

@@ -105,7 +105,5 @@ class UmemPool:
         else:
             for _ in range(len(addrs)):
                 self._lock_cost(ctx)
-        clear_frame = self.umem.clear_frame
-        for addr in addrs:
-            clear_frame(addr)
+        self.umem.clear_frames(addrs)
         self._free.extend(addrs)

@@ -26,6 +26,9 @@ class Program:
     insns: Sequence[Insn]
     maps: Dict[int, BpfMap] = field(default_factory=dict)
     verified: bool = False
+    #: ``(insns, token)`` once :func:`repro.ebpf.jit.program_token` has
+    #: stamped the program (a class default, not a field).
+    _jit_token = None
 
     def __len__(self) -> int:
         return len(self.insns)

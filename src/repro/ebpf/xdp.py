@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from repro.ebpf import jit as _jit
@@ -27,6 +28,8 @@ from repro.sim import faults as _faults
 from repro.sim import trace as _trace
 from repro.sim.cpu import ExecContext
 from repro.telemetry.drops import DropReason
+
+_map_version = attrgetter("version")
 
 
 class XdpAction(enum.IntEnum):
@@ -109,16 +112,6 @@ class XdpContext:
         self._memo_bypass = 0
         self._memo_window = self.MEMO_BYPASS_WINDOW
 
-    def _maps_tag(self) -> Tuple:
-        # The program token pins the memo to this exact instruction
-        # stream: swapping the attached program (or rebinding its insns)
-        # can never replay a stale verdict.
-        return (
-            tuple(m.version for m in self.program.maps.values()),
-            _costs.VERSION,
-            _jit.program_token(self.program),
-        )
-
     def run(
         self,
         data: bytes,
@@ -174,7 +167,17 @@ class XdpContext:
             self._memo_bypass -= 1
         elif fastpath.ENABLED:
             memo_key = (data, ingress_ifindex, rx_queue_index, ktime_ns)
-            tag = self._maps_tag()
+            # The tag: every map's version, the cost table's, and the
+            # program token, which pins the memo to this exact
+            # instruction stream — swapping the attached program (or
+            # rebinding its insns) can never replay a stale verdict.
+            program = self.program
+            token = program._jit_token
+            if token is None or token[0] is not program.insns:
+                _jit.program_token(program)
+                token = program._jit_token
+            tag = (tuple(map(_map_version, program.maps.values())),
+                   _costs.VERSION, token[1])
             hit = self._memo.get(memo_key)
             if hit is not None and hit[0] == tag:
                 self._memo_misses = 0
@@ -238,7 +241,7 @@ class XdpContext:
             touched_data=vm.touched_pkt_data,
         )
         if memo_key is not None and tag[0] == tuple(
-                m.version for m in self.program.maps.values()):
+                map(_map_version, self.program.maps.values())):
             # The run left its maps untouched (the cost table and the
             # program cannot change mid-run, so only the version vector
             # needs rechecking): it is a pure function of the memo key

@@ -199,11 +199,14 @@ class PhysicalNic(NetDevice):
         processed = 0
         costs = DEFAULT_COSTS
         tele = telemetry.ACTIVE
+        # Resolved once per NAPI poll: nothing a frame's processing
+        # reaches attaches or detaches a program.
+        xdp = self.xdp_program_for(queue)
+        ifindex = self.ifindex
         while ring and processed < budget:
             pkt = ring.popleft()
             processed += 1
             ctx.charge(costs.nic_rx_ns, label="nic_rx")
-            xdp = self.xdp_program_for(queue)
             if xdp is None:
                 # The conventional path: populate an sk_buff before anyone
                 # sees the packet ("the expensive step", §2.2.3), touching
@@ -227,10 +230,15 @@ class PhysicalNic(NetDevice):
             verdict = xdp.run(
                 pkt.data,
                 exec_ctx=ctx,
-                ingress_ifindex=self.ifindex,
+                ingress_ifindex=ifindex,
                 rx_queue_index=queue,
             )
-            self._dispatch_xdp(pkt, verdict, queue, ctx)
+            if verdict.touched_data:
+                pkt.meta.llc_warm = True
+            if verdict.action == XdpAction.REDIRECT:
+                self._dispatch_redirect(pkt, verdict, queue, ctx)
+            else:
+                self._dispatch_xdp(pkt, verdict, queue, ctx)
         return processed
 
     def pending(self, queue: Optional[int] = None) -> int:
@@ -239,9 +247,9 @@ class PhysicalNic(NetDevice):
         return sum(map(len, self.rx_rings))
 
     def _dispatch_xdp(self, pkt: Packet, verdict, queue: int, ctx: ExecContext) -> None:
+        """Every verdict but REDIRECT, which ``service_queue`` hands to
+        :meth:`_dispatch_redirect` itself."""
         costs = DEFAULT_COSTS
-        if verdict.touched_data:
-            pkt.meta.llc_warm = True
         if verdict.action == XdpAction.DROP or verdict.action == XdpAction.ABORTED:
             self.xdp_drops += 1
             telemetry.drop_event(verdict_drop_reason(verdict.action),
@@ -260,16 +268,16 @@ class PhysicalNic(NetDevice):
             ctx.charge(costs.xdp_tx_ns, label="xdp_tx")
             self.transmit(pkt.with_data(verdict.data), ctx)
             return
-        if verdict.action == XdpAction.REDIRECT:
-            self._dispatch_redirect(pkt, verdict, queue, ctx)
-            return
         raise AssertionError(f"unhandled XDP action {verdict.action}")
 
     def _dispatch_redirect(self, pkt: Packet, verdict, queue: int, ctx: ExecContext) -> None:
         costs = DEFAULT_COSTS
         ctx.charge(costs.xdp_redirect_ns, label="xdp_redirect")
         target = verdict.redirect
-        out = pkt.with_data(verdict.data)
+        # ``pkt`` is this NIC's private DMA'd copy: when the program left
+        # the bytes alone it is forwarded as is.
+        data = verdict.data
+        out = pkt if data == pkt.data else pkt.with_data(data)
         if target is None:
             self._redirect_failed(out)
             return
@@ -313,20 +321,30 @@ class PhysicalNic(NetDevice):
     def _transmit(self, pkt: Packet, ctx: ExecContext) -> bool:
         costs = DEFAULT_COSTS
         meta = pkt.meta
-        if meta.gso_size and len(pkt.data) > self.mtu + 14:
-            if not self.features.tso:
-                # Software GSO: segment on the CPU before hitting the wire.
-                return self._software_gso(pkt, ctx)
-            # Hardware TSO: the NIC segments; CPU cost is one descriptor.
-        if meta.csum_partial and not self.features.tx_checksum:
-            ctx.charge(costs.checksum_cost(len(pkt.data)), label="sw_csum")
-            meta.csum_partial = False
-        ctx.charge(costs.nic_tx_ns, label="nic_tx")
-        if self.wire_peer is not None:
-            return self._put_on_wire(pkt)
+        if (meta.gso_size and len(pkt.data) > self.mtu + 14
+                and not self.features.tso):
+            # Software GSO: segment on the CPU before hitting the wire
+            # (which sees MTU-sized segments; the super-frame stays one
+            # object).  Hardware TSO: the NIC segments; CPU cost is one
+            # descriptor.
+            self._software_gso(pkt, ctx)
+        else:
+            if meta.csum_partial and not self.features.tx_checksum:
+                ctx.charge(costs.checksum_cost(len(pkt.data)),
+                           label="sw_csum")
+                meta.csum_partial = False
+            ctx.charge(costs.nic_tx_ns, label="nic_tx")
+        peer = self.wire_peer
+        if peer is None:
+            return True
+        receive = getattr(peer, "host_receive", None)
+        if receive is not None:
+            return receive(pkt)
+        # Peer without rings (e.g. a plain device in tests).
+        peer.deliver(pkt, _NO_CPU_CTX)
         return True
 
-    def _software_gso(self, pkt: Packet, ctx: ExecContext) -> bool:
+    def _software_gso(self, pkt: Packet, ctx: ExecContext) -> None:
         costs = DEFAULT_COSTS
         payload = len(pkt) - 54  # eth + ip + tcp headers
         n_segments = max(1, -(-payload // pkt.meta.gso_size))
@@ -338,23 +356,6 @@ class PhysicalNic(NetDevice):
         if pkt.meta.csum_partial and not self.features.tx_checksum:
             ctx.charge(costs.checksum_cost(len(pkt)), label="sw_csum")
         ctx.charge(n_segments * costs.nic_tx_ns, label="nic_tx")
-        ok = True
-        if self.wire_peer is not None:
-            for _ in range(n_segments):
-                # The wire sees MTU-sized segments; we keep the super-frame
-                # as one object but count segments for stats fidelity.
-                pass
-            ok = self._put_on_wire(pkt)
-        return ok
-
-    def _put_on_wire(self, pkt: Packet) -> bool:
-        peer = self.wire_peer
-        receive = getattr(peer, "host_receive", None)
-        if receive is not None:
-            return receive(pkt)
-        # Peer without rings (e.g. a plain device in tests).
-        peer.deliver(pkt, _NO_CPU_CTX)  # type: ignore[union-attr]
-        return True
 
 
 class _NullCtx:

@@ -25,8 +25,9 @@ Burst-oriented classification
 ``process_batch`` classifies a received burst the way real
 ``dp_netdev_input`` does: flow keys are resolved once per distinct
 packet shape in the burst (a per-burst memo keyed by the bytes that
-feed extraction), EMC outcomes are replayed from a cross-burst flow
-cache when nothing displaced them, and each unique flow walks the
+feed extraction), EMC hits are replayed from a cross-burst flow cache
+while the two slots their probe read are unchanged (see
+:mod:`repro.ovs.emc`), and each unique flow walks the
 megaflow classifier at most once per burst.  Packets whose entry is a
 single Output action take an inlined executor fast path; everything
 else (recirculation, conntrack, tunnels) falls back to the retained
@@ -368,9 +369,12 @@ class DpifNetdev:
         costs = DEFAULT_COSTS
         extract_ns = costs.flow_extract_ns
         action_ns = costs.action_ns
-        now_fn = self.now_ns_fn
+        # Read once per burst, as dp_netdev_input reads pmd->ctx.now:
+        # the virtual clock does not move inside a burst.
+        now = self.now_ns_fn()
         megaflows = self.megaflows
         flow_cache = emc.flow_cache
+        replay_hit = emc.replay_hit
         # dp-JIT gate, resolved once per burst (it cannot change
         # mid-burst): compiled closures replay the exact interpreter
         # charge sequence, so this changes wall-clock only.
@@ -388,31 +392,31 @@ class DpifNetdev:
             if tele is not None:
                 tele.observe("dpif", pkt, ctx)
             ctx.charge(extract_ns, label="flow_extract")
+            data = pkt.data
             meta = pkt.meta
             tun = meta.tunnel
             # Everything extract_flow reads at depth 0 (recirc/ct state
             # was just zeroed), so equal tokens imply equal FlowKeys.
-            token = (pkt.data, meta.in_port, meta.ct_mark,
+            token = (data, meta.in_port, meta.ct_mark,
                      tun.vni, tun.remote_ip, tun.local_ip)
             cell = flow_cache.get(token)
-            if cell is not None and cell[2] == emc.displacements:
+            if cell is not None and replay_hit(cell, ctx):
                 # Cross-burst fast path: this shape hit the EMC before
-                # and no insert/evict/flush displaced anything since.
+                # and its two slots still hold what that probe saw.
                 entry = cell[1]
-                emc.replay_hit(ctx)
                 for s in statses:
                     s.emc_hits += 1
-                entry.touch(now_fn(), len(pkt))
+                entry.touch(now, len(data))
             else:
                 if cell is not None:
-                    # Stale tag only invalidates the *EMC outcome*; the
-                    # token still fully determines the extracted key.
+                    # A stale cell only invalidates the *EMC outcome*;
+                    # the token still fully determines the extracted key.
                     key = cell[0]
                 else:
                     key = burst_keys.get(token)
                     if key is None:
                         key = burst_keys[token] = extract_flow(
-                            pkt.data,
+                            data,
                             in_port=meta.in_port,
                             recirc_id=0,
                             ct_state=0,
@@ -422,23 +426,22 @@ class DpifNetdev:
                             tun_src=tun.remote_ip,
                             tun_dst=tun.local_ip,
                         )
-                entry = emc.lookup(key, ctx)
+                entry, cell = emc.lookup_cell(key, ctx)
                 if entry is not None:
                     for s in statses:
                         s.emc_hits += 1
-                    entry.touch(now_fn(), len(pkt))
-                    in_emc = True
+                    entry.touch(now, len(data))
                 else:
                     memo = mf_memo.get(key)
                     if memo is not None and memo[2] == megaflows.version:
                         entry, probes = memo[0], memo[1]
                         megaflows.replay_lookup(
                             entry, probes, ctx,
-                            now_ns=now_fn(), nbytes=len(pkt),
+                            now_ns=now, nbytes=len(data),
                         )
                     else:
                         entry, probes = megaflows.lookup_entry_probes(
-                            key, ctx, now_ns=now_fn(), nbytes=len(pkt),
+                            key, ctx, now_ns=now, nbytes=len(data),
                         )
                         if entry is not None:
                             mf_memo[key] = (entry, probes,
@@ -446,23 +449,21 @@ class DpifNetdev:
                     if entry is not None:
                         for s in statses:
                             s.megaflow_hits += 1
-                        in_emc = self._emc_insert(emc, key, entry, ctx)
                     else:
                         entry = self._upcall(key, ctx, statses)
                         if entry is None:
                             for s in statses:
                                 s.dropped += 1
                             continue
-                        in_emc = self._emc_insert(emc, key, entry, ctx)
-                # The insert (or prior hit) guarantees a probe of this
-                # key now hits; remember that fact for future bursts —
-                # but only if the entry really went in (the storm
-                # breaker may have skipped the insert, and replaying a
-                # phantom EMC hit would diverge from the reference path).
-                if in_emc:
+                    cell = self._emc_insert(emc, key, entry, ctx)
+                # Remember the hit (or the insert, after which a probe
+                # of this key hits) for future bursts — unless the storm
+                # breaker skipped the insert: replaying a phantom EMC
+                # hit would diverge from the reference path.
+                if cell is not None:
                     if len(flow_cache) >= FLOW_CACHE_MAX:
                         flow_cache.clear()
-                    flow_cache[token] = (key, entry, emc.displacements)
+                    flow_cache[token] = cell
             if use_dpjit:
                 cached = entry.jit
                 if cached is not None and cached[0] is entry.actions:
@@ -475,12 +476,13 @@ class DpifNetdev:
                     continue
             out_port = entry.single_out
             if out_port is not None:
-                # Inlined _execute for the dominant one-Output case.
+                # Inlined _execute for the dominant one-Output case; the
+                # frame is unchanged, so the packet itself goes out.
                 ctx.charge(action_ns, label="odp_action")
                 batch = tx_batches.get(out_port)
                 if batch is None:
                     batch = tx_batches[out_port] = []
-                batch.append(pkt.with_data(pkt.data))
+                batch.append(pkt)
             else:
                 self._execute(pkt, entry.actions, ctx, emc, tx_batches,
                               0, statses)
@@ -624,20 +626,19 @@ class DpifNetdev:
         return entry
 
     def _emc_insert(self, emc: ExactMatchCache, key: FlowKey, entry,
-                    ctx: ExecContext) -> bool:
+                    ctx: ExecContext) -> Optional[tuple]:
         """Insert into the EMC unless the storm breaker says skip.
 
         Mirrors ``emc-insert-inv-prob``: under an upcall storm, inserting
         every miss result thrashes the EMC; a probabilistic insert keeps
-        only flows that recur.  Returns whether the entry is now in the
-        EMC (the burst path must not record a cross-burst hit if not).
+        only flows that recur.  Returns the insert's replay cell, or None
+        if skipped (the burst path must not record a cross-burst hit).
         """
         plan = faults.ACTIVE
         if plan is not None and not plan.should_insert_emc():
             trace.count("dp.emc_insert_skipped")
-            return False
-        emc.insert(key, entry, ctx)
-        return True
+            return None
+        return emc.insert(key, entry, ctx)
 
     # ------------------------------------------------------------------
     # Action execution.
@@ -663,7 +664,7 @@ class DpifNetdev:
         for act in actions:
             ctx.charge(costs.action_ns, label="odp_action")
             if isinstance(act, odp.Output):
-                out = pkt.with_data(data)
+                out = pkt if data is pkt.data else pkt.with_data(data)
                 tx_batches.setdefault(act.port_no, []).append(out)
             elif isinstance(act, odp.SetField):
                 data = set_field(data, act.field, act.value)

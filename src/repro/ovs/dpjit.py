@@ -315,7 +315,10 @@ def _translate(entry) -> Tuple[str, Dict[str, object]]:
         w(f"# [{idx}] {t.__name__}")
         w("ctx.charge(costs.action_ns, label='odp_action')")
         if t is odp.Output:
-            _emit_output(w, act.port_no, f"pkt.with_data({data})")
+            # A frame the chain has not rewritten goes out as the packet
+            # itself (same bytes, and the meta is shared either way).
+            _emit_output(w, act.port_no,
+                         "pkt" if data == "_d0" else f"pkt.with_data({data})")
         elif t is odp.Userspace:
             w("ctx.charge(costs.userspace_slowpath_ns, label='userspace')")
         elif t is odp.Meter:

@@ -9,24 +9,27 @@ to have it anyway, one of the quiet advantages of the AF_XDP design.
 
 Sized like the real one (8192 entries, 2-way pseudo-LRU by hash).
 
-Batched classification support
-==============================
+Replay cells
+============
 
 The burst-oriented datapath (``DpifNetdev._classify_execute_burst``)
 wants to skip re-extracting and re-hashing a 31-field :class:`FlowKey`
-for packets whose bytes it has already classified.  Two pieces support
-that without changing any observable behaviour:
+for packets whose bytes it has already classified.  A *cell* is what a
+hitting probe saw: ``(key, entry, p1, s1, p2, s2)`` — the key, the entry
+the probe returned, and the two slot positions with the slot *objects*
+found there.  :meth:`lookup_cell` and :meth:`insert` return one, built
+from the positions they already hashed; :attr:`flow_cache` is scratch
+space for the datapath to keep them.
 
-* ``lookup`` is split into :meth:`charge_lookup` (the virtual-time
-  charges) and :meth:`probe` (the probe itself plus hit/miss counters),
-  composed in the original order; :meth:`replay_hit` reproduces a
-  *known* hit's charges and counters without touching the slots.
-* :attr:`displacements` counts every mutation that can change a probe's
-  outcome (a slot overwritten, evicted or flushed).  A cached
-  "key K hits with entry E" fact is valid only while ``displacements``
-  is unchanged since it was recorded; :attr:`flow_cache` is scratch
-  space for the datapath to keep such facts, invalidated wholesale by
-  comparing against this counter.
+:meth:`replay_hit` accounts a cell's hit — the charges and counters of
+:meth:`lookup` returning that entry — iff both slots still hold those
+same objects.  A probe is a function of the key and the contents of its
+two slots, and a slot tuple is immutable and never stored twice, so
+unchanged slots return the same entry.  Both slots are needed: a key
+that hit in its second way is shadowed if its first way is refilled
+(the same key with a new entry included).  The rule lives here and
+nowhere else; ``tests/ovs/test_cache_invariants.py`` checks it against
+a fresh probe over random insert/evict/flush sequences.
 """
 
 from __future__ import annotations
@@ -49,12 +52,9 @@ class ExactMatchCache:
         self.misses = 0
         self.insertions = 0
         self.occupancy = 0
-        #: Bumped whenever a slot mutation could change a future probe's
-        #: outcome; cached probe results are valid only while unchanged.
-        self.displacements = 0
-        #: Burst-classification scratch: token -> (key, entry, tag).
-        #: Owned by the datapath; entries whose tag != displacements are
-        #: stale.  Lives here so it shares the EMC's per-PMD affinity.
+        #: Burst-classification scratch: token -> replay cell.  Owned by
+        #: the datapath; a cell is checked by :meth:`replay_hit` before
+        #: use.  Lives here so it shares the EMC's per-PMD affinity.
         self.flow_cache: dict = {}
 
     def _positions(self, key: FlowKey) -> Tuple[int, int]:
@@ -63,7 +63,7 @@ class ExactMatchCache:
         return h & mask, (h >> 13) & mask
 
     # ------------------------------------------------------------------
-    # Lookup, split so the batched path can replay known outcomes.
+    # Lookup.
     # ------------------------------------------------------------------
     def charge_lookup(self, ctx: Optional[ExecContext]) -> None:
         """The virtual-time cost of one EMC lookup (hit or miss)."""
@@ -74,28 +74,37 @@ class ExactMatchCache:
                 # per-flow state (EMC entries, stats) out of the L1/L2,
                 # so each lookup pays a fraction of an LLC miss.  This is
                 # §5.2's "increased flow lookup overhead" with 1000 flows.
-                pressure = min(1.0, self.occupancy / 2048.0)
-                ctx.charge(DEFAULT_COSTS.cache_miss_ns * pressure,
+                pressure = self.occupancy / 2048.0
+                ctx.charge(DEFAULT_COSTS.cache_miss_ns
+                           * (pressure if pressure < 1.0 else 1.0),
                            label="emc_pressure")
 
-    def probe(self, key: FlowKey) -> Optional[object]:
-        """Probe the slots and bump hit/miss stats (no charges)."""
+    def lookup_cell(self, key: FlowKey, ctx: Optional[ExecContext] = None
+                    ) -> Tuple[Optional[object], Optional[tuple]]:
+        """Charge, probe and count one lookup: ``(entry, cell)`` on a
+        hit, ``(None, None)`` on a miss."""
+        self.charge_lookup(ctx)
+        p1, p2 = self._positions(key)
+        slots = self._slots
+        s1 = slots[p1]
+        s2 = slots[p2]
         rec = trace.ACTIVE
-        for pos in self._positions(key):
-            entry = self._slots[pos]
-            if entry is not None and entry[0] == key:
-                self.hits += 1
-                if rec is not None:
-                    rec.count("emc.hit")
-                return entry[1]
-        self.misses += 1
+        if s1 is not None and s1[0] == key:
+            entry = s1[1]
+        elif s2 is not None and s2[0] == key:
+            entry = s2[1]
+        else:
+            self.misses += 1
+            if rec is not None:
+                rec.count("emc.miss")
+            return None, None
+        self.hits += 1
         if rec is not None:
-            rec.count("emc.miss")
-        return None
+            rec.count("emc.hit")
+        return entry, (key, entry, p1, s1, p2, s2)
 
     def lookup(self, key: FlowKey, ctx: Optional[ExecContext] = None) -> Optional[object]:
-        self.charge_lookup(ctx)
-        return self.probe(key)
+        return self.lookup_cell(key, ctx)[0]
 
     def peek(self, key: FlowKey) -> Optional[object]:
         """Probe without observing: no charges, no hit/miss stats, no
@@ -107,47 +116,46 @@ class ExactMatchCache:
                 return entry[1]
         return None
 
-    def replay_hit(self, ctx: Optional[ExecContext] = None) -> None:
-        """Account a lookup whose outcome is already known to be a hit.
+    def replay_hit(self, cell: tuple, ctx: Optional[ExecContext] = None) -> bool:
+        """Account ``cell``'s hit if its slots still hold what it saw.
 
-        Charges and counters are byte-identical to :meth:`lookup`
-        returning that hit; the slot probe itself is skipped.  Only
-        valid while :attr:`displacements` is unchanged since the hit was
-        observed.
+        Returns False, charging nothing, when either slot changed.
+        Otherwise charges and counts exactly as :meth:`lookup` returning
+        ``cell[1]`` would, and returns True.
         """
+        slots = self._slots
+        if slots[cell[2]] is not cell[3] or slots[cell[4]] is not cell[5]:
+            return False
         self.charge_lookup(ctx)
         self.hits += 1
         rec = trace.ACTIVE
         if rec is not None:
             rec.count("emc.hit")
+        return True
 
     # ------------------------------------------------------------------
-    # Mutation (every path that can change a probe result bumps
-    # ``displacements``).
+    # Mutation.
     # ------------------------------------------------------------------
     def insert(self, key: FlowKey, value: object,
-               ctx: Optional[ExecContext] = None) -> None:
+               ctx: Optional[ExecContext] = None) -> tuple:
+        """Insert ``key -> value``; returns the cell of a probe of
+        ``key`` right after (which hits ``value``)."""
         if ctx is not None:
             ctx.charge(DEFAULT_COSTS.emc_insert_ns, label="emc_insert")
         trace.count("emc.insert")
         p1, p2 = self._positions(key)
+        slots = self._slots
         # Prefer an empty way; otherwise evict the second way.
-        s1 = self._slots[p1]
+        s1 = slots[p1]
         if s1 is None or s1[0] == key:
             target, old = p1, s1
         else:
-            target, old = p2, self._slots[p2]
+            target, old = p2, slots[p2]
         if old is None:
             self.occupancy += 1
-        if old is None or old[0] != key or old[1] is not value:
-            # The probe outcome for some key changed (a fill, an
-            # eviction, or a remap of this key) — cached probe results
-            # are no longer trustworthy.  Covers the subtle case of
-            # filling an empty first way while the second way holds the
-            # same key with a different value.
-            self.displacements += 1
-        self._slots[target] = (key, value)
+        slots[target] = (key, value)
         self.insertions += 1
+        return key, value, p1, slots[p1], p2, slots[p2]
 
     def evict(self, key: FlowKey) -> None:
         for pos in self._positions(key):
@@ -155,12 +163,10 @@ class ExactMatchCache:
             if entry is not None and entry[0] == key:
                 self._slots[pos] = None
                 self.occupancy -= 1
-                self.displacements += 1
 
     def flush(self) -> None:
         self._slots = [None] * self.n_entries
         self.occupancy = 0
-        self.displacements += 1
         self.flow_cache.clear()
 
     @property

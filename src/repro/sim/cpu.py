@@ -217,12 +217,14 @@ class ExecContext:
         several times per packet), so the CpuModel side is inlined: the
         lane update below is exactly what :meth:`CpuModel.charge` does.
         """
-        if ns == 0:
-            return
-        if ns < 0:
+        if ns <= 0:
+            if ns == 0:
+                return
             raise ValueError(f"negative charge: {ns}")
-        cat = category if category is not None else self.category
-        self._lane[cat.idx] += ns
+        if category is None:
+            self._lane[self.category.idx] += ns
+        else:
+            self._lane[category.idx] += ns
         self.local_time_ns += ns
         if self.trace is not None:
             # LatencyTrace.add, inline: a latency run (burst size 1)

@@ -137,7 +137,13 @@ class TrexStream:
         return pkt.clone()
 
     def burst(self, n: int) -> List[Packet]:
-        return [self.next_packet() for _ in range(n)]
+        """The next ``n`` packets, as :meth:`next_packet` would return
+        them (one frame for the burst, not one per packet)."""
+        packets = self._packets
+        size = len(packets)
+        cursor = self._cursor
+        self._cursor = (cursor + n) % size
+        return [packets[(cursor + i) % size].clone() for i in range(n)]
 
     def __iter__(self) -> Iterator[Packet]:
         while True:

@@ -147,10 +147,10 @@ class TestUmem:
     def test_write_read_clear(self):
         u = Umem(n_frames=2)
         u.write_frame(2048, PKT)
-        assert u.read_frame(2048) is PKT
-        u.clear_frame(2048)
+        assert u.read_frames([2048])[0] is PKT
+        u.clear_frames([2048])
         with pytest.raises(ValueError, match="empty"):
-            u.read_frame(2048)
+            u.read_frames([2048])
 
     def test_unaligned_address_rejected(self):
         u = Umem(n_frames=2)
@@ -165,3 +165,27 @@ class TestUmem:
     def test_needs_frames(self):
         with pytest.raises(ValueError):
             Umem(n_frames=0)
+
+    def test_batch_accessors_check_every_address(self):
+        """``read_frames``/``clear_frames`` check every address of the
+        burst and raise at the first bad one."""
+        u = Umem(n_frames=4)
+        u.write_frame(0, PKT)
+        u.write_frame(4096, PKT)
+        assert u.read_frames([0, 4096]) == [PKT, PKT]
+        with pytest.raises(ValueError, match="0x64 is not a frame boundary"):
+            u.read_frames([0, 100])
+        with pytest.raises(ValueError, match="0x800 is empty"):
+            u.read_frames([0, 2048, 4096])
+        with pytest.raises(ValueError, match="0x64 is not a frame boundary"):
+            u.clear_frames([100, 4096])
+        u.clear_frames([0, 2048])
+        with pytest.raises(ValueError, match="empty"):
+            u.read_frames([0])
+        assert u.read_frames([4096]) == [PKT]
+        assert u.read_frames([]) == []
+        small = Umem(n_frames=1, frame_size=32)
+        with pytest.raises(ValueError, match="larger than a frame"):
+            small.write_frame(0, PKT)
+        with pytest.raises(ValueError, match="empty"):
+            small.read_frames([0])

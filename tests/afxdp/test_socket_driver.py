@@ -1,6 +1,7 @@
 import pytest
 
 from repro.afxdp.driver import AfxdpDriver, AfxdpOptions
+from repro.afxdp.rings import DescRing
 from repro.afxdp.socket import BindMode, XskSocket
 from repro.afxdp.umem import Umem
 from repro.afxdp.umempool import UmemPool
@@ -8,8 +9,10 @@ from repro.kernel.netdev import NetDevice, Wire
 from repro.kernel.nic import NicFeatures, PhysicalNic
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
+from repro.sim import faults, trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
+from repro.sim.faults import FaultPlan, FaultRule
 
 
 def mac(i):
@@ -109,6 +112,33 @@ class TestXskSocket:
         assert sock.pool.free_count == free_before - 8
         assert sock.reap_completions(pmd) == 8
         assert sock.pool.free_count == free_before
+
+    @pytest.mark.parametrize("eagain", [False, True])
+    def test_full_completion_ring_leaks_counted_frames(self, cpu, pmd,
+                                                       eagain):
+        """Frames the completion ring has no room for are leaked *and
+        counted* — on a normal kick and when the EAGAIN retry budget
+        runs out — and the kick charges exactly what it did before."""
+        def kick(room):
+            sock = _socket()
+            sock.umem.completion_ring = DescRing(8)
+            sock.umem.completion_ring.produce_batch([(0, 0)] * (8 - room))
+            cpu.reset()
+            rule = FaultRule("afxdp.tx_kick_eagain", nth=1)
+            plan = FaultPlan(rules=[rule] if eagain else [])
+            with faults.injecting(plan), trace.recording() as rec:
+                sock.user_tx_batch([PKT] * 5, pmd)
+            return sock, rec, repr(cpu._busy)
+
+        sock, rec, busy = kick(room=2)
+        assert sock.frames_leaked == 3
+        assert rec.counter("afxdp.comp_ring_full") == 1
+        assert rec.counter("afxdp.frames_leaked") == 3
+        assert sock.pool.free_count == 256 - 64 - 5
+        roomy, roomy_rec, roomy_busy = kick(room=8)
+        assert roomy.frames_leaked == 0
+        assert roomy_rec.counter("afxdp.comp_ring_full") == 0
+        assert busy == roomy_busy
 
 
 def _wired_nic(n_queues=1, **features):

@@ -39,8 +39,8 @@ def test_free_clears_frames(ctx):
     pool.umem.write_frame(addr, make_udp_packet(
         MacAddress.local(1), MacAddress.local(2), "10.0.0.1", "10.0.0.2"))
     pool.free([addr], ctx)
-    with pytest.raises(ValueError):
-        pool.umem.read_frame(addr)
+    with pytest.raises(ValueError, match="empty"):
+        pool.umem.read_frames([addr])
 
 
 def test_batched_locking_one_lock_per_batch(ctx):

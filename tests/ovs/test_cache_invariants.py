@@ -3,10 +3,13 @@
 These pin down the algebra the burst classifier leans on: masking is
 idempotent and order-insensitive, a MaskSpec projection induces exactly
 the ``apply_mask`` equivalence classes, an inserted flow is immediately
-probe-able, the EMC never exceeds its capacity, and the version/
-displacement counters that gate cross-burst replays move exactly when
-the underlying structures change.
+probe-able, the EMC never exceeds its capacity, an EMC replay cell
+replays exactly while the two slots it saw are unchanged, and the
+megaflow version that gates per-burst replays moves exactly when the
+cache changes.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from repro.net.flow import (
 )
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry, union_masks
+from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -97,7 +101,7 @@ def test_emc_insert_then_probe_hits(keys):
     emc = ExactMatchCache(n_entries=8)
     for i, key in enumerate(keys):
         emc.insert(key, f"entry{i}")
-        assert emc.probe(key) == f"entry{i}"
+        assert emc.lookup(key) == f"entry{i}"
 
 
 @settings(deadline=None)
@@ -110,41 +114,146 @@ def test_emc_occupancy_never_exceeds_capacity(keys):
         assert emc.occupancy == live <= emc.n_entries
 
 
-@settings(deadline=None)
-@given(keys=st.lists(keys_st, min_size=1, max_size=64, unique=True))
-def test_emc_displacements_monotonic_and_cover_all_mutations(keys):
-    """Any insert/evict/flush that could change a probe outcome bumps
-    ``displacements`` — the validity tag of the datapath flow cache."""
-    emc = ExactMatchCache(n_entries=8)
-    last = emc.displacements
-    for key in keys:
-        snapshot = list(emc._slots)
-        emc.insert(key, object())
-        if emc._slots != snapshot:
-            assert emc.displacements > last
-        last = emc.displacements
-    for key in keys:
-        snapshot = list(emc._slots)
-        emc.evict(key)
-        if emc._slots != snapshot:
-            assert emc.displacements > last
-        last = emc.displacements
-    emc.flush()
-    assert emc.displacements > last
+# ---------------------------------------------------------------------------
+# EMC replay cells: the cross-burst flow cache's validity rule.
+# ---------------------------------------------------------------------------
+
+#: A few keys and a 4-slot EMC, so every way collides with some other key.
+POOL = [FlowKey(eth_type=0x0800, nw_src=i) for i in range(5)]
+VALUES = ["entry0", "entry1"]
+
+emc_ops_st = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(POOL) - 1),
+              st.integers(0, len(VALUES) - 1)),
+    st.tuples(st.just("evict"), st.integers(0, len(POOL) - 1)),
+    st.tuples(st.just("lookup"), st.integers(0, len(POOL) - 1)),
+    st.just(("flush",)),
+), max_size=24)
+
+
+class HitSlotOnly(ExactMatchCache):
+    """The tempting, wrong rule: validate only the slot that hit."""
+
+    def replay_hit(self, cell, ctx=None):
+        key, _entry, p1, s1, p2, s2 = cell
+        if s1 is not None and s1[0] == key:
+            return self._slots[p1] is s1
+        return self._slots[p2] is s2
+
+
+def replay_violations(emc_cls, ops):
+    """Run ``ops``, recording every cell a lookup or insert returns;
+    after each op, check every cell so far against a fresh probe.
+
+    Sound: a cell that replays names the entry a probe returns now.
+    Complete: a cell whose two positions no later op could have written
+    still replays.  (A slot refilled with an equal pair is a new object,
+    so its cells stop replaying though a probe would agree: the rule is
+    conservative there, at the price of one re-probe.)
+    """
+    emc = emc_cls(n_entries=4)
+    cells = []  # [cell, neither of its positions written since]
+    violations = []
+    for op in ops:
+        new = None
+        if op[0] == "flush":
+            emc.flush()
+            written = set(range(emc.n_entries))
+        else:
+            key = POOL[op[1]]
+            # A superset of what the op writes: an insert writes one of
+            # its key's ways, an evict those holding the key.
+            written = set(emc._positions(key))
+            if op[0] == "insert":
+                new = emc.insert(key, VALUES[op[2]])
+            elif op[0] == "evict":
+                emc.evict(key)
+            else:
+                written = set()
+                new = emc.lookup_cell(key)[1]
+        for rec in cells:
+            if written & {rec[0][2], rec[0][4]}:
+                rec[1] = False
+        if new is not None:
+            cells.append([new, True])
+        for cell, untouched in cells:
+            replays = emc.replay_hit(cell)
+            if replays and emc.peek(cell[0]) is not cell[1]:
+                violations.append(("unsound", op, cell))
+            if untouched and not replays:
+                violations.append(("incomplete", op, cell))
+    return violations
 
 
 @settings(deadline=None)
-@given(keys=st.lists(keys_st, min_size=2, max_size=32, unique=True))
-def test_emc_reinsert_same_entry_is_tag_stable(keys):
-    """Re-inserting the identical (key, entry) pair into its own slot
-    must NOT bump displacements: the batched path re-inserts on every
-    megaflow hit and would otherwise self-invalidate its flow cache."""
-    emc = ExactMatchCache(n_entries=8)
-    entry = object()
-    emc.insert(keys[0], entry)
-    tag = emc.displacements
-    emc.insert(keys[0], entry)
-    assert emc.displacements == tag
+@given(ops=emc_ops_st)
+def test_emc_cell_replays_exactly_while_its_slots_are_unchanged(ops):
+    assert replay_violations(ExactMatchCache, ops) == []
+
+
+def _refill_case():
+    """Keys J, K with K's first way = J's first way and K's two ways
+    distinct, in a 4-slot EMC."""
+    emc = ExactMatchCache(n_entries=4)
+    for k in POOL:
+        for j in POOL:
+            pk, pj = emc._positions(k), emc._positions(j)
+            if j != k and pk[0] != pk[1] and pj[0] == pk[0]:
+                return j, k
+    raise AssertionError("no colliding pair in the pool")
+
+
+def test_refilled_first_way_invalidates_a_second_way_hit():
+    """K hit in its second way while its first way was empty; the first
+    way is then refilled with K itself (a new entry).  A probe now
+    returns the new entry, so the old cell must not replay — and the
+    hit-slot-only rule replays it."""
+    j, k = _refill_case()
+    for emc_cls, replays in ((ExactMatchCache, False), (HitSlotOnly, True)):
+        emc = emc_cls(n_entries=4)
+        emc.insert(j, "J")
+        emc.insert(k, "old")      # first way taken by J: K goes second
+        emc.evict(j)              # first way now empty
+        entry, cell = emc.lookup_cell(k)
+        assert entry == "old" and cell[3] is None
+        emc.insert(k, "new")      # refills the empty first way
+        assert emc.peek(k) == "new"
+        assert emc.replay_hit(cell) is replays
+
+
+def test_hit_slot_only_rule_fails_the_property():
+    """Teeth: the same property over every sequence of up to four ops
+    on the colliding pair finds counterexamples to the one-slot rule,
+    and none to the real one."""
+    pair = [POOL.index(key) for key in _refill_case()]
+    alphabet = ([("insert", i, v) for i in pair for v in (0, 1)]
+                + [(op, i) for op in ("evict", "lookup") for i in pair]
+                + [("flush",)])
+    sequences = [ops for n in range(1, 5)
+                 for ops in itertools.product(alphabet, repeat=n)]
+    assert not any(replay_violations(ExactMatchCache, ops)
+                   for ops in sequences)
+    assert any(replay_violations(HitSlotOnly, ops) for ops in sequences)
+
+
+def test_emc_cell_replay_charges_like_a_lookup():
+    """A replayed hit charges and counts exactly what a lookup that hits
+    does, the occupancy-pressure charge included."""
+    keys = [FlowKey(eth_type=0x0800, nw_src=i) for i in range(100)]
+    sides = []
+    for _ in range(2):
+        cpu = CpuModel(n_cpus=1)
+        emc = ExactMatchCache(n_entries=256)
+        cells = [emc.insert(key, i) for i, key in enumerate(keys)]
+        sides.append((cpu, ExecContext(cpu, 0, CpuCategory.USER), emc, cells))
+    (cpu, ctx, emc, cells), (live_cpu, live_ctx, live, _) = sides
+    assert emc.occupancy > 64
+    for cell in cells:
+        if emc.replay_hit(cell, ctx):
+            assert live.lookup(cell[0], live_ctx) == cell[1]
+    assert (emc.hits, emc.misses) == (live.hits, live.misses)
+    assert emc.hits > 50
+    assert repr(cpu._busy) == repr(live_cpu._busy)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def _state_snapshot(vs, pmd):
     br = vs.ofproto.bridges["br0"]
     return {
         "emc": (pmd.emc.hits, pmd.emc.misses, pmd.emc.insertions,
-                pmd.emc.occupancy, pmd.emc.displacements),
+                pmd.emc.occupancy, tuple(pmd.emc._slots)),
         "megaflow": (dpif.megaflows.hits, dpif.megaflows.misses,
                      len(dpif.megaflows), dpif.megaflows.version),
         "megaflow_pkts": sorted(
