@@ -16,8 +16,7 @@ from conftest import run_once
 
 from repro.afxdp.driver import AfxdpOptions
 from repro.afxdp.umempool import LockStrategy
-from repro.experiments.p2p import afxdp_p2p
-from repro.experiments.pvp_pcp import afxdp_pcp, dpdk_pcp, kernel_pcp
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 PACKETS = 1_500
@@ -26,6 +25,10 @@ PACKETS = 1_500
 def _rate(bench, flows=16):
     return bench.drive(TrexStream(FlowSpec(flows), frame_len=64),
                        PACKETS).mpps
+
+
+def _afxdp(datapath="afxdp_zc", **knobs):
+    return build_world(datapath, "P2P", link_gbps=25, **knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def test_ablation_lock_strategy(benchmark):
                 lock_strategy=LockStrategy.SPINLOCK, batched_locking=False)),
             ("spinlock, batched", AfxdpOptions()),
         ]:
-            out[label] = _rate(afxdp_p2p(options=options, link_gbps=25))
+            out[label] = _rate(_afxdp(options=options))
         return out
 
     results = run_once(benchmark, measure)
@@ -112,10 +115,9 @@ def test_ablation_lock_strategy(benchmark):
 def test_ablation_interrupt_vs_polling(benchmark):
     """O1/Figure 8a: interrupt-driven service versus PMD busy polling."""
     def measure():
-        polling = _rate(afxdp_p2p(link_gbps=25))
-        interrupt = _rate(afxdp_p2p(
-            options=AfxdpOptions(interrupt_mode=True, batch_size=8),
-            link_gbps=25))
+        polling = _rate(_afxdp())
+        interrupt = _rate(_afxdp(
+            options=AfxdpOptions(interrupt_mode=True, batch_size=8)))
         return {"polling": polling, "interrupt": interrupt}
 
     results = run_once(benchmark, measure)
@@ -132,12 +134,12 @@ def test_ablation_container_redirect_path(benchmark):
     def measure():
         spec = FlowSpec(16, vary_dst=False)
         out = {}
-        for label, factory in [
-            ("xdp-redirect (path C)", afxdp_pcp),
-            ("kernel veth", kernel_pcp),
-            ("dpdk af_packet", dpdk_pcp),
+        for label, datapath in [
+            ("xdp-redirect (path C)", "afxdp_zc"),
+            ("kernel veth", "kernel"),
+            ("dpdk af_packet", "dpdk"),
         ]:
-            bench = factory(link_gbps=25)
+            bench = build_world(datapath, "PCP", link_gbps=25)
             out[label] = bench.drive(
                 TrexStream(spec, frame_len=64), PACKETS).mpps
         return out
@@ -153,10 +155,8 @@ def test_ablation_container_redirect_path(benchmark):
 def test_ablation_copy_vs_zerocopy(benchmark):
     """§3.5: the universal copy-mode fallback costs real throughput."""
     def measure():
-        zerocopy = _rate(afxdp_p2p(
-            options=AfxdpOptions(force_copy_mode=False), link_gbps=25))
-        copy = _rate(afxdp_p2p(
-            options=AfxdpOptions(force_copy_mode=True), link_gbps=25))
+        zerocopy = _rate(_afxdp("afxdp_zc"))
+        copy = _rate(_afxdp("afxdp_copy"))
         return {"zerocopy": zerocopy, "copy": copy}
 
     results = run_once(benchmark, measure)

@@ -9,7 +9,7 @@ takeaways claim) are unchanged.
 from conftest import run_once
 
 from repro.afxdp.driver import AfxdpOptions
-from repro.experiments.p2p import afxdp_p2p, dpdk_p2p, ebpf_p2p, kernel_p2p
+from repro.experiments.world import build_world
 from repro.sim import costs
 from repro.traffic.trex import FlowSpec, TrexStream
 
@@ -34,9 +34,9 @@ def test_sensitivity_fig2_ordering(benchmark):
         ]:
             with costs.overridden(**kw):
                 out[label] = {
-                    "kernel": _mpps(kernel_p2p(n_queues=1, link_gbps=10)),
-                    "ebpf": _mpps(ebpf_p2p(link_gbps=10)),
-                    "dpdk": _mpps(dpdk_p2p(link_gbps=10)),
+                    dp: _mpps(build_world(dp, "P2P", n_queues=1,
+                                          link_gbps=10))
+                    for dp in ("kernel", "ebpf", "dpdk")
                 }
         return out
 
@@ -65,12 +65,14 @@ def test_sensitivity_o1_speedup(benchmark):
                                     batched_locking=False,
                                     preallocated_metadata=False,
                                     batch_size=8)
-                none = _mpps(afxdp_p2p(options=base, link_gbps=10,
-                                       pmd_main_thread_mode=True))
-                o1 = _mpps(afxdp_p2p(options=AfxdpOptions(
-                    lock_strategy=LockStrategy.MUTEX,
-                    batched_locking=False, preallocated_metadata=False),
-                    link_gbps=10))
+                none = _mpps(build_world("afxdp_zc", "P2P", options=base,
+                                         link_gbps=10,
+                                         pmd_main_thread_mode=True))
+                o1 = _mpps(build_world(
+                    "afxdp_zc", "P2P", link_gbps=10, options=AfxdpOptions(
+                        lock_strategy=LockStrategy.MUTEX,
+                        batched_locking=False,
+                        preallocated_metadata=False)))
                 out[label] = o1 / none
         return out
 

@@ -17,7 +17,7 @@ to show why the paper made path C the default for containers
 Run:  python examples/container_networking.py
 """
 
-from repro.experiments.pvp_pcp import afxdp_pcp, dpdk_pcp, kernel_pcp
+from repro.experiments.world import build_world
 from repro.hosts.container import Container
 from repro.hosts.host import Host
 from repro.ovs.match import Match
@@ -65,9 +65,9 @@ def compare_paths() -> None:
           "(64B, one core each):")
     stream = lambda: TrexStream(FlowSpec(1, vary_dst=False), frame_len=64)  # noqa: E731
     rows = [
-        ("kernel datapath (veth)", kernel_pcp()),
-        ("AF_XDP, XDP redirect (path C)", afxdp_pcp()),
-        ("DPDK (AF_PACKET to the veth)", dpdk_pcp()),
+        ("kernel datapath (veth)", build_world("kernel", "PCP")),
+        ("AF_XDP, XDP redirect (path C)", build_world("afxdp_zc", "PCP")),
+        ("DPDK (AF_PACKET to the veth)", build_world("dpdk", "PCP")),
     ]
     results = []
     for label, bench in rows:

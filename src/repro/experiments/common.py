@@ -14,14 +14,12 @@ The measurement methodology mirrors the paper's:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.sim.cpu import CpuCategory, CpuModel
 from repro.sim.stats import line_rate_mpps, smt_effective_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.hosts.host import Host
-    from repro.net.packet import Packet
     from repro.traffic.trex import TrexStream
 
 WARMUP_PACKETS = 64
@@ -160,49 +158,3 @@ def sharded_cells(units, shards: int = 1) -> "Dict":
 
     run = run_units(units, shards=shards)
     return {u.key: v for u, v in zip(units, run.values)}
-
-
-def measured_drive(
-    host: "Host",
-    inject: "Callable[[Packet], None]",
-    pump: Callable[[], None],
-    link_gbps: float,
-    pmd_cpus: "tuple[int, ...]" = (),
-    chunk: int = 32,
-    warmup_pump: Optional[Callable[[], None]] = None,
-    prepare: "Optional[Callable[[TrexStream], None]]" = None,
-) -> "Callable[[TrexStream, int], PipelineMeasurement]":
-    """Build the canonical measured drive loop of every forwarding bench.
-
-    All the P2P/PVP/PCP benches (and the matrix cells layered on them)
-    share one measurement shape: optional per-stream ``prepare``, a
-    warmup long enough to install every flow's caches (pumped after each
-    packet with ``warmup_pump``, default ``pump``), a CPU snapshot, then
-    the measured window injected in ``chunk``-sized bursts with ``pump``
-    run after each burst, reduced by :func:`reduce_run`.  The knobs are
-    exactly where the benches differ: the injection point, the service
-    discipline, the burst size, and which CPUs are poll-mode lanes.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be at least one packet")
-
-    def drive(stream: "TrexStream", n_packets: int) -> PipelineMeasurement:
-        if prepare is not None:
-            prepare(stream)
-        warm = warmup_pump or pump
-        for pkt in stream.burst(warmup_count(stream)):
-            inject(pkt)
-            warm()
-        before = CpuSnapshot.take(host.cpu)
-        sent = 0
-        while sent < n_packets:
-            n = min(chunk, n_packets - sent)
-            for pkt in stream.burst(n):
-                inject(pkt)
-            sent += n
-            pump()
-        return reduce_run(host.cpu, before, n_packets,
-                          link_gbps=link_gbps, frame_len=stream.frame_len,
-                          pmd_cpus=pmd_cpus)
-
-    return drive

@@ -23,18 +23,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.afxdp.driver import AfxdpOptions
 from repro.experiments.common import CpuSnapshot, reduce_run
 from repro.experiments.common import warmup_count
-from repro.experiments.p2p import _base_host
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
+from repro.experiments.world import build_world
 from repro.sim import faults, trace
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.supervisor import Supervisor
-from repro.tools.conservation import afxdp_packet_ledger
 from repro.traffic.trex import FlowSpec, TrexStream
 
 #: The fault points the sweep drives, all at the same rate.  The crash
@@ -52,6 +46,8 @@ DEFAULT_RATES: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1, 0.2)
 PACKETS = 600
 N_FLOWS = 64
 LINK_GBPS = 25.0
+#: Offered burst size, and the NAPI budget the kernel services it with.
+BURST = 32
 
 
 @dataclass
@@ -99,7 +95,6 @@ def _run_point(
     sampler=None,
 ) -> DegradationPoint:
     """Build a fresh AF_XDP P2P world and drive it under one fault rate."""
-    options = AfxdpOptions()
     plan = FaultPlan(
         seed=seed,
         rules=[FaultRule(point, rate=rate) for point in SWEPT_POINTS],
@@ -113,7 +108,7 @@ def _run_point(
         trace.detach()
     try:
         return _run_point_traced(plan, rate, packets, n_flows,
-                                 link_gbps, options, sampler)
+                                 link_gbps, sampler)
     finally:
         if outer is not None:
             trace.attach(outer)
@@ -125,82 +120,57 @@ def _run_point_traced(
     packets: int,
     n_flows: int,
     link_gbps: float,
-    options: AfxdpOptions,
     sampler=None,
 ) -> DegradationPoint:
     with faults.injecting(plan), trace.recording() as rec:
         if sampler is not None:
             rec.sampler = sampler
-        host, nic_in, nic_out = _base_host(1, link_gbps)
-        vs = host.install_ovs("netdev")
-        vs.add_bridge("br0")
-        p_in = vs.add_afxdp_port("br0", nic_in, options)
-        vs.add_afxdp_port("br0", nic_out, options)
         stream = TrexStream(FlowSpec(n_flows=n_flows))
-        of = OpenFlowConnection(vs.bridge("br0"))
         # One rule per source IP: every flow pays its own upcall and
         # installs its own megaflow, so the upcall-overload point and the
         # revalidator's flow limit actually see per-flow pressure (a
         # single in_port rule would collapse into one wildcard megaflow).
-        for src in stream.src_ips:
-            of.add_flow(0, 20, Match(in_port=p_in.ofport, nw_src=src),
-                        [OutputAction("ens2")])
-        of.add_flow(0, 10, Match(in_port=p_in.ofport),
-                    [OutputAction("ens2")])
-        dpif = vs.dpif_netdev
-        driver_in = dpif.ports[dpif.port_no("ens1")].adapter.driver
+        world = build_world("afxdp_zc", "P2P", link_gbps=link_gbps,
+                            napi_budget=BURST, source_rules=stream.src_ips)
+        host, nic_in = world.host, world.nic_in
+        dpif = world.vs.dpif_netdev
         driver_out = dpif.ports[dpif.port_no("ens2")].adapter.driver
-        pmd = PmdThread(dpif, host.cpu, core=0,
-                        batch_size=options.batch_size)
-        pmd.add_rxq(dpif.ports[dpif.port_no("ens1")], 0)
         # Passive unless the plan fires ``vswitchd.crash``: a plan
         # without that rule (or at rate 0) leaves every byte of the
         # ledger unchanged.
         supervisor = Supervisor(host.user_ctx(host.cpu.n_cpus - 1),
-                                host.clock, vs=vs, pmds=[pmd])
-
-        def pump_all() -> None:
-            while nic_in.pending():
-                host.kernel.service_nic(nic_in, budget=options.batch_size)
-                pmd.run_iteration()
-            pmd.run_until_idle()
-
-        def pump_while_down() -> None:
-            # The kernel's XDP dispatch outlives the daemon, but the
-            # XSKs died with it: the burst drains at the failed
-            # redirect (nic.xdp_redirect_failed).
-            while nic_in.pending():
-                host.kernel.service_nic(nic_in, budget=options.batch_size)
+                                host.clock, vs=world.vs, pmds=world.pmds)
 
         warmup = warmup_count(stream)
         for pkt in stream.burst(warmup):
             nic_in.host_receive(pkt)
-            pump_all()
+            world.pump()
         before = CpuSnapshot.take(host.cpu)
         delivered_before = sum(
             s.tx_sent for s in driver_out.sockets.values())
         sent = 0
         while sent < packets:
-            chunk = min(options.batch_size, packets - sent)
+            chunk = min(BURST, packets - sent)
             for pkt in stream.burst(chunk):
                 nic_in.host_receive(pkt)
             sent += chunk
             if supervisor.maybe_crash():
-                # The daemon died with this burst in flight; the burst
-                # is lost at dispatch, then the supervised restart runs
-                # to completion (charged, clock advances) and the
-                # datapath resumes with cold caches.
-                pump_while_down()
+                # The daemon died with this burst in flight: the XSKs
+                # died with it, so the kernel's XDP dispatch drains the
+                # burst at the failed redirect.  The supervised restart
+                # then runs to completion (charged, clock advances) and
+                # the datapath resumes with cold caches.
+                world.pump(daemon_up=False)
                 supervisor.finish()
-            pump_all()
+            world.pump()
             # Revalidator pass between bursts, as real udpif runs
             # continuously: under lost-upcall pressure it tightens the
             # flow limit, feeding the degradation back into the datapath.
-            dpif.revalidate(emcs=[pmd.emc])
+            dpif.revalidate(emcs=[pmd.emc for pmd in world.pmds])
         measurement = reduce_run(
             host.cpu, before, packets,
             link_gbps=link_gbps, frame_len=stream.frame_len,
-            pmd_cpus=(0,),
+            pmd_cpus=world.pmd_cpus,
         )
         # Sockets retired by a supervised restart carry the pre-crash
         # transmissions; count them or a crash under-reports delivery.
@@ -209,9 +179,7 @@ def _run_point_traced(
             + driver_out.retired.get("tx_sent", 0)
             - delivered_before
         )
-        ledger = afxdp_packet_ledger(
-            warmup + packets, nic_in, driver_in, driver_out, dpif,
-            extra_sinks=supervisor.crash_sinks)
+        ledger = world.ledger(warmup + packets, supervisor.crash_sinks)
         backoff_entry = rec.waits.get("tx_kick_backoff")
         backoff_wait_ns = backoff_entry[1] if backoff_entry else 0.0
     ratio = delivered / packets if packets else 0.0

@@ -30,18 +30,12 @@ def run_fault_cell(packets: int, n_flows: int) -> Dict:
     """One port-pair sub-world driven under the ambient (unit-scoped)
     fault plan; returns its conservation ledger as a plain dict."""
     from repro.experiments.common import warmup_count
-    from repro.experiments.p2p import afxdp_p2p
-    from repro.tools.conservation import afxdp_packet_ledger
+    from repro.experiments.world import build_world
 
-    bench = afxdp_p2p(n_queues=1, link_gbps=LINK_GBPS)
+    world = build_world("afxdp_zc", "P2P", link_gbps=LINK_GBPS)
     stream = TrexStream(FlowSpec(n_flows=n_flows), frame_len=64)
-    bench.drive(stream, packets)
-    offered = warmup_count(stream) + packets
-    dpif = bench.host.vswitchd.dpif_netdev
-    driver_in = dpif.ports[dpif.port_no("ens1")].adapter.driver
-    driver_out = dpif.ports[dpif.port_no("ens2")].adapter.driver
-    ledger = afxdp_packet_ledger(offered, bench.nic_in, driver_in,
-                                 driver_out, dpif)
+    world.drive(stream, packets)
+    ledger = world.ledger(warmup_count(stream) + packets)
     return {
         "offered": ledger.offered,
         "forwarded": ledger.forwarded,

@@ -28,7 +28,7 @@ from typing import Dict, List
 from repro.afxdp.driver import AfxdpOptions
 from repro.analysis.reporting import format_table
 from repro.dpdk.ethdev import bind_device
-from repro.experiments.p2p import _base_host
+from repro.experiments.world import base_host
 from repro.hosts.vm import VirtualMachine
 from repro.net.builder import make_tcp_packet
 from repro.ovs.match import Match
@@ -113,7 +113,7 @@ class _RrPath:
     def __init__(self, config: str) -> None:
         self.config = config
         options = AfxdpOptions()
-        host, nic_in, nic_out = _base_host(1, 25.0)
+        host, nic_in, nic_out = base_host(1, 25.0)
         self.host = host
         self.nic = nic_in
         self.vm = VirtualMachine(host, "vm1", "10.0.0.5", vcpu_core=12)

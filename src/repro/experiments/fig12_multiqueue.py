@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.experiments.p2p import afxdp_p2p, dpdk_p2p
+from repro.experiments.world import build_world
 from repro.sim.stats import line_rate_mpps
 from repro.traffic.trex import FlowSpec, TrexStream
 
@@ -69,9 +69,9 @@ def run_cell(datapath: str, frame: int, queues: int,
     flows = FlowSpec(n_flows=max(16 * queues, 16))
     n = packets_per_queue * queues
     # The §5.5 DUT is a dual-socket 12-core (24 HT) server.
-    factory = afxdp_p2p if datapath == "afxdp" else dpdk_p2p
-    m = factory(n_queues=queues, link_gbps=LINK_GBPS, n_cpus=24).drive(
-        TrexStream(flows, frame_len=frame), n)
+    world = build_world("afxdp_zc" if datapath == "afxdp" else "dpdk", "P2P",
+                        n_queues=queues, link_gbps=LINK_GBPS, n_cpus=24)
+    m = world.drive(TrexStream(flows, frame_len=frame), n)
     return (m.mpps, _wire_gbps(m.mpps, frame))
 
 

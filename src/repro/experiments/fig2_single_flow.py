@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.reporting import bar_chart
-from repro.experiments.p2p import dpdk_p2p, ebpf_p2p, kernel_p2p
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 PACKETS = 2_000
@@ -44,15 +44,8 @@ DATAPATHS = ("kernel", "dpdk", "ebpf")
 def run_cell(datapath: str, packets: int) -> float:
     """One Figure 2 bar: fresh world, fresh stream, one rate."""
     stream = TrexStream(FlowSpec(n_flows=1), frame_len=64)
-    if datapath == "kernel":
-        bench = kernel_p2p(n_queues=1, link_gbps=LINK_GBPS)
-    elif datapath == "dpdk":
-        bench = dpdk_p2p(n_queues=1, link_gbps=LINK_GBPS)
-    elif datapath == "ebpf":
-        bench = ebpf_p2p(link_gbps=LINK_GBPS)
-    else:
-        raise ValueError(f"unknown datapath {datapath!r}")
-    return bench.drive(stream, packets).mpps
+    world = build_world(datapath, "P2P", n_queues=1, link_gbps=LINK_GBPS)
+    return world.drive(stream, packets).mpps
 
 
 def run_fig2(packets: int = PACKETS, shards: int = 1) -> Fig2Result:

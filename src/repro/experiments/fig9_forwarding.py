@@ -11,7 +11,7 @@ Table 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.experiments.common import (
@@ -19,39 +19,21 @@ from repro.experiments.common import (
     add_shards_argument,
     sharded_cells,
 )
-from repro.experiments.p2p import afxdp_p2p, dpdk_p2p, kernel_p2p
-from repro.experiments.pvp_pcp import (
-    afxdp_pcp,
-    afxdp_pvp,
-    dpdk_pcp,
-    dpdk_pvp,
-    kernel_pcp,
-    kernel_pvp,
-)
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 PACKETS = 1_500
 LINK_GBPS = 25.0
 FLOW_COUNTS = (1, 1000)
 
-#: scenario -> [(configuration label, bench factory)]
-CONFIGS: Dict[str, List[Tuple[str, Callable]]] = {
-    "P2P": [
-        ("kernel", lambda: kernel_p2p(n_queues=10, link_gbps=LINK_GBPS)),
-        ("afxdp", lambda: afxdp_p2p(link_gbps=LINK_GBPS)),
-        ("dpdk", lambda: dpdk_p2p(link_gbps=LINK_GBPS)),
-    ],
-    "PVP": [
-        ("kernel+tap", lambda: kernel_pvp(link_gbps=LINK_GBPS)),
-        ("afxdp+tap", lambda: afxdp_pvp("tap", link_gbps=LINK_GBPS)),
-        ("afxdp+vhost", lambda: afxdp_pvp("vhostuser", link_gbps=LINK_GBPS)),
-        ("dpdk+vhost", lambda: dpdk_pvp(link_gbps=LINK_GBPS)),
-    ],
-    "PCP": [
-        ("kernel", lambda: kernel_pcp(link_gbps=LINK_GBPS)),
-        ("afxdp", lambda: afxdp_pcp(link_gbps=LINK_GBPS)),
-        ("dpdk", lambda: dpdk_pcp(link_gbps=LINK_GBPS)),
-    ],
+#: scenario -> [(configuration label, world-table datapath)]; the paper's
+#: AF_XDP runs are zero-copy, and its "afxdp+tap" PVP bar plugs the VM
+#: in by tap instead of vhostuser.
+CONFIGS: Dict[str, List[Tuple[str, str]]] = {
+    "P2P": [("kernel", "kernel"), ("afxdp", "afxdp_zc"), ("dpdk", "dpdk")],
+    "PVP": [("kernel+tap", "kernel"), ("afxdp+tap", "afxdp_zc"),
+            ("afxdp+vhost", "afxdp_zc"), ("dpdk+vhost", "dpdk")],
+    "PCP": [("kernel", "kernel"), ("afxdp", "afxdp_zc"), ("dpdk", "dpdk")],
 }
 
 
@@ -135,14 +117,15 @@ def run_cell(scenario: str, label: str, flows: int,
     clock, caches, RNG streams — is built here, so a worker process
     produces byte-identical charges to the serial loop.
     """
-    factory = dict(CONFIGS[scenario])[label]
-    bench = factory()
+    world = build_world(
+        dict(CONFIGS[scenario])[label], scenario, link_gbps=LINK_GBPS,
+        vm_attach="tap" if label == "afxdp+tap" else "vhostuser")
     # PCP streams target the container's IP (the loopback path needs
     # the packets delivered *to* it); sources still vary for flow
     # diversity.
     spec = FlowSpec(n_flows=flows, vary_dst=(scenario != "PCP"))
     stream = TrexStream(spec, frame_len=64)
-    return bench.drive(stream, packets)
+    return world.drive(stream, packets)
 
 
 def cell_units(
@@ -154,7 +137,7 @@ def cell_units(
 
     units = []
     for scenario in scenarios:
-        for label, _factory in CONFIGS[scenario]:
+        for label, _datapath in CONFIGS[scenario]:
             for flows in FLOW_COUNTS:
                 units.append(Unit(
                     key=(scenario, label, flows),

@@ -35,20 +35,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.experiments.common import warmup_count
-from repro.experiments.p2p import P2PBench, afxdp_p2p, kernel_p2p
+from repro.experiments.world import build_world
 from repro.sim import trace
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
-from repro.telemetry.drops import DropReason
-from repro.tools.conservation import (
-    PacketLedger,
-    afxdp_packet_ledger,
-)
 from repro.tools.pcap import write_pcap
 from repro.traffic.trex import FlowSpec, TrexStream
 
 #: Sampling rates swept, as 1/N (0 = sampling off).
 RATES: Tuple[int, ...] = (0, 1024, 64, 8, 1)
-DATAPATHS: Tuple[str, ...] = ("kernel", "afxdp_zc")
+#: datapath -> (sFlow sampling points, IPFIX hook point).
+POINTS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "kernel": (("kernel",), "kernel"),
+    "afxdp_zc": (("xdp", "dpif"), "dpif"),
+}
+DATAPATHS: Tuple[str, ...] = tuple(POINTS)
 PACKETS = 600
 N_FLOWS = 64
 LINK_GBPS = 25.0
@@ -96,32 +96,6 @@ class ObserverPoint:
         }
 
 
-def _build(datapath: str) -> Tuple[P2PBench, Tuple[str, ...], str]:
-    """A fresh world plus its sampling points and IPFIX hook point."""
-    if datapath == "kernel":
-        return kernel_p2p(n_queues=1, link_gbps=LINK_GBPS), \
-            ("kernel",), "kernel"
-    if datapath == "afxdp_zc":
-        return afxdp_p2p(n_queues=1, link_gbps=LINK_GBPS), \
-            ("xdp", "dpif"), "dpif"
-    raise ValueError(f"unknown datapath {datapath!r}")
-
-
-def _ledger(datapath: str, bench: P2PBench, offered: int) -> PacketLedger:
-    if datapath == "kernel":
-        sinks: Dict[str, int] = {}
-        if bench.nic_in.rx_missed:
-            sinks[DropReason.NIC_RX_MISSED.value] = bench.nic_in.rx_missed
-        return PacketLedger(offered=offered,
-                            forwarded=bench.nic_out.stats.tx_packets,
-                            sinks=sinks)
-    dpif = bench.host.vswitchd.dpif_netdev
-    driver_in = dpif.ports[dpif.port_no("ens1")].adapter.driver
-    driver_out = dpif.ports[dpif.port_no("ens2")].adapter.driver
-    return afxdp_packet_ledger(offered, bench.nic_in,
-                               driver_in, driver_out, dpif)
-
-
 def _run_cell(
     datapath: str,
     rate: int,
@@ -152,8 +126,10 @@ def _run_cell_traced(
     seed: int,
     pcap_prefix: Optional[str],
 ) -> ObserverPoint:
+    points, ipfix_point = POINTS[datapath]
     with trace.recording():
-        bench, points, ipfix_point = _build(datapath)
+        world = build_world(datapath, "P2P", n_queues=1,
+                            link_gbps=LINK_GBPS)
         stream = TrexStream(FlowSpec(n_flows=n_flows))
         sflow = (SflowConfig(rate=rate, points=points, seed=seed)
                  if rate else None)
@@ -162,17 +138,17 @@ def _run_cell_traced(
             ipfix=IpfixConfig(point=ipfix_point,
                               active_timeout_ns=IPFIX_TIMEOUT_NS,
                               idle_timeout_ns=IPFIX_TIMEOUT_NS),
-            now_ns_fn=lambda: bench.host.clock.now,
+            now_ns_fn=lambda: world.host.clock.now,
         )
         # Installed before the drive so the warmup is observed too: the
         # ledger's ``offered`` includes warmup frames, and reconciliation
         # must account for every one of them.
         with telemetry.monitoring(session):
-            measurement = bench.drive(stream, packets)
+            measurement = world.drive(stream, packets)
             # End-of-run export, after the measured window (uncharged).
             session.flush_all()
             offered = warmup_count(stream) + packets
-            ledger = _ledger(datapath, bench, offered)
+            ledger = world.ledger(offered)
             problems = session.reconcile(ledger)
     if problems:
         raise AssertionError(

@@ -1,200 +1,15 @@
-"""Physical-to-physical forwarding benches (the §5.2/§5.5 workhorse).
+"""The benchmark's names for three P2P rows of the world table.
 
-Builds a host forwarding between two physical ports under one of the
-paper's datapath configurations and measures the sustained rate + CPU:
-
-* ``kernel_p2p``  — the OVS kernel module, interrupt-driven NAPI + RSS;
-* ``afxdp_p2p``   — the userspace datapath fed by AF_XDP (with all the
-  O1–O5 knobs exposed);
-* ``dpdk_p2p``    — the userspace datapath on DPDK ethdevs;
-* ``ebpf_p2p``    — the tc eBPF datapath of §2.2.2 (Figure 2's third bar).
+``bench/workloads.py`` imports these four names; they stay until the
+benchmark is next re-based (ROADMAP item 1).  Everything else calls
+:func:`repro.experiments.world.build_world`.
 """
 
-from __future__ import annotations
+from functools import partial
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from repro.experiments.world import World, build_world
 
-from repro.afxdp.driver import AfxdpOptions
-from repro.dpdk.ethdev import bind_device
-from repro.ebpf.programs import l2_forward_program, l2_key
-from repro.hosts.host import Host
-from repro.kernel.netdev import NetDevice, Wire
-from repro.kernel.nic import NicFeatures, PhysicalNic
-from repro.kernel.tc import TcIngressHook
-from repro.net.addresses import MacAddress
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
-from repro.sim.cpu import ExecContext
-from repro.traffic.trex import TrexStream
-from repro.experiments.common import (
-    PipelineMeasurement,
-    measured_drive,
-    warmup_count,  # noqa: F401  (re-exported; historic home of the helper)
-)
-
-
-@dataclass
-class P2PBench:
-    host: Host
-    nic_in: PhysicalNic
-    nic_out: PhysicalNic
-    link_gbps: float
-    drive: Callable[[TrexStream, int], PipelineMeasurement]
-
-
-def _base_host(n_queues: int, link_gbps: float,
-               features: Optional[NicFeatures] = None,
-               n_cpus: int = 16) -> "tuple[Host, PhysicalNic, PhysicalNic]":
-    host = Host("dut", n_cpus=n_cpus)
-    nic_in = host.add_nic("ens1", n_queues=n_queues, features=features)
-    nic_out = host.add_nic("ens2", n_queues=n_queues, features=features)
-    sink_in = NetDevice("trex-tx", MacAddress.local(0xF0001))
-    sink_out = NetDevice("trex-rx", MacAddress.local(0xF0002))
-    for sink in (sink_in, sink_out):
-        sink.set_up()
-        sink.set_rx_handler(lambda pkt, ctx: None)
-    Wire(nic_in, sink_in, gbps=link_gbps)
-    Wire(nic_out, sink_out, gbps=link_gbps)
-    # One IRQ lane per queue, spread from CPU 0 upward.
-    for q in range(n_queues):
-        host.kernel.set_irq_affinity("ens1", q, q % host.cpu.n_cpus)
-    return host, nic_in, nic_out
-
-
-def kernel_p2p(
-    n_queues: int = 10,
-    link_gbps: float = 25.0,
-    napi_budget: int = 8,
-) -> P2PBench:
-    """The in-kernel datapath with RSS across ``n_queues`` IRQ lanes.
-
-    ``napi_budget`` is deliberately small: at the lossless operating
-    point the kernel takes an interrupt per few packets — it has no
-    busy polling or batched buffer management (§5.2's explanation of the
-    kernel's CPU numbers).
-    """
-    host, nic_in, nic_out = _base_host(n_queues, link_gbps)
-    vs = host.install_ovs("system")
-    vs.add_bridge("br0")
-    p_in = vs.add_system_port("br0", nic_in)
-    vs.add_system_port("br0", nic_out)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-
-    def pump_warmup() -> None:
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=napi_budget)
-
-    def pump() -> None:
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=napi_budget,
-                                    interrupt_mode=True)
-
-    drive = measured_drive(host, nic_in.host_receive, pump, link_gbps,
-                           chunk=64, warmup_pump=pump_warmup)
-    return P2PBench(host, nic_in, nic_out, link_gbps, drive)
-
-
-def ebpf_p2p(link_gbps: float = 10.0) -> P2PBench:
-    """§2.2.2's eBPF datapath: the same forwarding logic as the kernel
-    module, interpreted at the tc hook."""
-    host, nic_in, nic_out = _base_host(1, link_gbps)
-    program, fib = l2_forward_program()
-    TcIngressHook(nic_in, program, host.kernel.init_ns)
-
-    def prepare(stream: TrexStream) -> None:
-        fib.update(
-            l2_key(stream.next_packet().data[0:6]),
-            nic_out.ifindex.to_bytes(4, "little"),
-        )
-
-    def pump() -> None:
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=8)
-
-    drive = measured_drive(host, nic_in.host_receive, pump, link_gbps,
-                           chunk=64, prepare=prepare)
-    return P2PBench(host, nic_in, nic_out, link_gbps, drive)
-
-
-def afxdp_p2p(
-    options: Optional[AfxdpOptions] = None,
-    n_queues: int = 1,
-    link_gbps: float = 25.0,
-    pmd_main_thread_mode: bool = False,
-    features: Optional[NicFeatures] = None,
-    n_cpus: int = 16,
-) -> P2PBench:
-    """OVS with AF_XDP: XDP redirect in softirq, PMD threads in userspace."""
-    options = options or AfxdpOptions()
-    host, nic_in, nic_out = _base_host(n_queues, link_gbps,
-                                       features=features, n_cpus=n_cpus)
-    vs = host.install_ovs("netdev")
-    vs.add_bridge("br0")
-    p_in = vs.add_afxdp_port("br0", nic_in, options)
-    vs.add_afxdp_port("br0", nic_out, options)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-
-    # One PMD per queue; softirq lanes sit on the upper CPUs so PMD and
-    # kernel work never collide on a hyperthread pair in small setups.
-    pmds: List[PmdThread] = []
-    dp_port = vs.dpif_netdev.ports[vs.dpif_netdev.port_no("ens1")]
-    for q in range(n_queues):
-        pmd = PmdThread(vs.dpif_netdev, host.cpu, core=q,
-                        main_thread_mode=pmd_main_thread_mode,
-                        batch_size=options.batch_size)
-        pmd.add_rxq(dp_port, q)
-        pmds.append(pmd)
-        host.kernel.set_irq_affinity("ens1", q,
-                                     (n_queues + q) % host.cpu.n_cpus)
-    interrupt_service = options.interrupt_mode
-
-    def pump_all() -> None:
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=options.batch_size,
-                                    interrupt_mode=interrupt_service)
-            for pmd in pmds:
-                pmd.run_iteration()
-        for pmd in pmds:
-            pmd.run_until_idle()
-
-    drive = measured_drive(host, nic_in.host_receive, pump_all, link_gbps,
-                           pmd_cpus=tuple(range(n_queues)),
-                           chunk=options.batch_size)
-    return P2PBench(host, nic_in, nic_out, link_gbps, drive)
-
-
-def dpdk_p2p(
-    n_queues: int = 1,
-    link_gbps: float = 25.0,
-    n_cpus: int = 16,
-) -> P2PBench:
-    """OVS with DPDK: everything in userspace, no kernel involvement."""
-    host, nic_in, nic_out = _base_host(n_queues, link_gbps, n_cpus=n_cpus)
-    eth_in = bind_device(host.kernel.init_ns, "ens1")
-    eth_out = bind_device(host.kernel.init_ns, "ens2")
-    vs = host.install_ovs("netdev")
-    vs.add_bridge("br0")
-    p_in = vs.add_dpdk_port("br0", eth_in)
-    vs.add_dpdk_port("br0", eth_out)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-
-    pmds: List[PmdThread] = []
-    dp_port = vs.dpif_netdev.ports[vs.dpif_netdev.port_no("ens1")]
-    for q in range(n_queues):
-        pmd = PmdThread(vs.dpif_netdev, host.cpu, core=q)
-        pmd.add_rxq(dp_port, q)
-        pmds.append(pmd)
-
-    def pump_all() -> None:
-        for pmd in pmds:
-            pmd.run_until_idle()
-
-    drive = measured_drive(host, nic_in.host_receive, pump_all, link_gbps,
-                           pmd_cpus=tuple(range(n_queues)), chunk=32)
-    return P2PBench(host, nic_in, nic_out, link_gbps, drive)
+P2PBench = World
+afxdp_p2p = partial(build_world, "afxdp_zc", "P2P")
+kernel_p2p = partial(build_world, "kernel", "P2P")
+dpdk_p2p = partial(build_world, "dpdk", "P2P")

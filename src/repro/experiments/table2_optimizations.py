@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 from repro.afxdp.driver import AfxdpOptions
 from repro.afxdp.umempool import LockStrategy
 from repro.analysis.reporting import format_table
-from repro.experiments.p2p import afxdp_p2p
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 PACKETS = 2_000
@@ -103,9 +103,9 @@ def run_cell(label: str, packets: int) -> float:
     """
     options, main_mode = next(
         (opts, mode) for lbl, opts, mode in LADDER if lbl == label)
-    bench = afxdp_p2p(options=options, link_gbps=LINK_GBPS,
-                      pmd_main_thread_mode=main_mode)
-    measurement = bench.drive(TrexStream(FlowSpec(1), frame_len=64),
+    world = build_world("afxdp_zc", "P2P", options=options,
+                        link_gbps=LINK_GBPS, pmd_main_thread_mode=main_mode)
+    measurement = world.drive(TrexStream(FlowSpec(1), frame_len=64),
                               packets)
     return measurement.mpps
 

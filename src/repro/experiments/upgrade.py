@@ -37,29 +37,21 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.afxdp.driver import AfxdpOptions
-from repro.dpdk.ethdev import bind_device
-from repro.ebpf.programs import l2_forward_program, l2_key
 from repro.experiments.common import warmup_count
-from repro.experiments.p2p import _base_host
-from repro.kernel.tc import TcIngressHook
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
+from repro.experiments.world import DATAPATHS, build_world
 from repro.sim import faults, trace
 from repro.sim.clock import MSEC
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.supervisor import Supervisor
-from repro.tools.conservation import PacketLedger, afxdp_packet_ledger
 from repro.traffic.trex import FlowSpec, TrexStream
 
-SCENARIOS: Tuple[str, ...] = (
-    "kernel", "ebpf", "afxdp_copy", "afxdp_zc", "dpdk")
+#: One P2P world per datapath of the world table.
+SCENARIOS: Tuple[str, ...] = DATAPATHS
 
 PACKETS = 9_600
+#: Offered burst size, and the NAPI budget the kernel services it with.
 BURST = 32
 #: Offered-load cadence: one burst per virtual millisecond.
 BURST_INTERVAL_NS = 1 * MSEC
@@ -112,164 +104,6 @@ class ScenarioResult:
         }
 
 
-@dataclass
-class _World:
-    """One built scenario: its hooks for the shared drive loop."""
-
-    host: object
-    nic_in: object
-    nic_out: object
-    vs: object                      # None for the daemon-less eBPF world
-    pmds: list
-    #: pump(daemon_up): drain offered frames as far as the still-alive
-    #: layers allow.  The kernel side keeps running through a crash; the
-    #: dead process's PMD threads must not.
-    pump: Callable[[bool], None]
-    ledger: Callable[[int, Dict[str, int]], PacketLedger]
-    revalidate: Optional[Callable[[], None]] = None
-
-
-def _sink(sinks: Dict[str, int], name: str, n: int) -> None:
-    if n:
-        sinks[name] = sinks.get(name, 0) + n
-
-
-# ----------------------------------------------------------------------
-# Scenario builders.  Each wires the same P2P topology (trex -> ens1 ->
-# br0 -> ens2 -> trex) on a different datapath flavor.
-# ----------------------------------------------------------------------
-def _build_kernel(stream: TrexStream) -> _World:
-    host, nic_in, nic_out = _base_host(1, LINK_GBPS)
-    vs = host.install_ovs("system")
-    vs.add_bridge("br0")
-    p_in = vs.add_system_port("br0", nic_in)
-    vs.add_system_port("br0", nic_out)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-
-    def pump(up: bool) -> None:
-        # The kernel module keeps forwarding warm megaflows whether or
-        # not the daemon lives; only misses need the (dead) handler.
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=BURST)
-
-    def ledger(offered: int, crash_sinks: Dict[str, int]) -> PacketLedger:
-        sinks: Dict[str, int] = dict(crash_sinks)
-        _sink(sinks, "nic.rx_missed", nic_in.rx_missed)
-        _sink(sinks, "dp.lost_upcalls", vs.dpif_netlink.dp.n_lost)
-        return PacketLedger(offered=offered,
-                            forwarded=nic_out.wire_peer.stats.rx_packets,
-                            sinks=sinks)
-
-    return _World(host, nic_in, nic_out, vs, [], pump, ledger)
-
-
-def _build_ebpf(stream: TrexStream) -> _World:
-    host, nic_in, nic_out = _base_host(1, LINK_GBPS)
-    program, fib = l2_forward_program()
-    TcIngressHook(nic_in, program, host.kernel.init_ns)
-    fib.update(
-        l2_key(stream.next_packet().data[0:6]),
-        nic_out.ifindex.to_bytes(4, "little"),
-    )
-
-    def pump(up: bool) -> None:
-        # Program + maps are pinned in the kernel: forwarding survives
-        # the control process completely.
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=BURST)
-
-    def ledger(offered: int, crash_sinks: Dict[str, int]) -> PacketLedger:
-        sinks: Dict[str, int] = dict(crash_sinks)
-        _sink(sinks, "nic.rx_missed", nic_in.rx_missed)
-        _sink(sinks, "nic.xdp_drops", nic_in.xdp_drops)
-        _sink(sinks, "nic.xdp_passes_to_stack", nic_in.xdp_passes)
-        return PacketLedger(offered=offered,
-                            forwarded=nic_out.wire_peer.stats.rx_packets,
-                            sinks=sinks)
-
-    # vs=None: the supervised daemon has no datapath attachments here —
-    # recovery is detect + backoff + exec only.
-    return _World(host, nic_in, nic_out, None, [], pump, ledger)
-
-
-def _build_afxdp(stream: TrexStream, zerocopy: bool) -> _World:
-    options = AfxdpOptions(force_copy_mode=None if zerocopy else True)
-    host, nic_in, nic_out = _base_host(1, LINK_GBPS)
-    vs = host.install_ovs("netdev")
-    vs.add_bridge("br0")
-    p_in = vs.add_afxdp_port("br0", nic_in, options)
-    vs.add_afxdp_port("br0", nic_out, options)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-    dpif = vs.dpif_netdev
-    driver_in = dpif.ports[dpif.port_no("ens1")].adapter.driver
-    driver_out = dpif.ports[dpif.port_no("ens2")].adapter.driver
-    pmd = PmdThread(dpif, host.cpu, core=0, batch_size=options.batch_size)
-    pmd.add_rxq(dpif.ports[dpif.port_no("ens1")], 0)
-
-    def pump(up: bool) -> None:
-        # Softirq XDP dispatch belongs to the kernel and keeps running;
-        # with the XSKs gone its redirects fail at dispatch.  The PMD
-        # threads died with the daemon.
-        while nic_in.pending():
-            host.kernel.service_nic(nic_in, budget=options.batch_size)
-            if up:
-                pmd.run_iteration()
-        if up:
-            pmd.run_until_idle()
-
-    def ledger(offered: int, crash_sinks: Dict[str, int]) -> PacketLedger:
-        return afxdp_packet_ledger(offered, nic_in, driver_in, driver_out,
-                                   dpif, extra_sinks=crash_sinks)
-
-    return _World(host, nic_in, nic_out, vs, [pmd], pump, ledger,
-                  revalidate=lambda: dpif.revalidate(emcs=[pmd.emc]))
-
-
-def _build_dpdk(stream: TrexStream) -> _World:
-    host, nic_in, nic_out = _base_host(1, LINK_GBPS)
-    eth_in = bind_device(host.kernel.init_ns, "ens1")
-    eth_out = bind_device(host.kernel.init_ns, "ens2")
-    vs = host.install_ovs("netdev")
-    vs.add_bridge("br0")
-    p_in = vs.add_dpdk_port("br0", eth_in)
-    vs.add_dpdk_port("br0", eth_out)
-    of = OpenFlowConnection(vs.bridge("br0"))
-    of.add_flow(0, 10, Match(in_port=p_in.ofport), [OutputAction("ens2")])
-    dpif = vs.dpif_netdev
-    pmd = PmdThread(dpif, host.cpu, core=0)
-    pmd.add_rxq(dpif.ports[dpif.port_no("ens1")], 0)
-
-    def pump(up: bool) -> None:
-        # The dead process owned the device: nobody polls while it is
-        # down, the hardware rings fill, overflow counts in rx_missed
-        # and whatever sits in the rings is discarded by the re-init's
-        # queue reset (crash.dpdk_ring_reset).
-        if up:
-            pmd.run_until_idle()
-
-    def ledger(offered: int, crash_sinks: Dict[str, int]) -> PacketLedger:
-        sinks: Dict[str, int] = dict(crash_sinks)
-        _sink(sinks, "nic.rx_missed", nic_in.rx_missed)
-        _sink(sinks, "dp.dropped", dpif.stats.dropped)
-        return PacketLedger(offered=offered,
-                            forwarded=nic_out.wire_peer.stats.rx_packets,
-                            sinks=sinks)
-
-    return _World(host, nic_in, nic_out, vs, [pmd], pump, ledger,
-                  revalidate=lambda: dpif.revalidate(emcs=[pmd.emc]))
-
-
-_BUILDERS: Dict[str, Callable[[TrexStream], _World]] = {
-    "kernel": _build_kernel,
-    "ebpf": _build_ebpf,
-    "afxdp_copy": lambda s: _build_afxdp(s, zerocopy=False),
-    "afxdp_zc": lambda s: _build_afxdp(s, zerocopy=True),
-    "dpdk": _build_dpdk,
-}
-
-
 # ----------------------------------------------------------------------
 def _run_scenario(name: str, packets: int, seed: int) -> ScenarioResult:
     """Build one flavor's world and crash it once under load."""
@@ -294,7 +128,11 @@ def _run_scenario_traced(name: str, packets: int,
                          plan: FaultPlan) -> ScenarioResult:
     stream = TrexStream(FlowSpec(n_flows=N_FLOWS))
     with faults.injecting(plan), trace.recording():
-        world = _BUILDERS[name](stream)
+        # Every scenario wires trex -> ens1 -> br0 -> ens2 -> trex; an
+        # untuned host services the NIC at BURST in interrupt mode.
+        world = build_world(name, "P2P", link_gbps=LINK_GBPS, n_queues=1,
+                            napi_budget=BURST)
+        world.prepare(stream)
         host = world.host
         sup = Supervisor(host.user_ctx(host.cpu.n_cpus - 1), host.clock,
                          vs=world.vs, pmds=world.pmds)
@@ -314,8 +152,9 @@ def _run_scenario_traced(name: str, packets: int,
                 world.nic_in.host_receive(pkt)
             sent += chunk
             world.pump(sup.up)
-            if sup.up and world.revalidate is not None:
-                world.revalidate()
+            if sup.up and world.pmds:
+                world.vs.dpif_netdev.revalidate(
+                    emcs=[pmd.emc for pmd in world.pmds])
             burst_no += 1
         # A recovery that outlives the offered window (DPDK's EAL init)
         # still completes; drain whatever the reborn daemon can forward.
@@ -348,7 +187,7 @@ def run_upgrade(
 ) -> List[ScenarioResult]:
     results = []
     for name in scenarios:
-        if name not in _BUILDERS:
+        if name not in SCENARIOS:
             known = ", ".join(SCENARIOS)
             raise ValueError(f"unknown scenario {name!r}; known: {known}")
         result = _run_scenario(name, packets, seed)

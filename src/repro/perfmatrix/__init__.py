@@ -15,8 +15,8 @@ Entry points::
     python -m repro matrix --quick --out matrix.json
     python -m repro.tools.matrix_gate matrix.json
 
-The harness is observably read-only: it builds every cell from the same
-topology factories the paper experiments use and never mutates global
+The harness is observably read-only: it builds every cell from the world
+table the paper experiments use and never mutates global
 state, so a matrix run leaves the fig2/fig9 trace ledgers byte-identical
 to runs without it (gated by ``tests/integration/test_matrix_determinism``).
 """

@@ -1,45 +1,28 @@
 """Matrix cells: one (datapath, topology, frame, flows) measurement.
 
-A cell reuses the paper experiments' topology builders (the
-:mod:`repro.experiments.p2p` / :mod:`repro.experiments.pvp_pcp`
-factories) and the shared
-:func:`repro.experiments.common.measured_drive` loop, then runs the
-TRex-style :class:`~repro.traffic.lossless.LosslessSearch` against the
-measured capacity.  The result is a plain JSON-ready dict, fully
-deterministic: building the same cell twice yields byte-identical
-canonical JSON.
+A cell builds its world from the experiments' world table
+(:func:`repro.experiments.world.build_world`), drives it with the
+world's measured loop, then runs the TRex-style
+:class:`~repro.traffic.lossless.LosslessSearch` against the measured
+capacity.  The result is a plain JSON-ready dict, fully deterministic:
+building the same cell twice yields byte-identical canonical JSON.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
 
-from repro.afxdp.driver import AfxdpOptions
-from repro.experiments.p2p import (
-    P2PBench,
-    afxdp_p2p,
-    dpdk_p2p,
-    ebpf_p2p,
-    kernel_p2p,
-)
-from repro.experiments.pvp_pcp import (
-    afxdp_pcp,
-    afxdp_pvp,
-    dpdk_pcp,
-    dpdk_pvp,
-    kernel_pcp,
-    kernel_pvp,
+from repro.experiments.world import (
+    DATAPATHS,
+    TOPOLOGIES,
+    build_world,
+    cell_support,
 )
 from repro.sim import trace
 from repro.sim.stats import line_rate_mpps
 from repro.traffic.lossless import LosslessSearch, capacity_loss_model
 from repro.traffic.trex import FlowSpec, TrexStream
-
-#: The datapath axis, ordered slowest-to-fastest per the paper's Fig. 9.
-DATAPATHS = ("kernel", "ebpf", "afxdp_copy", "afxdp_zc", "dpdk")
-TOPOLOGIES = ("P2P", "PVP", "PCP")
 
 #: Nominal core frequency used to express per-packet cost in cycles
 #: (the paper's testbed runs Xeon cores around this clock).
@@ -54,52 +37,6 @@ _DROP_SINK_RE = re.compile(
 
 class UnsupportedCell(Exception):
     """Raised for grid points with no physical analogue (e.g. eBPF PVP)."""
-
-
-def _afxdp(copy_mode: bool) -> AfxdpOptions:
-    return AfxdpOptions(force_copy_mode=copy_mode)
-
-
-#: (datapath, topology) -> bench factory taking link_gbps.  A missing
-#: key is an unsupported combination; ``cell_support`` explains why.
-_FACTORIES: Dict[Tuple[str, str], Callable[[float], object]] = {
-    ("kernel", "P2P"): lambda link: kernel_p2p(n_queues=10, link_gbps=link),
-    ("ebpf", "P2P"): lambda link: ebpf_p2p(link_gbps=link),
-    ("afxdp_copy", "P2P"): lambda link: afxdp_p2p(
-        options=_afxdp(True), link_gbps=link),
-    ("afxdp_zc", "P2P"): lambda link: afxdp_p2p(
-        options=_afxdp(False), link_gbps=link),
-    ("dpdk", "P2P"): lambda link: dpdk_p2p(link_gbps=link),
-    ("kernel", "PVP"): lambda link: kernel_pvp(link_gbps=link),
-    ("afxdp_copy", "PVP"): lambda link: afxdp_pvp(
-        "vhostuser", options=_afxdp(True), link_gbps=link),
-    ("afxdp_zc", "PVP"): lambda link: afxdp_pvp(
-        "vhostuser", options=_afxdp(False), link_gbps=link),
-    ("dpdk", "PVP"): lambda link: dpdk_pvp(link_gbps=link),
-    ("kernel", "PCP"): lambda link: kernel_pcp(link_gbps=link),
-    ("afxdp_zc", "PCP"): lambda link: afxdp_pcp(link_gbps=link),
-    ("dpdk", "PCP"): lambda link: dpdk_pcp(link_gbps=link),
-}
-
-_UNSUPPORTED_REASONS = {
-    ("ebpf", "PVP"): "the tc eBPF datapath has no VM attachment here",
-    ("ebpf", "PCP"): "the tc eBPF datapath has no container attachment here",
-    ("afxdp_copy", "PCP"): (
-        "PCP AF_XDP is the in-kernel XDP-redirect path (Fig. 5 C); "
-        "no XSK is bound, so copy vs zero-copy does not apply"
-    ),
-}
-
-
-def cell_support(datapath: str, topology: str) -> Optional[str]:
-    """None when the combination is runnable, else the reason it is not."""
-    if datapath not in DATAPATHS:
-        raise ValueError(f"unknown datapath {datapath!r}")
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}")
-    if (datapath, topology) in _FACTORIES:
-        return None
-    return _UNSUPPORTED_REASONS[(datapath, topology)]
 
 
 @dataclass(frozen=True)
@@ -127,8 +64,8 @@ class CellSpec:
                 f"/{self.frame_len}B/{self.n_flows}f")
 
 
-def _drive(bench, stream: TrexStream, packets: int):
-    """Run a bench's drive, collecting drop-sink counter deltas.
+def _drive(world, stream: TrexStream, packets: int):
+    """Run a world's drive, collecting drop-sink counter deltas.
 
     Tracing is read-only observability (it never charges time), so the
     measurement is identical whether a recorder is attached or not; if
@@ -138,7 +75,7 @@ def _drive(bench, stream: TrexStream, packets: int):
     active = trace.ACTIVE
     if active is not None:
         before = dict(active.counters)
-        measurement = bench.drive(stream, packets)
+        measurement = world.drive(stream, packets)
         counters = {
             k: v - before.get(k, 0)
             for k, v in active.counters.items()
@@ -146,7 +83,7 @@ def _drive(bench, stream: TrexStream, packets: int):
         }
     else:
         with trace.recording() as rec:
-            measurement = bench.drive(stream, packets)
+            measurement = world.drive(stream, packets)
         counters = dict(rec.counters)
     drops = {
         k: v for k, v in counters.items() if v and _DROP_SINK_RE.search(k)
@@ -167,7 +104,7 @@ def run_cell(
         raise UnsupportedCell(reason)
     if packets < 1:
         raise ValueError("measure at least one packet")
-    bench = _FACTORIES[(spec.datapath, spec.topology)](link_gbps)
+    world = build_world(spec.datapath, spec.topology, link_gbps=link_gbps)
     # PCP streams must target the container's IP (fig9 does the same):
     # the loopback path needs packets delivered *to* it, sources still
     # vary for flow diversity.
@@ -175,7 +112,7 @@ def run_cell(
         FlowSpec(n_flows=spec.n_flows, vary_dst=(spec.topology != "PCP")),
         frame_len=spec.frame_len,
     )
-    measurement, drops = _drive(bench, stream, packets)
+    measurement, drops = _drive(world, stream, packets)
     search = LosslessSearch(
         max_rate_mpps=line_rate_mpps(link_gbps, spec.frame_len),
         resolution_mpps=resolution_mpps,

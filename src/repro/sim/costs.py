@@ -173,6 +173,12 @@ class CostModel:
     virtqueue_op_ns: float = 45.0
     #: eventfd kick for a virtqueue batch when the peer is sleeping.
     virtqueue_kick_ns: float = 900.0
+    #: The PVP guest's testpmd-style rx -> tx loop, per packet.
+    #: Source: assumed (a tight userspace loop; no paper number pins it).
+    guest_fwd_ns: float = 60.0
+    #: The PCP container's PACKET_MMAP ring forwarder, per packet.
+    #: Source: assumed, like ``guest_fwd_ns``.
+    container_fwd_ns: float = 120.0
 
     # ------------------------------------------------------------------
     # Protocol stacks.

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.experiments.p2p import afxdp_p2p
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 PACKETS = 2_000
@@ -39,7 +39,7 @@ def calls_of(stats, filename, function):
 @pytest.mark.skipif(sys.getprofile() is not None,
                     reason="another profiler is active")
 def test_profiled_calls_per_packet():
-    """One warm 2,000-packet ``afxdp_p2p()`` drive (plus its 64 warm-up
+    """One warm 2,000-packet AF_XDP zero-copy P2P drive (plus its 64 warm-up
     packets) cycling 1,000 flows, under ``cProfile``.
 
     Calls per packet, every Python and C function counted, and the
@@ -51,7 +51,7 @@ def test_profiled_calls_per_packet():
     The bound sits between, nearer the second.  Charges per packet do
     not move (15.80 both sides: the virtual clock sees nothing).
     """
-    bench = afxdp_p2p()
+    bench = build_world("afxdp_zc", "P2P")
     stream = TrexStream(FlowSpec(n_flows=1_000), frame_len=64, seed=1)
     bench.drive(stream, 2_000)  # 2,000 warm-up packets install every flow
     warm = WarmStream(stream)

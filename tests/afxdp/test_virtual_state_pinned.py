@@ -6,7 +6,7 @@ and every counter its value.  The digests below were recorded on the
 tree *before* that rewrite, so this test does not compare the code with
 itself: it compares it with what the simulator printed before.
 
-Each configuration builds a fresh ``afxdp_p2p`` world, warms it
+Each configuration builds a fresh AF_XDP P2P world, warms it
 untraced, then drives a measured window with a trace recorder attached
 (so both branches of every ``trace.ACTIVE`` test run), and digests
 
@@ -30,7 +30,7 @@ import pytest
 
 from repro.afxdp.driver import AfxdpOptions
 from repro.afxdp.umempool import LockStrategy
-from repro.experiments.p2p import afxdp_p2p
+from repro.experiments.world import build_world
 from repro.sim import faults, trace
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.tools.conservation import afxdp_packet_ledger
@@ -71,14 +71,16 @@ def fault_plan():
 
 
 CONFIGS = {
-    "cycled": (AfxdpOptions(), cycled, None),
-    "distinct": (AfxdpOptions(), distinct, None),
-    "copy_mode": (AfxdpOptions(force_copy_mode=True), cycled, None),
-    "interrupt_mode": (AfxdpOptions(interrupt_mode=True), cycled, None),
-    "malloc": (AfxdpOptions(lock_strategy=LockStrategy.MUTEX,
-                            batched_locking=False,
-                            preallocated_metadata=False), cycled, None),
-    "faults": (AfxdpOptions(), cycled, fault_plan),
+    "cycled": ("afxdp_zc", AfxdpOptions(), cycled, None),
+    "distinct": ("afxdp_zc", AfxdpOptions(), distinct, None),
+    "copy_mode": ("afxdp_copy", AfxdpOptions(), cycled, None),
+    "interrupt_mode": ("afxdp_zc", AfxdpOptions(interrupt_mode=True),
+                       cycled, None),
+    "malloc": ("afxdp_zc", AfxdpOptions(lock_strategy=LockStrategy.MUTEX,
+                                        batched_locking=False,
+                                        preallocated_metadata=False),
+               cycled, None),
+    "faults": ("afxdp_zc", AfxdpOptions(), cycled, fault_plan),
 }
 
 #: name -> (busy lanes, ledger, counters) sha256 prefixes.
@@ -138,8 +140,8 @@ def counters(bench, plan):
 
 
 def observe(name):
-    options, make_stream, make_plan = CONFIGS[name]
-    bench = afxdp_p2p(options)
+    datapath, options, make_stream, make_plan = CONFIGS[name]
+    bench = build_world(datapath, "P2P", options=options)
     stream = make_stream()
     bench.drive(Warm(stream), 500)
     plan = make_plan() if make_plan is not None else None

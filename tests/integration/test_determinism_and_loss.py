@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.p2p import afxdp_p2p, dpdk_p2p
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 
@@ -10,7 +10,7 @@ class TestDeterminism:
     def test_identical_runs_identical_numbers(self):
         """Seeded RNG + virtual time = bit-identical measurements."""
         def run():
-            bench = afxdp_p2p(link_gbps=10)
+            bench = build_world("afxdp_zc", "P2P", link_gbps=10)
             return bench.drive(TrexStream(FlowSpec(64), frame_len=64),
                                800).mpps
 
@@ -42,7 +42,7 @@ class TestLossDetection:
     def test_ring_overflow_counts_missed(self):
         """Offered load beyond the ring's capacity shows up as 'missed'
         frames — the signal the TRex lossless search keys off."""
-        bench = dpdk_p2p(link_gbps=25)
+        bench = build_world("dpdk", "P2P", link_gbps=25)
         nic = bench.nic_in
         nic.ring_size = 64
         stream = TrexStream(FlowSpec(1), frame_len=64)
@@ -53,7 +53,7 @@ class TestLossDetection:
         assert nic.rx_missed == 136
 
     def test_no_loss_when_serviced(self):
-        bench = afxdp_p2p(link_gbps=10)
+        bench = build_world("afxdp_zc", "P2P", link_gbps=10)
         bench.drive(TrexStream(FlowSpec(1), frame_len=64), 2_000)
         assert bench.nic_in.rx_missed == 0
 

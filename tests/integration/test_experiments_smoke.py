@@ -174,30 +174,26 @@ def test_observer_effect_smoke():
 
 
 def test_p2p_benches_smoke():
-    """The p2p bench module directly: every datapath flavour forwards."""
-    from repro.experiments.p2p import (afxdp_p2p, dpdk_p2p, ebpf_p2p,
-                                       kernel_p2p)
+    """The p2p module's benchmark aliases build the world table's rows."""
+    from repro.experiments.p2p import afxdp_p2p, dpdk_p2p, kernel_p2p
     from repro.traffic.trex import FlowSpec, TrexStream
 
-    for factory in (kernel_p2p, ebpf_p2p):
-        bench = factory()
-        m = bench.drive(TrexStream(FlowSpec(1)), TINY["packets"])
-        assert m.mpps > 0
-    for factory in (afxdp_p2p, dpdk_p2p):
+    for factory in (kernel_p2p, afxdp_p2p, dpdk_p2p):
         bench = factory()
         m = bench.drive(TrexStream(FlowSpec(1)), TINY["packets"])
         assert m.mpps > 0
 
 
 def test_pvp_pcp_benches_smoke():
-    """The pvp_pcp loopback benches: VM and container paths forward."""
-    from repro.experiments.pvp_pcp import afxdp_pvp, kernel_pcp
+    """The world table's PVP and PCP rows: VM and container paths
+    forward."""
+    from repro.experiments.world import build_world
     from repro.traffic.trex import FlowSpec, TrexStream
 
-    pvp = afxdp_pvp()
+    pvp = build_world("afxdp_zc", "PVP")
     m = pvp.drive(TrexStream(FlowSpec(1)), TINY["packets"] // 2)
     assert m.mpps > 0
-    pcp = kernel_pcp()
+    pcp = build_world("kernel", "PCP")
     m = pcp.drive(
         TrexStream(FlowSpec(1, vary_dst=False)), TINY["packets"] // 2
     )

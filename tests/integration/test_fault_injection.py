@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.afxdp.driver import AfxdpDriver, AfxdpOptions
+from repro.afxdp.driver import AfxdpDriver
 from repro.afxdp.socket import TX_KICK_MAX_RETRIES, BindMode, XskSocket
 from repro.afxdp.umem import Umem
 from repro.afxdp.umempool import UmemPool
@@ -523,6 +523,5 @@ def test_packet_conservation_for_any_seeded_plan(
         flow_limit=flow_limit,
     )
     point = degradation._run_point_traced(
-        plan, 0.0, packets=96, n_flows=8, link_gbps=25.0,
-        options=AfxdpOptions())
+        plan, 0.0, packets=96, n_flows=8, link_gbps=25.0)
     assert point.conserved, point.to_json()

@@ -9,11 +9,14 @@ import pytest
 
 from repro.afxdp.driver import AfxdpOptions
 from repro.afxdp.umempool import LockStrategy
-from repro.experiments.p2p import afxdp_p2p, dpdk_p2p, ebpf_p2p, kernel_p2p
-from repro.experiments.pvp_pcp import afxdp_pcp, dpdk_pcp, kernel_pcp
+from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
 N = 600
+
+
+def _p2p(datapath, **knobs):
+    return build_world(datapath, "P2P", **knobs)
 
 
 def _mpps(bench, flows=1, frame=64, vary_dst=True):
@@ -25,16 +28,16 @@ class TestTakeaways:
     def test_takeaway4_ebpf_slower_than_kernel(self):
         """'eBPF packet switching [is] 10-20% slower than ... the
         conventional OVS kernel module.'"""
-        kernel = _mpps(kernel_p2p(n_queues=1, link_gbps=10))
-        ebpf = _mpps(ebpf_p2p(link_gbps=10))
+        kernel = _mpps(_p2p("kernel", n_queues=1, link_gbps=10))
+        ebpf = _mpps(_p2p("ebpf", link_gbps=10))
         slowdown = 1 - ebpf / kernel
         assert 0.05 < slowdown < 0.25
 
     def test_dpdk_much_faster_than_kernel(self):
         """'Conventional in-kernel packet processing is now much slower
         than newer options such as DPDK.'"""
-        kernel = _mpps(kernel_p2p(n_queues=1, link_gbps=10))
-        dpdk = _mpps(dpdk_p2p(link_gbps=10))
+        kernel = _mpps(_p2p("kernel", n_queues=1, link_gbps=10))
+        dpdk = _mpps(_p2p("dpdk", link_gbps=10))
         assert dpdk > 3 * kernel
 
 
@@ -44,24 +47,24 @@ class TestSection3Optimizations:
                                  batched_locking=False,
                                  preallocated_metadata=False,
                                  batch_size=8)
-        no_pmd = _mpps(afxdp_p2p(options=base_opts,
-                                 pmd_main_thread_mode=True, link_gbps=10))
-        pmd = _mpps(afxdp_p2p(options=AfxdpOptions(
+        no_pmd = _mpps(_p2p("afxdp_zc", options=base_opts,
+                            pmd_main_thread_mode=True, link_gbps=10))
+        pmd = _mpps(_p2p("afxdp_zc", options=AfxdpOptions(
             lock_strategy=LockStrategy.MUTEX, batched_locking=False,
             preallocated_metadata=False), link_gbps=10))
         assert pmd > 3 * no_pmd  # paper: 6x
 
     def test_o2_spinlock_beats_mutex(self):
-        mutex = _mpps(afxdp_p2p(options=AfxdpOptions(
+        mutex = _mpps(_p2p("afxdp_zc", options=AfxdpOptions(
             lock_strategy=LockStrategy.MUTEX, batched_locking=False),
             link_gbps=10))
-        spin = _mpps(afxdp_p2p(options=AfxdpOptions(
+        spin = _mpps(_p2p("afxdp_zc", options=AfxdpOptions(
             batched_locking=False), link_gbps=10))
         assert spin > mutex
 
     def test_o5_checksum_estimate_helps(self):
-        sw = _mpps(afxdp_p2p(options=AfxdpOptions(), link_gbps=10))
-        est = _mpps(afxdp_p2p(options=AfxdpOptions(
+        sw = _mpps(_p2p("afxdp_zc", options=AfxdpOptions(), link_gbps=10))
+        est = _mpps(_p2p("afxdp_zc", options=AfxdpOptions(
             sw_checksum_on_tx=False), link_gbps=10))
         assert est > sw
 
@@ -71,9 +74,10 @@ class TestOutcome2Containers:
         """'OVS AF_XDP outperforms the other solutions when the endpoints
         are containers.'"""
         results = {
-            "kernel": _mpps(kernel_pcp(), flows=1, vary_dst=False),
-            "afxdp": _mpps(afxdp_pcp(), flows=1, vary_dst=False),
-            "dpdk": _mpps(dpdk_pcp(), flows=1, vary_dst=False),
+            label: _mpps(build_world(datapath, "PCP"), flows=1,
+                         vary_dst=False)
+            for label, datapath in (("kernel", "kernel"),
+                                    ("afxdp", "afxdp_zc"), ("dpdk", "dpdk"))
         }
         assert results["afxdp"] == max(results.values())
 
@@ -83,12 +87,12 @@ class TestFlowScaling:
         """'For all of the userspace datapath cases, 1,000 flows perform
         worse than a single flow because of the increased flow lookup
         overhead. The opposite is true only for the kernel datapath.'"""
-        afxdp = afxdp_p2p(link_gbps=25)
+        afxdp = _p2p("afxdp_zc", link_gbps=25)
         one = _mpps(afxdp, flows=1)
-        many = _mpps(afxdp_p2p(link_gbps=25), flows=1000)
+        many = _mpps(_p2p("afxdp_zc", link_gbps=25), flows=1000)
         assert many < one
-        kernel_one = _mpps(kernel_p2p(n_queues=10, link_gbps=25), flows=1)
-        kernel_many = _mpps(kernel_p2p(n_queues=10, link_gbps=25),
+        kernel_one = _mpps(_p2p("kernel", link_gbps=25), flows=1)
+        kernel_many = _mpps(_p2p("kernel", link_gbps=25),
                             flows=1000)
         assert kernel_many > kernel_one
 

@@ -3,11 +3,10 @@ stage that actually ran, not merely balance in aggregate."""
 
 import pytest
 
-from repro.afxdp.driver import AfxdpOptions
 from repro.ebpf.programs import l2_forward_program, l2_key
 from repro.ebpf.vm import EbpfVm
 from repro.ebpf.verifier import verify
-from repro.experiments.p2p import afxdp_p2p
+from repro.experiments.world import build_world
 from repro.hosts.host import Host
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
@@ -93,9 +92,8 @@ def test_cold_start_records_the_upcall_span(netdev_world):
 # AF_XDP copy-mode attribution.
 # ----------------------------------------------------------------------
 def _afxdp_run(force_copy: bool) -> trace.TraceRecorder:
-    bench = afxdp_p2p(
-        options=AfxdpOptions(force_copy_mode=force_copy), link_gbps=10.0
-    )
+    bench = build_world("afxdp_copy" if force_copy else "afxdp_zc", "P2P",
+                        link_gbps=10.0)
     with trace.recording() as rec:
         bench.drive(TrexStream(FlowSpec(1), frame_len=128), 256)
     return rec

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.afxdp.driver import AfxdpOptions
 from repro.experiments import upgrade
 from repro.experiments.upgrade import run_upgrade
+from repro.experiments.world import build_world
 from repro.sim import faults, trace
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.supervisor import Supervisor
@@ -89,7 +89,7 @@ def test_frames_in_flight_at_the_crash_become_named_sinks():
     ``crash.xsk_rx_inflight`` sink, not silent loss."""
     stream = TrexStream(FlowSpec(n_flows=4))
     with faults.injecting(FaultPlan(seed=0)), trace.recording():
-        world = upgrade._build_afxdp(stream, zerocopy=True)
+        world = build_world("afxdp_zc", "P2P", napi_budget=upgrade.BURST)
         host = world.host
         sup = Supervisor(host.user_ctx(host.cpu.n_cpus - 1), host.clock,
                          vs=world.vs, pmds=world.pmds)
@@ -123,6 +123,5 @@ def test_conservation_for_arbitrary_seeded_crash_plans(
         FaultRule("netlink.enobufs", rate=retry_rate),
     ])
     point = degradation._run_point_traced(
-        plan, crash_rate, packets=96, n_flows=8, link_gbps=25.0,
-        options=AfxdpOptions())
+        plan, crash_rate, packets=96, n_flows=8, link_gbps=25.0)
     assert point.conserved, point.to_json()

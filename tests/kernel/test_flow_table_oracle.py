@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net.flow
-from repro.experiments.p2p import kernel_p2p
+from repro.experiments.world import build_world
 from repro.kernel.ovs_module import KernelFlowTable
 from repro.net.flow import (
     EXACT_MASK,
@@ -221,7 +221,7 @@ def no_dense_masks(monkeypatch):
 
 
 def test_no_datapath_projects_densely(no_dense_masks, world):
-    bench = kernel_p2p(n_queues=10)
+    bench = build_world("kernel", "P2P")
     delivered = []
     bench.nic_out.wire_peer.set_rx_handler(
         lambda pkt, ctx: delivered.append(pkt))

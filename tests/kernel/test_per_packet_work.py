@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.experiments.p2p import kernel_p2p
+from repro.experiments.world import build_world
 from repro.kernel import ovs_module
 from repro.net.flow import MaskSpec
 from repro.traffic.trex import FlowSpec, TrexStream
@@ -33,7 +33,7 @@ class WarmStream:
 
 
 def warm_world():
-    bench = kernel_p2p(n_queues=10)
+    bench = build_world("kernel", "P2P")
     stream = TrexStream(FlowSpec(n_flows=1_000), frame_len=64, seed=1)
     bench.drive(stream, 64)  # 2,000 warm-up packets install every flow
     return bench, WarmStream(stream)
@@ -48,7 +48,7 @@ def calls_of(stats, filename, function):
 @pytest.mark.skipif(sys.getprofile() is not None,
                     reason="another profiler is active")
 def test_profiled_calls_per_packet():
-    """One warm 2,000-packet ``kernel_p2p(n_queues=10)`` drive (plus its
+    """One warm 2,000-packet kernel P2P drive over 10 queues (plus its
     64 warm-up packets) under ``cProfile``.
 
     Calls per packet, every Python and C function counted, and the

@@ -11,10 +11,7 @@ that tree) and keep bumping every idle counter once.
 import pytest
 
 from repro.afxdp.driver import AfxdpOptions
-from repro.dpdk.ethdev import bind_device
-from repro.experiments.p2p import _base_host
-from repro.hosts.vm import VirtualMachine
-from repro.ovs.pmd import PmdThread
+from repro.experiments.world import build_world
 from repro.sim import trace
 from repro.sim.costs import DEFAULT_COSTS as COSTS
 
@@ -38,25 +35,13 @@ def record_charges(ctx):
 
 
 def world(nic_kind, main_thread_mode=False, interrupt_mode=False):
-    """A PMD over one NIC rxq (AF_XDP or DPDK) and one vhost-user rxq,
-    nothing queued anywhere."""
-    host, nic, _ = _base_host(1, 25.0)
-    vm = VirtualMachine(host, "vm1", "10.0.0.5", vcpu_core=12)
-    vs = host.install_ovs("netdev")
-    vs.add_bridge("br0")
-    if nic_kind == "afxdp":
-        vs.add_afxdp_port("br0", nic,
-                          AfxdpOptions(interrupt_mode=interrupt_mode))
-    else:
-        vs.add_dpdk_port("br0", bind_device(host.kernel.init_ns, "ens1"))
-    vs.add_vhostuser_port("br0", vm.attach_vhostuser())
-    dpif = vs.dpif_netdev
-    pmd = PmdThread(dpif, host.cpu, core=0,
-                    main_thread_mode=main_thread_mode)
-    nic_port = dpif.ports[dpif.port_no("ens1")]
-    pmd.add_rxq(nic_port, 0)
-    pmd.add_rxq(dpif.ports[dpif.port_no("vhost-vm1")], 0)
-    return pmd, nic_port
+    """The PVP world's PMD, over one NIC rxq (AF_XDP or DPDK) and one
+    vhost-user rxq, nothing queued anywhere."""
+    w = build_world("afxdp_zc" if nic_kind == "afxdp" else "dpdk", "PVP",
+                    options=AfxdpOptions(interrupt_mode=interrupt_mode),
+                    pmd_main_thread_mode=main_thread_mode)
+    dpif = w.vs.dpif_netdev
+    return w.pmds[0], dpif.ports[dpif.port_no("ens1")]
 
 
 RX_BATCH = ("rx_batch", COSTS.ring_batch_ns, "user")

@@ -12,46 +12,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.afxdp.driver import AfxdpOptions
 from repro.experiments.common import warmup_count
-from repro.experiments.p2p import _base_host
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
+from repro.experiments.world import build_world
 from repro.sim import faults, trace
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.supervisor import Supervisor
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
-from repro.tools.conservation import afxdp_packet_ledger
 from repro.traffic.trex import FlowSpec, TrexStream
 
 #: Longer than any virtual run here: one deterministic flush at the end.
 _TIMEOUT_NS = 10 ** 12
+#: Offered burst size, and the NAPI budget the kernel services it with.
+BURST = 32
 
 
 def _reconcile_under(plan, sflow_rate=8, packets=96, n_flows=8, seed=0):
     """Drive a supervised AF_XDP P2P world under ``plan`` with telemetry
     on; return (ledger, reconciliation problems, session)."""
-    options = AfxdpOptions()
     with faults.injecting(plan), trace.recording():
-        host, nic_in, nic_out = _base_host(1, 25.0)
-        vs = host.install_ovs("netdev")
-        vs.add_bridge("br0")
-        p_in = vs.add_afxdp_port("br0", nic_in, options)
-        vs.add_afxdp_port("br0", nic_out, options)
+        world = build_world("afxdp_zc", "P2P", napi_budget=BURST)
+        host, nic_in = world.host, world.nic_in
         stream = TrexStream(FlowSpec(n_flows=n_flows))
-        of = OpenFlowConnection(vs.bridge("br0"))
-        of.add_flow(0, 10, Match(in_port=p_in.ofport),
-                    [OutputAction("ens2")])
-        dpif = vs.dpif_netdev
-        driver_in = dpif.ports[dpif.port_no("ens1")].adapter.driver
-        driver_out = dpif.ports[dpif.port_no("ens2")].adapter.driver
-        pmd = PmdThread(dpif, host.cpu, core=0,
-                        batch_size=options.batch_size)
-        pmd.add_rxq(dpif.ports[dpif.port_no("ens1")], 0)
         supervisor = Supervisor(host.user_ctx(host.cpu.n_cpus - 1),
-                                host.clock, vs=vs, pmds=[pmd])
+                                host.clock, vs=world.vs, pmds=world.pmds)
         session = Telemetry(
             sflow=(SflowConfig(rate=sflow_rate, points=("xdp", "dpif"),
                                seed=seed) if sflow_rate else None),
@@ -61,39 +44,25 @@ def _reconcile_under(plan, sflow_rate=8, packets=96, n_flows=8, seed=0):
             now_ns_fn=lambda: host.clock.now,
         )
 
-        def pump_all():
-            while nic_in.pending():
-                host.kernel.service_nic(nic_in,
-                                        budget=options.batch_size)
-                pmd.run_iteration()
-            pmd.run_until_idle()
-
-        def pump_while_down():
-            # XSKs died with the daemon: the burst drains at the failed
-            # redirect, attributed pre-datapath.
-            while nic_in.pending():
-                host.kernel.service_nic(nic_in,
-                                        budget=options.batch_size)
-
         warmup = warmup_count(stream)
         with telemetry.monitoring(session):
             for pkt in stream.burst(warmup):
                 nic_in.host_receive(pkt)
-                pump_all()
+                world.pump()
             sent = 0
             while sent < packets:
-                chunk = min(options.batch_size, packets - sent)
+                chunk = min(BURST, packets - sent)
                 for pkt in stream.burst(chunk):
                     nic_in.host_receive(pkt)
                 sent += chunk
                 if supervisor.maybe_crash():
-                    pump_while_down()
+                    # XSKs died with the daemon: the burst drains at the
+                    # failed redirect, attributed pre-datapath.
+                    world.pump(daemon_up=False)
                     supervisor.finish()
-                pump_all()
+                world.pump()
             session.flush_all()
-            ledger = afxdp_packet_ledger(
-                warmup + packets, nic_in, driver_in, driver_out, dpif,
-                extra_sinks=supervisor.crash_sinks)
+            ledger = world.ledger(warmup + packets, supervisor.crash_sinks)
             problems = session.reconcile(ledger)
     return ledger, problems, session
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.observer_effect import _run_cell
-from repro.experiments.p2p import kernel_p2p
+from repro.experiments.world import build_world
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
 from repro.sim import faults, trace
@@ -203,7 +203,7 @@ def test_observer_cell_and_pcap_are_byte_identical_across_runs(tmp_path):
 def test_inert_session_leaves_the_trace_ledger_byte_identical():
     def run(install):
         with trace.recording() as rec:
-            bench = kernel_p2p(n_queues=1, link_gbps=25.0)
+            bench = build_world("kernel", "P2P", n_queues=1)
             stream = TrexStream(FlowSpec(n_flows=8))
             if install:
                 with telemetry.monitoring(Telemetry()):
