@@ -96,7 +96,7 @@ def main() -> None:
 
     # -- upgrading OVS is just a restart -------------------------------------
     megaflows_before = len(dpif.megaflows)
-    vs.restart()
+    vs.restart(emcs=(emc,))
     print(f"\nOVS restart (upgrade/bugfix, §6): megaflows "
           f"{megaflows_before} -> {len(dpif.megaflows)}, conntrack "
           f"-> {len(dpif.conntrack)}; OpenFlow rules resync "
@@ -105,8 +105,7 @@ def main() -> None:
     # Traffic recovers immediately: the first packet re-populates caches.
     ack = make_tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
                           40000, 443, flags=0x02)
-    dpif.process_batch([ack], dpif.port_no(f"vif{src.vif_id}"), ctx,
-                       ExactMatchCache())
+    dpif.process_batch([ack], dpif.port_no(f"vif{src.vif_id}"), ctx, emc)
     print(f"  first post-restart packet delivered: "
           f"{len(adapters[dst.vif_id].take_transmitted())} packet(s)")
 

@@ -10,8 +10,15 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
+from repro.ebpf.maps import DevMap
+from repro.net.checksum import internet_checksum
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ebpf.vm import EbpfVm
+
+#: ``XdpAction.REDIRECT``: :mod:`repro.ebpf.xdp` imports this module
+#: (through the VM), so the verdict is spelled as its value here.
+XDP_REDIRECT = 4
 
 
 class Helper(enum.IntEnum):
@@ -65,17 +72,12 @@ def _helper_prandom(vm: "EbpfVm") -> object:
 
 
 def _helper_redirect(vm: "EbpfVm") -> object:
-    from repro.ebpf.xdp import XdpAction
-
     ifindex = vm.scalar_from_reg(1)
     vm.redirect_target = ("ifindex", ifindex)
-    return int(XdpAction.REDIRECT)
+    return XDP_REDIRECT
 
 
 def _helper_redirect_map(vm: "EbpfVm") -> object:
-    from repro.ebpf.maps import DevMap
-    from repro.ebpf.xdp import XdpAction
-
     bpf_map = vm.map_from_reg(1)
     slot = vm.scalar_from_reg(2)
     flags = vm.scalar_from_reg(3)
@@ -84,7 +86,7 @@ def _helper_redirect_map(vm: "EbpfVm") -> object:
         # in the low bits of flags (bpf_redirect_map's documented contract).
         return flags & 0x3
     vm.redirect_target = ("map", bpf_map, slot)
-    return int(XdpAction.REDIRECT)
+    return XDP_REDIRECT
 
 
 def _helper_adjust_head(vm: "EbpfVm") -> object:
@@ -95,8 +97,6 @@ def _helper_adjust_head(vm: "EbpfVm") -> object:
 def _helper_csum_diff(vm: "EbpfVm") -> object:
     # bpf_csum_diff(from, from_size, to, to_size, seed); we implement the
     # common "fold new bytes into seed" usage.
-    from repro.net.checksum import internet_checksum
-
     to_ptr, to_size = vm.reg(3), vm.scalar_from_reg(4)
     seed = vm.scalar_from_reg(5)
     data = vm.read_mem_via_pointer(to_ptr, to_size)

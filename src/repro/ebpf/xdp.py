@@ -40,6 +40,10 @@ class XdpAction(enum.IntEnum):
     REDIRECT = 4
 
 
+#: A program's return value -> its action, for the values that name one.
+_ACTIONS = tuple(XdpAction)
+
+
 def verdict_drop_reason(action: XdpAction) -> Optional[DropReason]:
     """Taxonomy reason when a verdict discards the frame, else None.
 
@@ -228,14 +232,15 @@ class XdpContext:
             )
         except VmFault:
             return XdpVerdict(XdpAction.ABORTED, data)
-        try:
-            action = XdpAction(verdict)
-        except ValueError:
+        if verdict >= len(_ACTIONS):
             # Unknown verdicts are treated as ABORTED by drivers.
             return XdpVerdict(XdpAction.ABORTED, data)
+        pkt = vm._pkt
         result = XdpVerdict(
-            action,
-            vm.pkt_bytes(),
+            _ACTIONS[verdict],
+            # A frame the program left alone comes back as the caller's
+            # own bytes object, so the driver can forward it by identity.
+            data if pkt == data else bytes(pkt),
             redirect=vm.redirect_target,
             insns_executed=vm.insns_executed,
             touched_data=vm.touched_pkt_data,

@@ -275,9 +275,10 @@ class PhysicalNic(NetDevice):
         ctx.charge(costs.xdp_redirect_ns, label="xdp_redirect")
         target = verdict.redirect
         # ``pkt`` is this NIC's private DMA'd copy: when the program left
-        # the bytes alone it is forwarded as is.
+        # the bytes alone (the verdict hands back the very bytes object
+        # it ran over) it is forwarded as is.
         data = verdict.data
-        out = pkt if data == pkt.data else pkt.with_data(data)
+        out = pkt if data is pkt.data else pkt.with_data(data)
         if target is None:
             self._redirect_failed(out)
             return

@@ -103,24 +103,16 @@ EXACT_MASK: FlowMask = tuple([-1] * N_FLOW_FIELDS)
 WILDCARD_MASK: FlowMask = tuple([0] * N_FLOW_FIELDS)
 
 
-def apply_mask(key: FlowKey, mask: FlowMask) -> Tuple[int, ...]:
-    """Project a key through a mask; the result is hashable."""
-    return tuple(k & m for k, m in zip(key, mask))
-
-
 class MaskSpec:
-    """A precompiled mask: the hashable masked-key fast path.
+    """A precompiled mask: the hashable masked key.
 
-    ``apply_mask`` builds (and hashes) a full 31-field tuple even though
-    most megaflow masks are exact on only a handful of fields — every
-    wildcarded field contributes a constant ``0``.  A :class:`MaskSpec`
-    precompiles the non-zero ``(index, bits)`` pairs once per mask, so
-    :meth:`project` yields a short tuple that induces exactly the same
-    equivalence classes over keys: two keys collide under ``project``
-    iff they collide under ``apply_mask`` with the same mask.  Subtable
-    dictionaries keyed by projections therefore behave identically to
-    ones keyed by full masked tuples, at a fraction of the per-lookup
-    hashing cost.
+    Two keys match under a mask iff they agree on ``key[i] & mask[i]``
+    for every field.  Most megaflow masks are exact on only a handful of
+    fields and every wildcarded field contributes a constant ``0``, so a
+    :class:`MaskSpec` precompiles the non-zero ``(index, bits)`` pairs
+    once per mask and :meth:`project` yields the short tuple of those
+    fields only: two keys collide under ``project`` iff they match under
+    the mask.  Subtable dictionaries are keyed by projections.
     """
 
     __slots__ = ("mask", "fields")
@@ -255,6 +247,12 @@ def rss_hash(five_tuple: FiveTuple) -> int:
 _RXHASH_MEMO: dict = {}
 _RXHASH_MEMO_MAX = 16384
 
+#: The 5-tuple of an untagged IPv4 frame with a 20-byte header, read in
+#: one unpack: ethertype, version/IHL, flags + fragment offset, then
+#: protocol, src, dst and the two ports — the last five in
+#: :class:`FiveTuple` order.
+_RSS_FRAME = struct.Struct("!12xHB5xHxB2xIIHH")
+
 
 def rxhash_of(data: bytes) -> int:
     """Software RSS hash of a frame, memoized by frame bytes.
@@ -262,14 +260,26 @@ def rxhash_of(data: bytes) -> int:
     Equivalent to ``rss_hash(extract_flow(data).five_tuple())``; the
     hot paths that recompute the rxhash per received packet (NIC
     software hashing, AF_XDP metadata init) use this so repeated frames
-    of the same flow pay the parse once in wall-clock time.  Virtual
-    time is unaffected — callers charge the same costs either way.
+    of the same flow pay the parse once in wall-clock time.  A TCP or
+    UDP frame that is untagged, has no IP options and is not a later
+    fragment is hashed straight from :data:`_RSS_FRAME`; every other
+    frame goes through the full parse.  Virtual time is unaffected —
+    callers charge the same costs either way.
     """
     h = _RXHASH_MEMO.get(data)
     if h is None:
         if len(_RXHASH_MEMO) >= _RXHASH_MEMO_MAX:
             _RXHASH_MEMO.clear()
-        h = _RXHASH_MEMO[data] = rss_hash(extract_flow(data).five_tuple())
+        if len(data) >= _RSS_FRAME.size:
+            fields = _RSS_FRAME.unpack_from(data)
+            proto = fields[3]
+            if (fields[0] == _ETH_P_IP and fields[1] & 0xF == 5
+                    and not fields[2] & 0x1FFF
+                    and (proto == _UDP or proto == _TCP)):
+                h = rss_hash(_new_key(FiveTuple, fields[3:]))
+        if h is None:
+            h = rss_hash(extract_flow(data).five_tuple())
+        _RXHASH_MEMO[data] = h
     return h
 
 

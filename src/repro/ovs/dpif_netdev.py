@@ -23,24 +23,24 @@ Burst-oriented classification
 =============================
 
 ``process_batch`` classifies a received burst the way real
-``dp_netdev_input`` does: flow keys are resolved once per distinct
-packet shape in the burst (a per-burst memo keyed by the bytes that
-feed extraction), EMC hits are replayed from a cross-burst flow cache
-while the two slots their probe read are unchanged (see
-:mod:`repro.ovs.emc`), and each unique flow walks the
-megaflow classifier at most once per burst.  Packets whose entry is a
-single Output action take an inlined executor fast path; everything
-else (recirculation, conntrack, tunnels) falls back to the retained
-per-packet reference path, ``_process_one``.
+``dp_netdev_input`` does.  A packet whose bytes hit the EMC before is
+replayed from a cross-burst flow cache while the two slots its probe
+read are unchanged (see :mod:`repro.ovs.emc`); any other packet is
+parsed once, probes the EMC once, and on a miss walks the megaflow
+classifier and inserts into the EMC at the slots that probe already
+hashed.  Packets whose entry is a single Output action take an inlined
+executor fast path; everything else (recirculation, conntrack,
+tunnels) falls back to the retained per-packet reference path,
+``_process_one``.
 
 The batched path must be *observationally equivalent* to the reference
 path: identical action results, identical cache/stat counters, and
 byte-identical virtual-time charges (same charge values, in the same
 order, against the same accumulators — float addition is not
-associative, so outcomes may be memoized but charges are always
-replayed per packet).  Set :data:`BATCH_CLASSIFY` to ``False`` (or pass
-``batch_classify=False``) to run the reference path; the equivalence
-and determinism suites compare the two.
+associative, so a replayed hit re-issues its charges per packet).  Set
+:data:`BATCH_CLASSIFY` to ``False`` (or pass ``batch_classify=False``)
+to run the reference path; the equivalence and determinism suites
+compare the two.
 """
 
 from __future__ import annotations
@@ -358,13 +358,12 @@ class DpifNetdev:
     ) -> None:
         """Burst-oriented classification (the ``dp_netdev_input`` shape).
 
-        Computation is staged and memoized; *charging* is replayed
-        packet by packet in exactly the reference order, because every
-        accumulator (per-(cpu, category) busy time, local time, ledger
-        spans) is order-sensitive float addition.  Classification and
-        execution stay fused per packet: an executed action (recirc, ct,
-        meter, upcall install) may mutate the very caches the next
-        packet's classification observes.
+        *Charging* happens packet by packet in exactly the reference
+        order, because every accumulator (per-(cpu, category) busy time,
+        local time, ledger spans) is order-sensitive float addition.
+        Classification and execution stay fused per packet: an executed
+        action (recirc, ct, meter, upcall install) may mutate the very
+        caches the next packet's classification observes.
         """
         costs = DEFAULT_COSTS
         extract_ns = costs.flow_extract_ns
@@ -382,10 +381,6 @@ class DpifNetdev:
         dpjit_stats = dpjit.STATS
         dpjit_bind = dpjit.bind
         tele = telemetry.ACTIVE
-        #: Per-burst memo: identical packet shapes share one FlowKey.
-        burst_keys: Dict[Tuple, FlowKey] = {}
-        #: Per-burst memo: each unique flow walks the classifier once.
-        mf_memo: Dict[FlowKey, Tuple] = {}
         for pkt in pkts:
             for s in statses:
                 s.passes += 1
@@ -408,44 +403,33 @@ class DpifNetdev:
                     s.emc_hits += 1
                 entry.touch(now, len(data))
             else:
-                if cell is not None:
-                    # A stale cell only invalidates the *EMC outcome*;
-                    # the token still fully determines the extracted key.
-                    key = cell[0]
-                else:
-                    key = burst_keys.get(token)
-                    if key is None:
-                        key = burst_keys[token] = extract_flow(
-                            data,
-                            in_port=meta.in_port,
-                            recirc_id=0,
-                            ct_state=0,
-                            ct_zone=0,
-                            ct_mark=meta.ct_mark,
-                            tun_id=tun.vni,
-                            tun_src=tun.remote_ip,
-                            tun_dst=tun.local_ip,
-                        )
-                entry, cell = emc.lookup_cell(key, ctx)
+                # A stale cell only invalidates the *EMC outcome*; the
+                # token still fully determines the extracted key.
+                key = cell[0] if cell is not None else extract_flow(
+                    data,
+                    in_port=meta.in_port,
+                    recirc_id=0,
+                    ct_state=0,
+                    ct_zone=0,
+                    ct_mark=meta.ct_mark,
+                    tun_id=tun.vni,
+                    tun_src=tun.remote_ip,
+                    tun_dst=tun.local_ip,
+                )
+                # A hit's replay cell, or a miss's two slot positions.
+                entry, probed = emc.lookup_cell(key, ctx)
                 if entry is not None:
                     for s in statses:
                         s.emc_hits += 1
                     entry.touch(now, len(data))
+                    # Remember the hit for future bursts: a frame that
+                    # never repeats never gets here, and leaves no cell.
+                    if len(flow_cache) >= FLOW_CACHE_MAX:
+                        flow_cache.clear()
+                    flow_cache[token] = probed
                 else:
-                    memo = mf_memo.get(key)
-                    if memo is not None and memo[2] == megaflows.version:
-                        entry, probes = memo[0], memo[1]
-                        megaflows.replay_lookup(
-                            entry, probes, ctx,
-                            now_ns=now, nbytes=len(data),
-                        )
-                    else:
-                        entry, probes = megaflows.lookup_entry_probes(
-                            key, ctx, now_ns=now, nbytes=len(data),
-                        )
-                        if entry is not None:
-                            mf_memo[key] = (entry, probes,
-                                            megaflows.version)
+                    entry = megaflows.lookup_entry(
+                        key, ctx, now_ns=now, nbytes=len(data))
                     if entry is not None:
                         for s in statses:
                             s.megaflow_hits += 1
@@ -455,15 +439,7 @@ class DpifNetdev:
                             for s in statses:
                                 s.dropped += 1
                             continue
-                    cell = self._emc_insert(emc, key, entry, ctx)
-                # Remember the hit (or the insert, after which a probe
-                # of this key hits) for future bursts — unless the storm
-                # breaker skipped the insert: replaying a phantom EMC
-                # hit would diverge from the reference path.
-                if cell is not None:
-                    if len(flow_cache) >= FLOW_CACHE_MAX:
-                        flow_cache.clear()
-                    flow_cache[token] = cell
+                    self._emc_insert(emc, key, entry, ctx, probed)
             if use_dpjit:
                 cached = entry.jit
                 if cached is not None and cached[0] is entry.actions:
@@ -526,7 +502,7 @@ class DpifNetdev:
         # EMC entries reference the backing megaflow (as in real
         # dpif-netdev), so EMC hits keep the flow's stats and used-time
         # fresh for the revalidator.
-        entry = emc.lookup(key, ctx)
+        entry, probed = emc.lookup_cell(key, ctx)
         if entry is not None:
             for s in statses:
                 s.emc_hits += 1
@@ -538,14 +514,13 @@ class DpifNetdev:
             if entry is not None:
                 for s in statses:
                     s.megaflow_hits += 1
-                self._emc_insert(emc, key, entry, ctx)
             else:
                 entry = self._upcall(key, ctx, statses)
                 if entry is None:
                     for s in statses:
                         s.dropped += 1
                     return
-                self._emc_insert(emc, key, entry, ctx)
+            self._emc_insert(emc, key, entry, ctx, probed)
         if dpjit.ENABLED and fastpath.ENABLED:
             # Recirculated passes of the batched pipeline (and the
             # per-packet path under a live fastpath) dispatch compiled
@@ -626,19 +601,19 @@ class DpifNetdev:
         return entry
 
     def _emc_insert(self, emc: ExactMatchCache, key: FlowKey, entry,
-                    ctx: ExecContext) -> Optional[tuple]:
+                    ctx: ExecContext, positions: Tuple[int, int]) -> None:
         """Insert into the EMC unless the storm breaker says skip.
 
         Mirrors ``emc-insert-inv-prob``: under an upcall storm, inserting
         every miss result thrashes the EMC; a probabilistic insert keeps
-        only flows that recur.  Returns the insert's replay cell, or None
-        if skipped (the burst path must not record a cross-burst hit).
+        only flows that recur.  ``positions`` are the key's slots from
+        the probe that just missed.
         """
         plan = faults.ACTIVE
         if plan is not None and not plan.should_insert_emc():
             trace.count("dp.emc_insert_skipped")
-            return None
-        return emc.insert(key, entry, ctx)
+            return
+        emc.insert(key, entry, ctx, positions)
 
     # ------------------------------------------------------------------
     # Action execution.

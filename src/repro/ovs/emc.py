@@ -14,12 +14,15 @@ Replay cells
 
 The burst-oriented datapath (``DpifNetdev._classify_execute_burst``)
 wants to skip re-extracting and re-hashing a 31-field :class:`FlowKey`
-for packets whose bytes it has already classified.  A *cell* is what a
-hitting probe saw: ``(key, entry, p1, s1, p2, s2)`` — the key, the entry
-the probe returned, and the two slot positions with the slot *objects*
-found there.  :meth:`lookup_cell` and :meth:`insert` return one, built
-from the positions they already hashed; :attr:`flow_cache` is scratch
-space for the datapath to keep them.
+for packets whose bytes have hit before.  A *cell* is what a hitting
+probe saw: ``(key, entry, p1, s1, p2, s2)`` — the key, the entry the
+probe returned, and the two slot positions with the slot *objects*
+found there.  :meth:`lookup_cell` returns one on a hit, built from the
+positions it already hashed; :attr:`flow_cache` is scratch space for
+the datapath to keep them.  Cells come from hits only: a frame seen
+once (the never-repeating traffic of §5.2's worst case) leaves none.
+A probe that misses returns its two positions instead, and
+:meth:`insert` takes them rather than hashing the key a second time.
 
 :meth:`replay_hit` accounts a cell's hit — the charges and counters of
 :meth:`lookup` returning that entry — iff both slots still hold those
@@ -80,9 +83,10 @@ class ExactMatchCache:
                            label="emc_pressure")
 
     def lookup_cell(self, key: FlowKey, ctx: Optional[ExecContext] = None
-                    ) -> Tuple[Optional[object], Optional[tuple]]:
+                    ) -> Tuple[Optional[object], tuple]:
         """Charge, probe and count one lookup: ``(entry, cell)`` on a
-        hit, ``(None, None)`` on a miss."""
+        hit, ``(None, (p1, p2))`` on a miss — the two positions the
+        probe read, for :meth:`insert`."""
         self.charge_lookup(ctx)
         p1, p2 = self._positions(key)
         slots = self._slots
@@ -97,7 +101,7 @@ class ExactMatchCache:
             self.misses += 1
             if rec is not None:
                 rec.count("emc.miss")
-            return None, None
+            return None, (p1, p2)
         self.hits += 1
         if rec is not None:
             rec.count("emc.hit")
@@ -137,13 +141,15 @@ class ExactMatchCache:
     # Mutation.
     # ------------------------------------------------------------------
     def insert(self, key: FlowKey, value: object,
-               ctx: Optional[ExecContext] = None) -> tuple:
-        """Insert ``key -> value``; returns the cell of a probe of
-        ``key`` right after (which hits ``value``)."""
+               ctx: Optional[ExecContext] = None,
+               positions: Optional[Tuple[int, int]] = None) -> None:
+        """Insert ``key -> value``.  ``positions`` are ``key``'s two
+        slots as a failed :meth:`lookup_cell` returned them; without
+        them the key is hashed here."""
         if ctx is not None:
             ctx.charge(DEFAULT_COSTS.emc_insert_ns, label="emc_insert")
         trace.count("emc.insert")
-        p1, p2 = self._positions(key)
+        p1, p2 = positions or self._positions(key)
         slots = self._slots
         # Prefer an empty way; otherwise evict the second way.
         s1 = slots[p1]
@@ -155,7 +161,6 @@ class ExactMatchCache:
             self.occupancy += 1
         slots[target] = (key, value)
         self.insertions += 1
-        return key, value, p1, slots[p1], p2, slots[p2]
 
     def evict(self, key: FlowKey) -> None:
         for pos in self._positions(key):

@@ -8,18 +8,10 @@ translation unwildcards nw_src/nw_dst) stop fitting the EMC and every
 packet pays this probe sequence.
 
 Subtables are keyed by :class:`~repro.net.flow.MaskSpec` projections —
-the masked key with wildcarded fields elided — instead of full 31-field
-``apply_mask`` tuples.  The projection induces exactly the same
-equivalence classes (wildcarded fields contribute a constant zero for
-every key), so lookup results are unchanged while each probe hashes a
-handful of integers instead of 31.
-
-For burst classification, :meth:`lookup_entry_probes` performs exactly
-one reference lookup but also returns the probe count, and
-:meth:`replay_lookup` re-accounts a known outcome (charges, counters,
-stats touch) without walking the subtables.  A replay is valid only
-while :attr:`version` — bumped by every insert/remove/flush — is
-unchanged since the probed outcome was recorded.
+the key's masked fields with the wildcarded ones elided.  Two keys
+collide under a projection iff they agree on ``key & mask`` field by
+field (a wildcarded field is a constant zero for every key), so each
+probe hashes a handful of integers instead of all 31 fields.
 """
 
 from __future__ import annotations
@@ -79,8 +71,7 @@ class MegaflowCache:
         self._tables: Dict[FlowMask, Dict[Tuple[int, ...], MegaflowEntry]] = {}
         self.hits = 0
         self.misses = 0
-        #: Bumped on every successful insert/remove/flush; cached lookup
-        #: outcomes are valid only while unchanged.
+        #: Bumped on every successful insert/remove/flush.
         self.version = 0
 
     def __len__(self) -> int:
@@ -95,9 +86,6 @@ class MegaflowCache:
         entry = self.lookup_entry(key, ctx, now_ns=now_ns, nbytes=nbytes)
         return None if entry is None else entry.actions
 
-    # ------------------------------------------------------------------
-    # Lookup, split so the batched path can replay known outcomes.
-    # ------------------------------------------------------------------
     def _probe(self, key: FlowKey) -> Tuple[Optional[MegaflowEntry], int]:
         """Walk the subtables (no charges, no counters, no touch)."""
         probes = 0
@@ -115,10 +103,11 @@ class MegaflowCache:
         None) and the number of subtables a real lookup would probe."""
         return self._probe(key)
 
-    def _account(self, entry: Optional[MegaflowEntry], probes: int,
-                 ctx: Optional[ExecContext],
-                 now_ns: int, nbytes: int) -> None:
-        """Charges, counters and stats for a lookup with this outcome."""
+    def lookup_entry(self, key: FlowKey, ctx: Optional[ExecContext] = None,
+                     now_ns: int = 0, nbytes: int = 0) -> Optional[MegaflowEntry]:
+        """Walk the subtables, charging and counting the probes; a hit
+        touches the entry's stats."""
+        entry, probes = self._probe(key)
         if ctx is not None and probes:
             ctx.charge(probes * DEFAULT_COSTS.megaflow_subtable_ns,
                        label="dpcls")
@@ -129,39 +118,12 @@ class MegaflowCache:
             self.misses += 1
             if rec is not None:
                 rec.count("dpcls.miss")
-            return
+            return None
         self.hits += 1
         if rec is not None:
             rec.count("dpcls.hit")
         entry.touch(now_ns, nbytes)
-
-    def lookup_entry(self, key: FlowKey, ctx: Optional[ExecContext] = None,
-                     now_ns: int = 0, nbytes: int = 0) -> Optional[MegaflowEntry]:
-        entry, probes = self._probe(key)
-        self._account(entry, probes, ctx, now_ns, nbytes)
         return entry
-
-    def lookup_entry_probes(
-        self, key: FlowKey, ctx: Optional[ExecContext] = None,
-        now_ns: int = 0, nbytes: int = 0,
-    ) -> Tuple[Optional[MegaflowEntry], int]:
-        """Like :meth:`lookup_entry`, also reporting the probe count so
-        the caller can memoize the outcome for :meth:`replay_lookup`."""
-        entry, probes = self._probe(key)
-        self._account(entry, probes, ctx, now_ns, nbytes)
-        return entry, probes
-
-    def replay_lookup(self, entry: Optional[MegaflowEntry], probes: int,
-                      ctx: Optional[ExecContext] = None,
-                      now_ns: int = 0, nbytes: int = 0) -> None:
-        """Re-account a lookup whose outcome is already known.
-
-        Byte-identical charges/counters/stats to :meth:`lookup_entry`
-        reaching the same outcome; the subtable walk is skipped.  Valid
-        only while :attr:`version` is unchanged since the outcome was
-        observed.
-        """
-        self._account(entry, probes, ctx, now_ns, nbytes)
 
     # ------------------------------------------------------------------
     # Mutation.

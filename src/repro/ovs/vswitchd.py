@@ -214,19 +214,20 @@ class VSwitchd:
         )
 
     # ------------------------------------------------------------------
-    def restart(self) -> None:
+    def restart(self, emcs=()) -> None:
         """Restart ovs-vswitchd.
 
         The upgrade/bugfix story of §6: with the userspace datapath this
         drops caches and (unlike the kernel DP) conntrack state, but
-        needs no module reload and no reboot.  OpenFlow rules are
-        re-installed by the controller on reconnect; we keep them, as NSX
-        re-syncs immediately.
+        needs no module reload and no reboot.  ``emcs`` are the PMD
+        threads' exact-match caches, which die with the process too (see
+        :meth:`DpifNetdev.cold_start`).  OpenFlow rules are re-installed
+        by the controller on reconnect; we keep them, as NSX re-syncs
+        immediately.
         """
         self.restarts += 1
         if self.dpif_netdev is not None:
-            self.dpif_netdev.flow_flush()
-            self.dpif_netdev.conntrack.flush()
+            self.dpif_netdev.cold_start(emcs=emcs)
         if self.dpif_netlink is not None:
             # Kernel flows are flushed too, but netfilter conntrack
             # survives in the kernel.

@@ -5,7 +5,7 @@
 because it causes a high miss rate in the OVS caching layer."
 
 A :class:`TrexStream` produces that exact workload deterministically.
-Pre-built packets are cycled, so generation cost never pollutes the
+Frames are pre-built and cycled, so generation cost never pollutes the
 device-under-test's accounting.
 """
 
@@ -63,87 +63,87 @@ class TrexStream:
         rng = make_rng("trex", flows.n_flows, frame_len, seed)
         src_base = ip_to_int(flows.src_base)
         dst_base = ip_to_int(flows.dst_base)
-        self._packets: List[Packet] = []
+        # "random source and destination IPs out of 1,000 possibilities"
+        vary = flows.n_flows > 1
+        vary_dst = vary and flows.vary_dst
+        addresses = [
+            (src_base + (rng.randrange(100_000) if vary else 0),
+             dst_base + (rng.randrange(100_000) if vary_dst else 0))
+            for _ in range(flows.n_flows)
+        ]
         # Flows differ only in src/dst IP (and the IPv4 header checksum
-        # those feed), so the first frame serves as a template and the
-        # rest are built by patching 10 bytes — byte-identical to a full
-        # make_udp_packet() build at a fraction of the cost, which keeps
-        # large-n_flows stream setup from dwarfing the datapath under
-        # test in wall-clock benchmarks.
-        template: Optional[bytes] = None
-        base_sum = 0
-        for i in range(flows.n_flows):
-            # "random source and destination IPs out of 1,000 possibilities"
-            vary = flows.n_flows > 1
-            src = src_base + (rng.randrange(100_000) if vary else 0)
-            dst = dst_base + (
-                rng.randrange(100_000) if vary and flows.vary_dst else 0
-            )
-            if template is None:
-                pkt = make_udp_packet(
-                    src_mac, dst_mac, src, dst,
-                    flows.src_port, flows.dst_port,
-                    frame_len=frame_len,
-                    fill_checksum=False,  # generator-side offload
-                )
-                template = pkt.data
-                # Ones'-complement sum of the IPv4 header words with the
-                # src, dst, and checksum fields zeroed; each flow's
-                # header checksum is this plus its own address words.
-                hdr = template[14:34]
-                base_sum = sum(
-                    int.from_bytes(hdr[o:o + 2], "big")
-                    for o in range(0, 10, 2)
-                )
-            else:
-                total = (base_sum + (src >> 16) + (src & 0xFFFF)
-                         + (dst >> 16) + (dst & 0xFFFF))
-                while total >> 16:
-                    total = (total & 0xFFFF) + (total >> 16)
-                frame = b"".join((
-                    template[:24],
-                    ((~total) & 0xFFFF).to_bytes(2, "big"),
-                    src.to_bytes(4, "big"),
-                    dst.to_bytes(4, "big"),
-                    template[34:],
-                ))
-                pkt = Packet(frame)
-                pkt.meta.l3_offset = 14
-                pkt.meta.l4_offset = 34
-            self._packets.append(pkt)
+        # those feed), so the first flow's packet serves as a template
+        # and the other frames are built by patching 10 bytes —
+        # byte-identical to a full make_udp_packet() build at a fraction
+        # of the cost, which keeps large-n_flows stream setup from
+        # dwarfing the datapath under test in wall-clock benchmarks.
+        # A flow is only its frame: every packet is minted from the
+        # template, whose metadata (the L3/L4 offsets) all flows share.
+        src, dst = addresses[0]
+        self._template = make_udp_packet(
+            src_mac, dst_mac, src, dst, flows.src_port, flows.dst_port,
+            frame_len=frame_len,
+            fill_checksum=False,  # generator-side offload
+        )
+        template = self._template.data
+        # Ones'-complement sum of the IPv4 header words with the src,
+        # dst, and checksum fields zeroed; each flow's header checksum
+        # is this plus its own address words.
+        hdr = template[14:34]
+        base_sum = sum(
+            int.from_bytes(hdr[o:o + 2], "big") for o in range(0, 10, 2)
+        )
+        self._frames: List[bytes] = [template]
+        for src, dst in addresses[1:]:
+            total = (base_sum + (src >> 16) + (src & 0xFFFF)
+                     + (dst >> 16) + (dst & 0xFFFF))
+            while total >> 16:
+                total = (total & 0xFFFF) + (total >> 16)
+            self._frames.append(b"".join((
+                template[:24],
+                ((~total) & 0xFFFF).to_bytes(2, "big"),
+                src.to_bytes(4, "big"),
+                dst.to_bytes(4, "big"),
+                template[34:],
+            )))
         self._cursor = 0
 
     @property
     def src_ips(self) -> List[int]:
-        """Distinct source IPs across the prebuilt packets (sorted).
+        """Distinct source IPs across the prebuilt frames (sorted).
 
         Lets a bench install one OpenFlow rule per source so every flow
         costs its own upcall + megaflow instead of collapsing into one
         wildcard entry.
         """
         return sorted({
-            int.from_bytes(p.data[26:30], "big") for p in self._packets
+            int.from_bytes(frame[26:30], "big") for frame in self._frames
         })
 
     @property
     def distinct_flows(self) -> int:
-        return len({
-            (p.data[26:30], p.data[30:34]) for p in self._packets
-        })
+        return len({(frame[26:30], frame[30:34]) for frame in self._frames})
 
     def next_packet(self) -> Packet:
-        pkt = self._packets[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self._packets)
-        return pkt.clone()
+        pkt = self._template.clone()
+        pkt.data = self._frames[self._cursor]
+        self._cursor = (self._cursor + 1) % len(self._frames)
+        return pkt
 
     def burst(self, n: int) -> List[Packet]:
         """The next ``n`` packets, as :meth:`next_packet` would return
         them (one frame for the burst, not one per packet)."""
-        packets = self._packets
-        size = len(packets)
+        frames = self._frames
+        size = len(frames)
         cursor = self._cursor
         self._cursor = (cursor + n) % size
-        return [packets[(cursor + i) % size].clone() for i in range(n)]
+        clone = self._template.clone
+        out = []
+        for i in range(cursor, cursor + n):
+            pkt = clone()
+            pkt.data = frames[i % size]
+            out.append(pkt)
+        return out
 
     def __iter__(self) -> Iterator[Packet]:
         while True:

@@ -9,7 +9,6 @@ from repro.net.flow import (
     WILDCARD_MASK,
     FiveTuple,
     FlowKey,
-    apply_mask,
     extract_flow,
     l4_offset_of,
     mask_from_fields,
@@ -17,6 +16,7 @@ from repro.net.flow import (
 )
 from repro.net.ipv4 import IPProto
 from repro.net.tcp import TcpFlags
+from tests.kernel.test_flow_table_oracle import apply_mask
 
 SRC = MacAddress("02:00:00:00:00:01")
 DST = MacAddress("02:00:00:00:00:02")

@@ -3,10 +3,11 @@
 These pin down the algebra the burst classifier leans on: masking is
 idempotent and order-insensitive, a MaskSpec projection induces exactly
 the ``apply_mask`` equivalence classes, an inserted flow is immediately
-probe-able, the EMC never exceeds its capacity, an EMC replay cell
-replays exactly while the two slots it saw are unchanged, and the
-megaflow version that gates per-burst replays moves exactly when the
-cache changes.
+probe-able, the EMC never exceeds its capacity, an insert at a failed
+probe's positions is the insert that hashes them itself, an EMC replay
+cell (recorded by a hitting probe, never by an insert) replays exactly
+while the two slots it saw are unchanged, and the megaflow version
+moves exactly when the cache changes.
 """
 
 import itertools
@@ -14,17 +15,22 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hosts.host import Host
 from repro.net.flow import (
     EXACT_MASK,
     FlowKey,
     MaskSpec,
     N_FLOW_FIELDS,
-    apply_mask,
     mask_from_fields,
 )
 from repro.ovs.emc import ExactMatchCache
+from repro.ovs.match import Match
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry, union_masks
+from repro.ovs.ofactions import OutputAction
+from repro.ovs.openflow import OpenFlowConnection
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
+from repro.traffic.trex import FlowSpec, TrexStream
+from tests.kernel.test_flow_table_oracle import apply_mask
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -114,6 +120,27 @@ def test_emc_occupancy_never_exceeds_capacity(keys):
         assert emc.occupancy == live <= emc.n_entries
 
 
+@settings(deadline=None)
+@given(keys=st.lists(keys_st, min_size=1, max_size=48))
+def test_emc_insert_at_probed_positions_matches_rehashing(keys):
+    """The datapath inserts a miss at the two positions its failed
+    probe returned; that must leave the same slots, occupancy and
+    charges as an insert that hashes the key again."""
+    sides = []
+    for given_positions in (True, False):
+        cpu = CpuModel(n_cpus=1)
+        ctx = ExecContext(cpu, 0, CpuCategory.USER)
+        emc = ExactMatchCache(n_entries=8)
+        for i, key in enumerate(keys):
+            entry, probed = emc.lookup_cell(key, ctx)
+            if entry is None:
+                emc.insert(key, f"entry{i}", ctx,
+                           probed if given_positions else None)
+        sides.append((emc._slots, emc.occupancy, emc.insertions,
+                      (emc.hits, emc.misses), repr(cpu._busy)))
+    assert sides[0] == sides[1]
+
+
 # ---------------------------------------------------------------------------
 # EMC replay cells: the cross-burst flow cache's validity rule.
 # ---------------------------------------------------------------------------
@@ -142,8 +169,9 @@ class HitSlotOnly(ExactMatchCache):
 
 
 def replay_violations(emc_cls, ops):
-    """Run ``ops``, recording every cell a lookup or insert returns;
-    after each op, check every cell so far against a fresh probe.
+    """Run ``ops``, recording every cell a hitting lookup returns (an
+    insert returns none); after each op, check every cell so far against
+    a fresh probe.
 
     Sound: a cell that replays names the entry a probe returns now.
     Complete: a cell whose two positions no later op could have written
@@ -165,12 +193,14 @@ def replay_violations(emc_cls, ops):
             # its key's ways, an evict those holding the key.
             written = set(emc._positions(key))
             if op[0] == "insert":
-                new = emc.insert(key, VALUES[op[2]])
+                emc.insert(key, VALUES[op[2]])
             elif op[0] == "evict":
                 emc.evict(key)
             else:
                 written = set()
-                new = emc.lookup_cell(key)[1]
+                entry, cell = emc.lookup_cell(key)
+                if entry is not None:
+                    new = cell
         for rec in cells:
             if written & {rec[0][2], rec[0][4]}:
                 rec[1] = False
@@ -222,14 +252,16 @@ def test_refilled_first_way_invalidates_a_second_way_hit():
 
 
 def test_hit_slot_only_rule_fails_the_property():
-    """Teeth: the same property over every sequence of up to four ops
+    """Teeth: the same property over every sequence of up to five ops
     on the colliding pair finds counterexamples to the one-slot rule,
-    and none to the real one."""
+    and none to the real one.  Five is the shortest: J's insert, K's
+    into its second way, K's hitting lookup (the cell), J's evict and
+    K's re-insert into the emptied first way."""
     pair = [POOL.index(key) for key in _refill_case()]
     alphabet = ([("insert", i, v) for i in pair for v in (0, 1)]
                 + [(op, i) for op in ("evict", "lookup") for i in pair]
                 + [("flush",)])
-    sequences = [ops for n in range(1, 5)
+    sequences = [ops for n in range(1, 6)
                  for ops in itertools.product(alphabet, repeat=n)]
     assert not any(replay_violations(ExactMatchCache, ops)
                    for ops in sequences)
@@ -244,7 +276,11 @@ def test_emc_cell_replay_charges_like_a_lookup():
     for _ in range(2):
         cpu = CpuModel(n_cpus=1)
         emc = ExactMatchCache(n_entries=256)
-        cells = [emc.insert(key, i) for i, key in enumerate(keys)]
+        for i, key in enumerate(keys):
+            emc.insert(key, i)
+        # A first, uncharged round of lookups records the hits' cells.
+        cells = [cell for entry, cell in map(emc.lookup_cell, keys)
+                 if entry is not None]
         sides.append((cpu, ExecContext(cpu, 0, CpuCategory.USER), emc, cells))
     (cpu, ctx, emc, cells), (live_cpu, live_ctx, live, _) = sides
     assert emc.occupancy > 64
@@ -254,6 +290,44 @@ def test_emc_cell_replay_charges_like_a_lookup():
     assert (emc.hits, emc.misses) == (live.hits, live.misses)
     assert emc.hits > 50
     assert repr(cpu._busy) == repr(live_cpu._busy)
+
+
+class ProbeCountingEmc(ExactMatchCache):
+    """Counts the probes the datapath runs (a replayed hit runs none)."""
+
+    probes = 0
+
+    def lookup_cell(self, key, ctx=None):
+        self.probes += 1
+        return super().lookup_cell(key, ctx)
+
+
+def test_a_frame_seen_once_leaves_no_cell():
+    """The datapath records a replay cell when a probe *hits*: 64 frames
+    seen once insert 64 EMC entries and leave no cell; seen a second
+    time they probe, hit and leave one cell each; from the third time
+    on they replay without a probe."""
+    host = Host("cells", n_cpus=1)
+    vs = host.install_ovs("netdev")
+    vs.add_bridge("br0")
+    p1, _ = vs.add_sim_port("br0", "p1")
+    vs.add_sim_port("br0", "p2")
+    OpenFlowConnection(vs.bridge("br0")).add_flow(
+        0, 10, Match(), [OutputAction("p2")])
+    dpif = vs.dpif_netdev
+    ctx = ExecContext(host.cpu, 0, CpuCategory.USER)
+    emc = ProbeCountingEmc()
+    stream = TrexStream(FlowSpec(n_flows=64), frame_len=64, seed=5)
+
+    dpif.process_batch(stream.burst(64), p1.dp_port_no, ctx, emc)
+    assert (emc.probes, emc.misses, emc.insertions) == (64, 64, 64)
+    assert emc.flow_cache == {}
+    dpif.process_batch(stream.burst(64), p1.dp_port_no, ctx, emc)
+    assert (emc.probes, emc.hits) == (128, 64)
+    assert len(emc.flow_cache) == 64
+    dpif.process_batch(stream.burst(64), p1.dp_port_no, ctx, emc)
+    assert (emc.probes, emc.hits, emc.insertions) == (128, 128, 64)
+    assert dpif.stats.emc_hits == 128 and dpif.stats.upcalls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +391,7 @@ def test_megaflow_version_moves_exactly_on_mutation(flows):
 
 
 def test_megaflow_failed_insert_keeps_version():
-    """A full cache rejects the insert and must not bump the version —
-    cached lookup outcomes remain valid."""
+    """A full cache rejects the insert and must not bump the version."""
     mf = MegaflowCache(max_flows=1)
     mask = FIELD_SUBSETS[0]
     mf.insert(FlowKey(nw_dst=1, eth_type=0x0800), mask, ("a",))
@@ -326,19 +399,3 @@ def test_megaflow_failed_insert_keeps_version():
     rejected = mf.insert(FlowKey(nw_dst=2, eth_type=0x0800), mask, ("b",))
     assert rejected is None
     assert mf.version == v
-
-
-@settings(deadline=None)
-@given(key=keys_st, mask_idx=st.integers(0, len(FIELD_SUBSETS) - 1))
-def test_megaflow_replay_matches_live_lookup(key, mask_idx):
-    """replay_lookup must mutate hits/misses/stats exactly as the live
-    lookup that produced the outcome."""
-    mask = FIELD_SUBSETS[mask_idx]
-    live = MegaflowCache()
-    live.insert(key, mask, ("out",))
-    entry, probes = live.lookup_entry_probes(key)
-    hits, misses = live.hits, live.misses
-    packets = entry.n_packets
-    live.replay_lookup(entry, probes)
-    assert (live.hits, live.misses) == (hits + 1, misses)
-    assert entry.n_packets == packets + 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.hosts.host import Host
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
-from repro.net.flow import FlowKey, apply_mask, extract_flow, mask_from_fields
+from repro.net.flow import FlowKey, extract_flow, mask_from_fields
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.match import Match, full_field_mask
 from repro.ovs.ofactions import GotoTable, OutputAction, SetFieldAction
@@ -28,6 +28,7 @@ from repro.ovs.ofproto import Bridge
 from repro.ovs.openflow import FlowMod, FlowModCommand, OpenFlowConnection
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext, LatencyTrace
+from tests.kernel.test_flow_table_oracle import apply_mask
 
 # ---------------------------------------------------------------------------
 # 1. Classifier equivalence with a brute-force reference.

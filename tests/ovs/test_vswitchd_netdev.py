@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.world import build_world
 from repro.kernel.conntrack import CT_ESTABLISHED, CT_NEW
 from repro.kernel.kernel import Kernel
 from repro.net.addresses import ip_to_int
@@ -16,6 +17,7 @@ from repro.ovs.openflow import OpenFlowConnection
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.vswitchd import VSwitchd
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
+from repro.traffic.trex import FlowSpec, TrexStream
 
 from .conftest import mac, tcp_pkt, udp_pkt
 
@@ -157,10 +159,32 @@ def test_restart_clears_userspace_state(world):
     _process(vs, a1, p1, [tcp_pkt(flags=0x02)], ctx, emc)
     assert len(vs.dpif_netdev.conntrack) == 1
     assert len(vs.dpif_netdev.megaflows) > 0
-    vs.restart()
+    assert emc.occupancy > 0
+    vs.restart(emcs=[emc])
     assert len(vs.dpif_netdev.conntrack) == 0
     assert len(vs.dpif_netdev.megaflows) == 0
+    assert emc.occupancy == 0
     assert vs.bridge("br0").n_flows() > 0  # OpenFlow rules resync
+
+
+def test_restart_sends_the_next_packet_to_the_slow_path():
+    """The PMDs' EMCs die with the process: after a restart the next
+    packet of a known flow misses, upcalls and reinstalls its megaflow
+    instead of forwarding on a flushed decision."""
+    bench = build_world("afxdp_zc", "P2P")
+    stream = TrexStream(FlowSpec(n_flows=10), frame_len=64, seed=1)
+    bench.drive(stream, 200)
+    dpif = bench.vs.dpif_netdev
+    assert (len(dpif.megaflows), dpif.stats.upcalls) == (1, 1)
+    emcs = [pmd.emc for pmd in bench.pmds]
+    bench.vs.restart(emcs=emcs)
+    assert len(dpif.megaflows) == 0
+    assert all(emc.occupancy == 0 and not emc.flow_cache for emc in emcs)
+    hits = dpif.stats.emc_hits
+    bench.nic_in.host_receive(stream.next_packet())
+    bench.pump()
+    assert (len(dpif.megaflows), dpif.stats.upcalls) == (1, 2)
+    assert dpif.stats.emc_hits == hits
 
 
 def test_internal_port_reaches_host_stack(world):

@@ -32,9 +32,10 @@ class TestTrexStream:
         ]
 
     def test_template_fast_path_matches_full_builds(self):
-        """Multi-flow streams build frames by patching a template; every
-        frame (bytes, offsets, checksum) must equal a from-scratch
-        make_udp_packet build for the same addresses."""
+        """Multi-flow streams build frames by patching a template and
+        mint every packet from the template packet; each packet (bytes,
+        checksum, metadata) must equal a from-scratch make_udp_packet
+        build for the same addresses."""
         from repro.net.addresses import MacAddress, ip_to_int
         from repro.net.builder import make_udp_packet
         from repro.net.ipv4 import Ipv4Header
@@ -44,7 +45,7 @@ class TestTrexStream:
         stream = TrexStream(spec, frame_len=64)
         rng = make_rng("trex", 64, 64, 42)
         src_base, dst_base = ip_to_int(spec.src_base), ip_to_int(spec.dst_base)
-        for i, pkt in enumerate(stream._packets):
+        for i, pkt in enumerate(stream.burst(spec.n_flows)):
             src = src_base + rng.randrange(100_000)
             dst = dst_base + rng.randrange(100_000)
             ref = make_udp_packet(
@@ -52,8 +53,7 @@ class TestTrexStream:
                 src, dst, spec.src_port, spec.dst_port,
                 frame_len=64, fill_checksum=False)
             assert pkt.data == ref.data, f"flow {i} diverged"
-            assert pkt.meta.l3_offset == ref.meta.l3_offset
-            assert pkt.meta.l4_offset == ref.meta.l4_offset
+            assert pkt.meta == ref.meta
             hdr = Ipv4Header.unpack(pkt.data, 14)
             assert (hdr.src, hdr.dst) == (src, dst)
 
