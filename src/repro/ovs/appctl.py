@@ -13,8 +13,8 @@ operator actually runs:
 * ``dpctl/dump-conntrack`` — the connection table,
 * ``metrics/show`` — the attached virtual-time metrics sampler's view,
 * ``fastpath/show`` — which wall-clock fastpath layers are active
-  (burst classification, verdict memos, the eBPF JIT) and per-program
-  JIT compile/run/fallback counts,
+  (the memos and the eBPF JIT) and per-program JIT
+  compile/run/fallback counts,
 * ``ofproto/trace`` — inject a synthetic packet and narrate every
   decision the datapath would take, without taking any of them,
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
@@ -246,18 +246,14 @@ class OvsAppctl:
         translator refused it.
         """
         from repro.ebpf import jit
-        from repro.ovs import dpif_netdev, dpjit
         from repro.sim import fastpath
 
         def onoff(flag: bool) -> str:
             return "on" if flag else "off"
 
         lines = [
-            f"batch-classify: {onoff(dpif_netdev.BATCH_CLASSIFY)}",
             f"wall-clock memos: {onoff(fastpath.ENABLED)}",
             f"ebpf-jit: {onoff(fastpath.ENABLED and jit.ENABLED)}",
-            f"dp-jit: {onoff(fastpath.ENABLED and dpjit.ENABLED)}",
-            dpjit.render(),
         ]
         stats = jit.stats()
         if not stats:

@@ -19,28 +19,26 @@ vhostuser, tap/AF_PACKET).  Per-packet processing:
 Transmit is batched per output port per input burst, as the real PMD
 does — this is what amortises the AF_XDP tx-kick syscall.
 
-Burst-oriented classification
-=============================
+One walk, one executor
+======================
 
 ``process_batch`` classifies a received burst the way real
-``dp_netdev_input`` does.  A packet whose bytes hit the EMC before is
-replayed from a cross-burst flow cache while the two slots its probe
-read are unchanged (see :mod:`repro.ovs.emc`); any other packet is
-parsed once, probes the EMC once, and on a miss walks the megaflow
-classifier and inserts into the EMC at the slots that probe already
-hashed.  Packets whose entry is a single Output action take an inlined
-executor fast path; everything else (recirculation, conntrack,
-tunnels) falls back to the retained per-packet reference path,
-``_process_one``.
+``dp_netdev_input`` does, in one walk, ``_classify_execute_burst``.  A
+packet whose bytes and pipeline metadata hit the EMC before is replayed
+from a cross-burst flow cache while the two slots its probe read are
+unchanged (see :mod:`repro.ovs.emc`); any other packet is parsed once,
+probes the EMC once, and on a miss walks the megaflow classifier and
+inserts into the EMC at the slots that probe already hashed.  A single
+Output action is executed inline; every other chain goes through the
+one action executor, ``_execute``.
 
-The batched path must be *observationally equivalent* to the reference
-path: identical action results, identical cache/stat counters, and
-byte-identical virtual-time charges (same charge values, in the same
-order, against the same accumulators — float addition is not
-associative, so a replayed hit re-issues its charges per packet).  Set
-:data:`BATCH_CLASSIFY` to ``False`` (or pass ``batch_classify=False``)
-to run the reference path; the equivalence and determinism suites
-compare the two.
+Recirculation and tunnel decapsulation re-enter the walk with a
+one-packet burst at ``depth + 1``, depth-first, as the per-packet walk
+this replaced recursed — so every charge keeps its value, lane and
+order (float addition is not associative; a replayed hit re-issues its
+charges per packet).  Past :data:`MAX_RECIRC_PASSES` the packet is
+dropped.  ``tests/ovs/test_batch_equivalence.py`` keeps the per-packet
+walk as the oracle.
 """
 
 from __future__ import annotations
@@ -52,11 +50,9 @@ from repro.net.flow import FlowKey, extract_flow
 from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
-from repro.ovs import dpjit
 from repro.ovs.ct_userspace import UserspaceConntrack
 from repro.ovs.emc import ExactMatchCache
-from repro.ovs.megaflow import MegaflowCache
-from repro.sim import fastpath
+from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.meter import MeterTable
 from repro.ovs.packet_ops import do_pop_vlan, do_push_vlan, set_field
 from repro.sim import faults, trace
@@ -73,9 +69,8 @@ MAX_RECIRC_PASSES = 8
 FLOW_LIMIT_MIN = 128
 FLOW_LIMIT_STEP = 1000
 
-#: Default for burst-oriented classification; instances may override via
-#: ``batch_classify``.  The reference per-packet path is kept for
-#: equivalence testing and recirculated passes.
+#: Read by nothing under ``src/``: ``bench/spec.py``'s host fingerprint
+#: is its only reader, and goes when the bench is re-based (ROADMAP 1).
 BATCH_CLASSIFY = True
 
 #: Cap on the per-EMC cross-burst flow cache (token -> classification);
@@ -142,12 +137,8 @@ class DpifNetdev:
     """The userspace datapath instance inside one vswitchd."""
 
     def __init__(self, name: str = "netdev@ovs-netdev",
-                 now_ns_fn: Callable[[], int] = lambda: 0,
-                 batch_classify: Optional[bool] = None) -> None:
+                 now_ns_fn: Callable[[], int] = lambda: 0) -> None:
         self.name = name
-        #: Tri-state: None defers to the module-level BATCH_CLASSIFY at
-        #: each burst, so tests can flip the global and compare paths.
-        self.batch_classify = batch_classify
         self.ports: Dict[int, DpPort] = {}
         self._port_by_name: Dict[str, int] = {}
         self._next_port = 1
@@ -197,11 +188,11 @@ class DpifNetdev:
     def cold_start(self, ctx: Optional[ExecContext] = None,
                    emcs=()) -> None:
         """The daemon process restarted: every userspace cache is rebuilt
-        from nothing — megaflows (and their compiled dp-JIT closures),
-        the per-PMD EMCs, and the userspace conntrack table, whose state
-        died with the old process (the §6 trade-off the kernel datapath
-        does not pay).  The first packets after recovery all miss and
-        upcall; the flow-limit controller governs the resulting storm.
+        from nothing — megaflows, the per-PMD EMCs, and the userspace
+        conntrack table, whose state died with the old process (the §6
+        trade-off the kernel datapath does not pay).  The first packets
+        after recovery all miss and upcall; the flow-limit controller
+        governs the resulting storm.
 
         With ``ctx`` the new process's conntrack table allocation is
         charged; the caches themselves are empty allocations covered by
@@ -326,9 +317,6 @@ class DpifNetdev:
             meta.recirc_id = 0
             meta.ct_state = 0
             meta.ct_zone = 0
-        batched = self.batch_classify
-        if batched is None:
-            batched = BATCH_CLASSIFY
         # Profiler-only frame (no ledger span): groups every charge this
         # burst makes under dp.input in the call tree.  One attribute
         # load when profiling is off.
@@ -336,12 +324,8 @@ class DpifNetdev:
         if prof is not None:
             prof.enter("dp.input")
         try:
-            if batched:
-                self._classify_execute_burst(
-                    pkts, ctx, emc, tx_batches, statses)
-            else:
-                for pkt in pkts:
-                    self._process_one(pkt, ctx, emc, tx_batches, 0, statses)
+            self._classify_execute_burst(pkts, ctx, emc, tx_batches, 0,
+                                         statses)
             self._flush_tx(tx_batches, ctx, tx_queue)
         finally:
             if prof is not None:
@@ -354,33 +338,39 @@ class DpifNetdev:
         ctx: ExecContext,
         emc: ExactMatchCache,
         tx_batches: Dict[int, List[Packet]],
+        depth: int,
         statses: Tuple[PipelineStats, ...],
     ) -> None:
-        """Burst-oriented classification (the ``dp_netdev_input`` shape).
+        """Classify and execute a burst (the ``dp_netdev_input`` shape).
 
-        *Charging* happens packet by packet in exactly the reference
-        order, because every accumulator (per-(cpu, category) busy time,
-        local time, ledger spans) is order-sensitive float addition.
-        Classification and execution stay fused per packet: an executed
-        action (recirc, ct, meter, upcall install) may mutate the very
-        caches the next packet's classification observes.
+        ``depth`` is the pipeline pass: ``process_batch`` walks its
+        burst at 0, and recirculation or tunnel decapsulation re-enters
+        with one packet at ``depth + 1`` from inside ``_execute``.
+        *Charging* happens packet by packet, depth first, because every
+        accumulator (per-(cpu, category) busy time, local time, ledger
+        spans) is order-sensitive float addition.  Classification and
+        execution stay fused per packet: an executed action (recirc,
+        ct, meter, upcall install) may mutate the very caches the next
+        packet's classification observes.
         """
+        if depth > MAX_RECIRC_PASSES:
+            for pkt in pkts:
+                for s in statses:
+                    s.dropped += 1
+                telemetry.drop_event(DropReason.DP_RECIRC_LIMIT,
+                                     octets=len(pkt.data))
+            return
         costs = DEFAULT_COSTS
         extract_ns = costs.flow_extract_ns
         action_ns = costs.action_ns
-        # Read once per burst, as dp_netdev_input reads pmd->ctx.now:
+        # Read once per pass, as dp_netdev_input reads pmd->ctx.now:
         # the virtual clock does not move inside a burst.
         now = self.now_ns_fn()
         megaflows = self.megaflows
         flow_cache = emc.flow_cache
         replay_hit = emc.replay_hit
-        # dp-JIT gate, resolved once per burst (it cannot change
-        # mid-burst): compiled closures replay the exact interpreter
-        # charge sequence, so this changes wall-clock only.
-        use_dpjit = dpjit.ENABLED and fastpath.ENABLED
-        dpjit_stats = dpjit.STATS
-        dpjit_bind = dpjit.bind
-        tele = telemetry.ACTIVE
+        # Packets are observed once, on their first pass.
+        tele = telemetry.ACTIVE if depth == 0 else None
         for pkt in pkts:
             for s in statses:
                 s.passes += 1
@@ -390,9 +380,10 @@ class DpifNetdev:
             data = pkt.data
             meta = pkt.meta
             tun = meta.tunnel
-            # Everything extract_flow reads at depth 0 (recirc/ct state
-            # was just zeroed), so equal tokens imply equal FlowKeys.
-            token = (data, meta.in_port, meta.ct_mark,
+            # Everything extract_flow reads, so equal tokens imply equal
+            # FlowKeys.
+            token = (data, meta.in_port, meta.recirc_id, meta.ct_state,
+                     meta.ct_zone, meta.ct_mark,
                      tun.vni, tun.remote_ip, tun.local_ip)
             cell = flow_cache.get(token)
             if cell is not None and replay_hit(cell, ctx):
@@ -408,9 +399,9 @@ class DpifNetdev:
                 key = cell[0] if cell is not None else extract_flow(
                     data,
                     in_port=meta.in_port,
-                    recirc_id=0,
-                    ct_state=0,
-                    ct_zone=0,
+                    recirc_id=meta.recirc_id,
+                    ct_state=meta.ct_state,
+                    ct_zone=meta.ct_zone,
                     ct_mark=meta.ct_mark,
                     tun_id=tun.vni,
                     tun_src=tun.remote_ip,
@@ -440,16 +431,6 @@ class DpifNetdev:
                                 s.dropped += 1
                             continue
                     self._emc_insert(emc, key, entry, ctx, probed)
-            if use_dpjit:
-                cached = entry.jit
-                if cached is not None and cached[0] is entry.actions:
-                    fn = cached[1]
-                else:
-                    fn = dpjit_bind(entry)
-                if fn is not None:
-                    dpjit_stats.dispatched += 1
-                    fn(self, pkt, ctx, emc, tx_batches, 0, statses)
-                    continue
             out_port = entry.single_out
             if out_port is not None:
                 # Inlined _execute for the dominant one-Output case; the
@@ -461,81 +442,7 @@ class DpifNetdev:
                 batch.append(pkt)
             else:
                 self._execute(pkt, entry.actions, ctx, emc, tx_batches,
-                              0, statses)
-
-    def _process_one(
-        self,
-        pkt: Packet,
-        ctx: ExecContext,
-        emc: ExactMatchCache,
-        tx_batches: Dict[int, List[Packet]],
-        depth: int,
-        statses: Tuple[PipelineStats, ...],
-    ) -> None:
-        costs = DEFAULT_COSTS
-        if depth > MAX_RECIRC_PASSES:
-            for s in statses:
-                s.dropped += 1
-            telemetry.drop_event(DropReason.DP_RECIRC_LIMIT,
-                                 octets=len(pkt.data))
-            return
-        for s in statses:
-            s.passes += 1
-        if depth == 0:
-            # The reference path's observation hook; recirculated passes
-            # (depth > 0) were already observed on their first pass.
-            tele = telemetry.ACTIVE
-            if tele is not None:
-                tele.observe("dpif", pkt, ctx)
-        ctx.charge(costs.flow_extract_ns, label="flow_extract")
-        key = extract_flow(
-            pkt.data,
-            in_port=pkt.meta.in_port,
-            recirc_id=pkt.meta.recirc_id,
-            ct_state=pkt.meta.ct_state,
-            ct_zone=pkt.meta.ct_zone,
-            ct_mark=pkt.meta.ct_mark,
-            tun_id=pkt.meta.tunnel.vni,
-            tun_src=pkt.meta.tunnel.remote_ip,
-            tun_dst=pkt.meta.tunnel.local_ip,
-        )
-        # EMC entries reference the backing megaflow (as in real
-        # dpif-netdev), so EMC hits keep the flow's stats and used-time
-        # fresh for the revalidator.
-        entry, probed = emc.lookup_cell(key, ctx)
-        if entry is not None:
-            for s in statses:
-                s.emc_hits += 1
-            entry.touch(self.now_ns_fn(), len(pkt))
-        else:
-            entry = self.megaflows.lookup_entry(key, ctx,
-                                                now_ns=self.now_ns_fn(),
-                                                nbytes=len(pkt))
-            if entry is not None:
-                for s in statses:
-                    s.megaflow_hits += 1
-            else:
-                entry = self._upcall(key, ctx, statses)
-                if entry is None:
-                    for s in statses:
-                        s.dropped += 1
-                    return
-            self._emc_insert(emc, key, entry, ctx, probed)
-        if dpjit.ENABLED and fastpath.ENABLED:
-            # Recirculated passes of the batched pipeline (and the
-            # per-packet path under a live fastpath) dispatch compiled
-            # closures too; reference mode (fastpath off) never does.
-            cached = entry.jit
-            if cached is not None and cached[0] is entry.actions:
-                fn = cached[1]
-            else:
-                fn = dpjit.bind(entry)
-            if fn is not None:
-                dpjit.STATS.dispatched += 1
-                fn(self, pkt, ctx, emc, tx_batches, depth, statses)
-                return
-        self._execute(pkt, entry.actions, ctx, emc, tx_batches, depth,
-                      statses)
+                              depth, statses)
 
     def _upcall(self, key: FlowKey, ctx: ExecContext,
                 statses: Tuple[PipelineStats, ...]):
@@ -591,13 +498,7 @@ class DpifNetdev:
         if entry is None:
             # Cache full: execute this packet unbatched via a transient
             # entry (the real datapath applies actions from the upcall).
-            from repro.ovs.megaflow import MegaflowEntry
-
             entry = MegaflowEntry(actions=tuple(actions), key=key, mask=mask)
-            # Transient entries live for exactly one packet: compiling a
-            # closure for each would pay translation per packet under
-            # flow-limit pressure.  Pin them to the interpreter.
-            dpjit.decline_entry(entry)
         return entry
 
     def _emc_insert(self, emc: ExactMatchCache, key: FlowKey, entry,
@@ -653,8 +554,8 @@ class DpifNetdev:
                 out = pkt.with_data(data)
                 out.meta.recirc_id = act.recirc_id
                 ctx.charge(costs.recirculate_ns, label="recirc")
-                self._process_one(out, ctx, emc, tx_batches, depth + 1,
-                                  statses)
+                self._classify_execute_burst([out], ctx, emc, tx_batches,
+                                             depth + 1, statses)
                 return
             elif isinstance(act, odp.TunnelPush):
                 ctx.charge(costs.tunnel_encap_ns, label="tunnel_push")
@@ -679,8 +580,8 @@ class DpifNetdev:
                 out.meta.tunnel.vni = vni
                 out.meta.tunnel.remote_ip = src
                 out.meta.tunnel.local_ip = dst
-                self._process_one(out, ctx, emc, tx_batches, depth + 1,
-                                  statses)
+                self._classify_execute_burst([out], ctx, emc, tx_batches,
+                                             depth + 1, statses)
                 return
             elif isinstance(act, odp.Meter):
                 if not self.meters.admit(act.meter_id, len(data),

@@ -12,6 +12,11 @@ the key's masked fields with the wildcarded ones elided.  Two keys
 collide under a projection iff they agree on ``key & mask`` field by
 field (a wildcarded field is a constant zero for every key), so each
 probe hashes a handful of integers instead of all 31 fields.
+
+One insertion-ordered dict, ``mask -> (MaskSpec, subtable)``, is both
+the probe order and the way insert and remove find a mask's subtable,
+the shape of the kernel module's
+:class:`~repro.kernel.ovs_module.KernelFlowTable`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.flow import FlowKey, FlowMask, MaskSpec, N_FLOW_FIELDS
-from repro.ovs import dpjit, odp
+from repro.ovs import odp
 from repro.sim import trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
@@ -42,13 +47,6 @@ class MegaflowEntry:
     single_out: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: dp-JIT cache: ``(actions_ref, exec_fn_or_None, compiled)`` set by
-    #: :func:`repro.ovs.dpjit.bind`.  Honored only while ``actions_ref``
-    #: is the very tuple that was compiled.  Derived, excluded from
-    #: comparison/repr.
-    jit: Optional[Tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if (len(self.actions) == 1
@@ -64,22 +62,24 @@ class MegaflowEntry:
 class MegaflowCache:
     def __init__(self, max_flows: int = 65536) -> None:
         self.max_flows = max_flows
-        self._masks: List[FlowMask] = []
-        #: Parallel to ``_masks``: (spec, subtable) pairs walked in
-        #: insertion order, subtables keyed by ``spec.project(key)``.
-        self._walk: List[Tuple[MaskSpec, Dict[Tuple[int, ...], MegaflowEntry]]] = []
-        self._tables: Dict[FlowMask, Dict[Tuple[int, ...], MegaflowEntry]] = {}
+        #: mask -> (its MaskSpec, subtable keyed on ``spec.project(key)``).
+        #: Dict order is the probe order: a mask joins at the end and
+        #: leaves with its last flow, so one that returns is probed last.
+        self._tables: Dict[
+            FlowMask,
+            Tuple[MaskSpec, Dict[Tuple[int, ...], MegaflowEntry]],
+        ] = {}
         self.hits = 0
         self.misses = 0
         #: Bumped on every successful insert/remove/flush.
         self.version = 0
 
     def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
+        return sum(len(table) for _spec, table in self._tables.values())
 
     @property
     def n_masks(self) -> int:
-        return len(self._masks)
+        return len(self._tables)
 
     def lookup(self, key: FlowKey, ctx: Optional[ExecContext] = None,
                now_ns: int = 0, nbytes: int = 0) -> Optional[Tuple]:
@@ -89,7 +89,7 @@ class MegaflowCache:
     def _probe(self, key: FlowKey) -> Tuple[Optional[MegaflowEntry], int]:
         """Walk the subtables (no charges, no counters, no touch)."""
         probes = 0
-        for spec, table in self._walk:
+        for spec, table in self._tables.values():
             probes += 1
             entry = table.get(spec.project(key))
             if entry is not None:
@@ -137,13 +137,10 @@ class MegaflowCache:
         if ctx is not None:
             ctx.charge(DEFAULT_COSTS.megaflow_insert_ns, label="dpcls_insert")
         trace.count("dpcls.insert")
-        table = self._tables.get(mask)
-        if table is None:
-            table = {}
-            self._tables[mask] = table
-            self._masks.append(mask)
-            self._walk.append((MaskSpec(mask), table))
-        spec = self._spec_for(mask)
+        subtable = self._tables.get(mask)
+        if subtable is None:
+            subtable = self._tables[mask] = (MaskSpec(mask), {})
+        spec, table = subtable
         entry = MegaflowEntry(
             actions=tuple(value), key=key, mask=mask, last_used_ns=now_ns
         )
@@ -151,46 +148,23 @@ class MegaflowCache:
         self.version += 1
         return entry
 
-    def _spec_for(self, mask: FlowMask) -> MaskSpec:
-        for i, m in enumerate(self._masks):
-            if m == mask:
-                return self._walk[i][0]
-        raise KeyError(f"no subtable for mask {mask!r}")
-
     def entries(self) -> List[MegaflowEntry]:
-        return [e for t in self._tables.values() for e in t.values()]
+        return [e for _spec, table in self._tables.values()
+                for e in table.values()]
 
     def remove(self, key: FlowKey, mask: FlowMask) -> bool:
-        table = self._tables.get(mask)
-        if table is None:
+        subtable = self._tables.get(mask)
+        if subtable is None:
             return False
-        masked = self._spec_for(mask).project(key)
-        entry = table.get(masked)
-        if entry is None:
+        spec, table = subtable
+        if table.pop(spec.project(key), None) is None:
             return False
-        if entry.jit is not None and entry.jit[1] is not None:
-            # Flow-mod / revalidation / eviction retired a compiled
-            # closure; the entry (and with it the closure) becomes
-            # unreachable, so the stale code can never dispatch again.
-            dpjit.note_closure_dropped()
-        del table[masked]
         if not table:
             del self._tables[mask]
-            idx = self._masks.index(mask)
-            del self._masks[idx]
-            del self._walk[idx]
         self.version += 1
         return True
 
     def flush(self) -> None:
-        dropped = sum(
-            1 for t in self._tables.values() for e in t.values()
-            if e.jit is not None and e.jit[1] is not None
-        )
-        if dropped:
-            dpjit.note_closure_dropped(dropped)
-        self._masks.clear()
-        self._walk.clear()
         self._tables.clear()
         self.version += 1
 

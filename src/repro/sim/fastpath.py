@@ -1,16 +1,16 @@
 """Wall-clock fast-path switches.
 
-The burst-classification work (PR 2) added cross-packet memo layers that
-change *no* observable simulation output — virtual-time charges, trace
-ledgers, counters and packet bytes are byte-identical — but make the
-simulator run several times faster in real time: the XDP verdict memo,
-NIC steering/rxhash memos, and the datapath's cross-burst flow cache
-consult this flag.
+Wall-clock layers change *no* observable simulation output — virtual-time
+charges, trace ledgers, counters and packet bytes are byte-identical —
+but make the simulator run faster in real time.  The XDP verdict memo,
+the NIC's steering shortcut and rxhash memo, the AF_XDP driver's receive
+loop and the eBPF JIT (with :data:`repro.ebpf.jit.ENABLED`, the other
+speed switch) consult this flag.
 
 ``ENABLED`` exists so the equivalence test suites can run the optimized
 stack against the memo-free reference in one process (``reference_mode``
-in ``tests/conftest.py``); ``bench/`` records it in its host
-fingerprint.  Production runs leave it on.
+in ``tests/conftest.py`` is :func:`disabled`); ``bench/`` records it in
+its host fingerprint.  Production runs leave it on.
 """
 
 from __future__ import annotations

@@ -6,17 +6,17 @@ compiler and memo on, no telemetry session, one process — is compared
 with the same run under one changed axis:
 
 * the eBPF JIT off (interpreter + verdict memo);
-* the megaflow dp-JIT off (generic action walk);
-* full reference mode (no burst classify, no memos, no JIT);
+* full reference mode (no memos, no JIT);
 * an inert ``Telemetry()`` session installed (sampler and exporter off);
 * the cells spread over 2 and 4 worker processes.
 
 Each comparison byte-diffs the trace ledger, the counter map and the
 collapsed-stack flamegraph through one helper, :func:`observe`.  Every
 axis also proves the comparison can fail: the default run must have
-executed eBPF programs and dispatched compiled megaflows, and 1/1 sampling
-must diverge from it.  The shard axis's proof — a ``reorder`` or
-``collapse`` merge mutation changes fig9's ledger at shards=2 — is
+executed eBPF programs and, where a userspace datapath runs, received
+packets into it, and 1/1 sampling must diverge from it.  The shard
+axis's proof — a ``reorder`` or ``collapse`` merge mutation changes
+fig9's ledger at shards=2 — is
 ``test_merge_mutations_trip_on_a_real_experiment`` in
 ``test_shard_equivalence.py``.
 """
@@ -28,7 +28,6 @@ import pytest
 
 from repro import telemetry
 from repro.ebpf import jit
-from repro.ovs import dpjit
 from repro.sim import profile, shard
 from repro.sim.profile import collapse
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
@@ -37,7 +36,7 @@ from tests.conftest import reference_mode
 
 PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
 EXPERIMENTS = sorted(PACKETS)
-#: table5 is pure XDP: no DpifNetdev, so no dp-JIT dispatch happens there.
+#: table5 is pure XDP: no DpifNetdev receives a packet there.
 DP_EXPERIMENTS = ["fig2", "fig9", "table2"]
 
 
@@ -91,16 +90,14 @@ def diff(a, b):
 @functools.lru_cache(maxsize=None)
 def _default(experiment: str):
     """The default run every axis is compared with, observed once."""
-    before = dpjit.STATS.dispatched
     observed = observe(experiment)
-    dispatched = dpjit.STATS.dispatched - before
     # The comparisons below are not vacuous: something was recorded,
-    # eBPF programs ran, compiled megaflows were dispatched.
+    # eBPF programs ran, the userspace datapath classified packets.
     ledger, counters, flame = observed
     assert ledger and flame
     assert counters.get("ebpf.runs", 0) > 0
     if experiment in DP_EXPERIMENTS:
-        assert dispatched > 0
+        assert counters.get("dp.rx_packets", 0) > 0
     return observed
 
 
@@ -112,11 +109,6 @@ def _assert_identical(experiment: str, *contexts, shards: int = 1) -> None:
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_jit_run_is_byte_identical_to_interpreter_run(experiment):
     _assert_identical(experiment, jit.disabled())
-
-
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_dpjit_run_is_byte_identical_to_generic_walk(experiment):
-    _assert_identical(experiment, dpjit.disabled())
 
 
 @pytest.mark.parametrize("experiment", DP_EXPERIMENTS)
@@ -147,16 +139,6 @@ def test_sharded_run_is_byte_identical_to_serial(experiment, shards):
 # ----------------------------------------------------------------------
 # Proof of teeth: each axis can make the comparison fail.
 # ----------------------------------------------------------------------
-def test_dpjit_actually_compiled_the_dp_experiments():
-    """fig2's datapath flows must run through compiled closures, not
-    fall back to the generic walk."""
-    dpjit.reset_stats()
-    _run_experiment("fig2")
-    s = dpjit.STATS
-    assert s.compiled > 0 and s.dispatched > 0, (
-        s.compiled, s.declined, s.dispatched, s.decline_reasons)
-
-
 def test_jit_actually_ran_the_experiments():
     """table5's four programs must all execute through compiled code
     with zero declines, not fall back to the interpreter."""

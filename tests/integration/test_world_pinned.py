@@ -20,6 +20,14 @@ Two pins also prove that the table's single ``afxdp_zc`` row — built
 with ``force_copy_mode=False`` — is what both of its former definitions
 were on the default NIC: the upgrade runs used ``None`` (auto-detect)
 and the matrix used ``False``.
+
+The recirculating experiments are pinned the same way, recorded on the
+tree that still had the megaflow dp-JIT and the per-packet
+``_process_one`` walk: fig8 (conntrack, recirculation and Geneve
+push/pop), table3 (the NSX pipeline's recirculating passes), table5,
+fig10 and fig11.  Fig. 10/11 percentiles are seeded by ``hash(config)``
+and so vary with ``PYTHONHASHSEED``; their pins digest the ledger and
+counters only.
 """
 
 import dataclasses
@@ -98,6 +106,40 @@ def _fault_ledger():
     return merged_fault_ledger(2, seed=3, packets=TINY["fig9_packets"])
 
 
+def _fig8():
+    from repro.experiments.fig8_tcp_throughput import run_fig8
+
+    return _keyed(run_fig8(total_bytes=TINY["tcp_bytes"]).gbps)
+
+
+def _table3():
+    from repro.experiments.table3_ruleset import run_table3
+
+    result = run_table3(target_rules=TINY["rules"])
+    return {"stats": dataclasses.asdict(result.stats),
+            "pipeline_passes": result.pipeline_passes}
+
+
+def _table5():
+    from repro.experiments.table5_xdp_cost import run_table5
+
+    return run_table5(packets=TINY["packets"]).mpps
+
+
+def _fig10():
+    from repro.experiments.fig10_latency import run_fig10
+
+    run_fig10(n_transactions=TINY["transactions"])
+    return None  # percentiles hang on hash(config): ledger only
+
+
+def _fig11():
+    from repro.experiments.fig11_container_latency import run_fig11
+
+    run_fig11(n_transactions=TINY["transactions"])
+    return None  # percentiles hang on hash(config): ledger only
+
+
 def _matrix_cell(topology, datapath, flows):
     from repro.perfmatrix.cells import CellSpec, run_cell
 
@@ -115,6 +157,11 @@ RUNS = {
     "degradation": _degradation,
     "observer-effect": _observer_effect,
     "fault-ledger": _fault_ledger,
+    "fig8": _fig8,
+    "table3": _table3,
+    "table5": _table5,
+    "fig10": _fig10,
+    "fig11": _fig11,
 }
 for _topology, _datapath in MATRIX_CELLS:
     for _flows in (1, 1000):
@@ -135,8 +182,11 @@ def observe(name):
 PINNED = {
     "degradation": "aad1cb0a1c435766",
     "fault-ledger": "9db4ffc2d998f759",
+    "fig10": "3bb09a7e93304025",
+    "fig11": "783591a59f0ca00e",
     "fig12": "1747ff20fd41e7ec",
     "fig2": "c04dc8b301a71c3c",
+    "fig8": "bdc8968426653391",
     "fig9": "e9f407edb2c0e90a",
     "matrix-P2P-afxdp_copy-1000f": "cb050927abe8e362",
     "matrix-P2P-afxdp_copy-1f": "eb3ef5774452a06b",
@@ -164,6 +214,8 @@ PINNED = {
     "matrix-PVP-kernel-1f": "d435826f05199b9a",
     "observer-effect": "9f9cb3ed3281ae24",
     "table2": "fcad040e06219dd6",
+    "table3": "2e877dc3f51f02f7",
+    "table5": "922c5f7a60e2932b",
     "upgrade-seed0": "0e7c39d5a8e6c0df",
     "upgrade-seed7": "5a7c5efddac80b7c",
 }
@@ -182,3 +234,12 @@ def test_a_pvp_digest_moves_with_the_guest_forwarder_cost():
     with costs.overridden(
             guest_fwd_ns=costs.DEFAULT_COSTS.guest_fwd_ns + 1.0):
         assert observe(name) != PINNED[name]
+
+
+def test_the_fig8_digest_moves_with_the_recirculation_cost():
+    """Teeth: the fig8 pin sees every recirculated pass."""
+    from repro.sim import costs
+
+    with costs.overridden(
+            recirculate_ns=costs.DEFAULT_COSTS.recirculate_ns + 1.0):
+        assert observe("fig8") != PINNED["fig8"]

@@ -90,7 +90,11 @@ def test_malformed_tunnel_pop_drops(world):
 def test_recirc_depth_guard(world):
     host, vs, (p1, a1), _p2, ctx, emc = world
     # A self-recirculating flow must terminate at MAX_RECIRC_PASSES.
+    from repro import telemetry
     from repro.net.flow import extract_flow, mask_from_fields
+    from repro.ovs.dpif_netdev import MAX_RECIRC_PASSES
+    from repro.telemetry import IpfixConfig, Telemetry
+    from repro.telemetry.drops import DropReason
 
     pkt = udp_pkt()
     for rid in range(12):
@@ -98,8 +102,25 @@ def test_recirc_depth_guard(world):
         vs.dpif_netdev.megaflows.insert(
             key, mask_from_fields(in_port=-1, recirc_id=-1),
             (odp.Recirc(rid + 1),))
-    vs.dpif_netdev.process_batch([pkt], p1.dp_port_no, ctx, emc)
-    assert vs.dpif_netdev.stats.dropped >= 1
+    stats = vs.dpif_netdev.stats
+    # Drops are tallied by an exporter observing elsewhere, so the
+    # session charges nothing in the datapath.
+    session = Telemetry(ipfix=IpfixConfig(point="kernel"))
+    with telemetry.monitoring(session):
+        # The first burst installs nine EMC entries, the second hits
+        # them and the third replays every pass from the flow cache.
+        for emc_hits, megaflow_hits in ((0, 9), (9, 0), (9, 0)):
+            before = (stats.passes, stats.dropped, stats.emc_hits,
+                      stats.megaflow_hits, stats.upcalls)
+            vs.dpif_netdev.process_batch([udp_pkt()], p1.dp_port_no, ctx,
+                                         emc)
+            after = (stats.passes, stats.dropped, stats.emc_hits,
+                     stats.megaflow_hits, stats.upcalls)
+            # Passes at depth 0..MAX_RECIRC_PASSES, then one drop.
+            assert [b - a for a, b in zip(before, after)] == [
+                MAX_RECIRC_PASSES + 1, 1, emc_hits, megaflow_hits, 0]
+    assert session.ipfix.drop_packets == {DropReason.DP_RECIRC_LIMIT: 3}
+    assert a1.take_transmitted() == []
 
 
 def test_main_cli_arguments():

@@ -186,9 +186,7 @@ def test_fastpath_show_lists_layers_and_jit_counts(world):
     host, vs, _p1, _p2 = world
     appctl = OvsAppctl(vs)
     out = appctl.fastpath_show()
-    assert "batch-classify: on" in out
-    assert "wall-clock memos: on" in out
-    assert "ebpf-jit: on" in out
+    assert out.splitlines()[:2] == ["wall-clock memos: on", "ebpf-jit: on"]
 
     jit.reset_stats()
     assert "(no eBPF programs run yet)" in appctl.fastpath_show()
@@ -200,25 +198,6 @@ def test_fastpath_show_lists_layers_and_jit_counts(world):
     assert st.jit_runs == 1 and st.compiled
     with jit.disabled():
         assert "ebpf-jit: off" in appctl.fastpath_show()
-
-
-def test_fastpath_show_lists_dpjit_counts(world):
-    import re
-
-    from repro.ovs import dpjit
-
-    host, vs, _p1, _p2 = world
-    appctl = OvsAppctl(vs)
-    out = appctl.fastpath_show()
-    assert "dp-jit: on" in out
-    m = re.search(r"dp-jit megaflows: compiled (\d+)\s+declined (\d+)"
-                  r"\s+invalidated (\d+)\s+dispatched (\d+)", out)
-    assert m, out
-    s = dpjit.STATS
-    assert tuple(int(x) for x in m.groups()) == (
-        s.compiled, s.declined, s.invalidated, s.dispatched)
-    with dpjit.disabled():
-        assert "dp-jit: off" in appctl.fastpath_show()
 
 
 # ---------------------------------------------------------------------------
