@@ -25,24 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.afxdp.driver import AfxdpOptions
 from repro.analysis.reporting import format_table
-from repro.dpdk.ethdev import bind_device
-from repro.experiments.world import base_host
-from repro.hosts.vm import VirtualMachine
+from repro.experiments.world import build_world
 from repro.net.builder import make_tcp_packet
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
 from repro.traffic.netperf import NetperfResult, TcpRrRunner
 
 N_TRANSACTIONS = 400
-#: A direction settles in 2-3 rounds of the client host's pumps; a path
-#: still moving after this many is wedged.
-PUMP_ITERATIONS = 50
 
 PAPER_US = {
     "kernel": (58, 68, 94),
@@ -102,60 +92,28 @@ class Fig10Result:
 
 
 class _RrPath:
-    """One configured client host + a wire + an abstract server turn.
+    """The world table's W2V row + an abstract server turn.
 
-    ``send_to_wire`` pushes the request through the client host's real
-    switch path; the server side is a fixed host-stack turnaround (same
-    for every config, as in the testbed); ``receive_from_wire`` carries
-    the reply back into the guest.
+    The request leaves the guest through the client host's real switch
+    path onto ens1's wire; the server side is a fixed host-stack
+    turnaround (same for every config, as in the testbed); the reply
+    comes back in through ens1 and the switch into the guest.  The
+    world's bounded pump settles each direction.
     """
 
     def __init__(self, config: str) -> None:
         self.config = config
-        options = AfxdpOptions()
-        host, nic_in, nic_out = base_host(1, 25.0)
-        self.host = host
-        self.nic = nic_in
-        self.vm = VirtualMachine(host, "vm1", "10.0.0.5", vcpu_core=12)
+        world = build_world("afxdp_zc" if config == "afxdp" else config, "W2V")
+        self.host, self.vs = world.host, world.vs
+        self.vm, self.nic = world.ends
+        self._pump_client = world.pump
+        self.pmd = world.pmds[0] if world.pmds else None
         self.guest_ctx = self.vm.ctx
-        self.server_ctx = ExecContext(host.cpu, 14, CpuCategory.SYSTEM,
+        self.server_ctx = ExecContext(self.host.cpu, 14, CpuCategory.SYSTEM,
                                       name="netserver-host")
-        if config == "kernel":
-            tap = self.vm.attach_tap(qemu_core=13)
-            vs = host.install_ovs("system")
-            vs.add_bridge("br0")
-            p_nic = vs.add_system_port("br0", nic_in)
-            p_tap = vs.add_system_port("br0", tap)
-            of = OpenFlowConnection(vs.bridge("br0"))
-            of.add_flow(0, 10, Match(in_port=p_tap.ofport),
-                        [OutputAction("ens1")])
-            of.add_flow(0, 10, Match(in_port=p_nic.ofport),
-                        [OutputAction(tap.name)])
-            self.pmd = None
-        else:
-            vs = host.install_ovs("netdev")
-            vs.add_bridge("br0")
-            if config == "afxdp":
-                p_nic = vs.add_afxdp_port("br0", nic_in, options)
-            else:
-                p_nic = vs.add_dpdk_port(
-                    "br0", bind_device(host.kernel.init_ns, "ens1"))
-            vport = vs.add_vhostuser_port("br0", self.vm.attach_vhostuser())
-            of = OpenFlowConnection(vs.bridge("br0"))
-            of.add_flow(0, 10, Match(in_port=vport.ofport),
-                        [OutputAction("ens1")])
-            of.add_flow(0, 10, Match(in_port=p_nic.ofport),
-                        [OutputAction(f"vhost-{self.vm.name}")])
-            self.pmd = PmdThread(vs.dpif_netdev, host.cpu, core=0)
-            self.pmd.add_rxq(
-                vs.dpif_netdev.ports[vs.dpif_netdev.port_no("ens1")], 0)
-            self.pmd.add_rxq(
-                vs.dpif_netdev.ports[
-                    vs.dpif_netdev.port_no(f"vhost-{self.vm.name}")], 0)
-        self.vs = vs
         # The wire's far end: capture transmissions, to echo them back.
         self._wire_out: List = []
-        nic_in.wire_peer.set_rx_handler(  # type: ignore[union-attr]
+        self.nic.wire_peer.set_rx_handler(  # type: ignore[union-attr]
             lambda pkt, ctx: self._wire_out.append(pkt))
         # One round's frames are byte-identical: build each once; every
         # transaction sends a fresh clone (own Packet + PacketMeta) — the
@@ -180,22 +138,6 @@ class _RrPath:
             ctxs.append(self.vm.qemu.ctx)
         ctxs.extend(self.host.kernel._softirq_ctx.values())
         return ctxs
-
-    def _pump_client(self) -> None:
-        pmd, qemu, nic = self.pmd, self.vm.qemu, self.nic
-        kernel = self.host.kernel if self.config != "dpdk" else None
-        for _ in range(PUMP_ITERATIONS):
-            moved = 0
-            if pmd is not None:
-                moved += pmd.run_iteration()
-            if kernel is not None:
-                moved += kernel.service_nic(nic, budget=8)
-            if qemu is not None:
-                moved += qemu.pump()
-            if not moved and not nic.pending():
-                return
-        raise AssertionError(
-            f"path did not quiesce in {PUMP_ITERATIONS} pump iterations")
 
     def one_transaction(self) -> None:
         costs = DEFAULT_COSTS

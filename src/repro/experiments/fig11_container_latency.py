@@ -23,22 +23,14 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.reporting import format_table
-from repro.ebpf.programs import container_redirect_program
-from repro.hosts.container import Container
-from repro.hosts.host import Host
+from repro.experiments.world import build_world
 from repro.net.builder import make_tcp_packet
 from repro.net.packet import Packet
-from repro.ovs.match import Match
-from repro.ovs.ofactions import OutputAction
-from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
 from repro.traffic.netperf import NetperfResult, TcpRrRunner
 
 N_TRANSACTIONS = 400
-#: The PMD drains a direction in 2-3 iterations; see fig10.
-PUMP_ITERATIONS = 20
 
 PAPER_US = {
     "kernel": (15, 16, 20),
@@ -88,65 +80,22 @@ class Fig11Result:
 
 
 class _ContainerRrPath:
+    """The world table's C2C row with netperf in ``c1`` and netserver in
+    ``c2``; the world's bounded pump settles each direction."""
+
     def __init__(self, config: str) -> None:
         self.config = config
-        host = Host("dut", n_cpus=16)
-        self.host = host
-        self.c1 = Container(host, "c1", "172.17.0.2")
-        self.c2 = Container(host, "c2", "172.17.0.3")
-        self.client_ctx = ExecContext(host.cpu, 10, CpuCategory.USER,
+        world = build_world("afxdp_zc" if config == "afxdp" else config, "C2C")
+        self.host = world.host
+        self.c1, self.c2 = world.ends
+        self.pmd = world.pmds[0] if world.pmds else None
+        self._pump = world.pump
+        self.client_ctx = ExecContext(self.host.cpu, 10, CpuCategory.USER,
                                       name="netperf")
-        self.server_ctx = ExecContext(host.cpu, 11, CpuCategory.USER,
+        self.server_ctx = ExecContext(self.host.cpu, 11, CpuCategory.USER,
                                       name="netserver")
         self._at_server: List[Packet] = []
         self._at_client: List[Packet] = []
-        self.pmd = None
-
-        if config == "kernel":
-            vs = host.install_ovs("system")
-            vs.add_bridge("br0")
-            p1 = vs.add_system_port("br0", self.c1.outside)
-            p2 = vs.add_system_port("br0", self.c2.outside)
-            of = OpenFlowConnection(vs.bridge("br0"))
-            of.add_flow(0, 10, Match(in_port=p1.ofport),
-                        [OutputAction(self.c2.outside.name)])
-            of.add_flow(0, 10, Match(in_port=p2.ofport),
-                        [OutputAction(self.c1.outside.name)])
-        elif config == "afxdp":
-            # The XDP program forwards between the veths in the kernel
-            # (Figure 5 path C applied to container<->container traffic),
-            # inline in the sender's context as real veth XDP runs.
-            costs = DEFAULT_COSTS
-
-            def veth_xdp(dst_dev):
-                def handler(pkt, ctx):
-                    ctx.charge(
-                        costs.xdp_ctx_setup_ns + costs.dma_first_touch_ns
-                        + costs.ebpf_map_lookup_ns + costs.xdp_redirect_ns,
-                        label="veth_xdp",
-                    )
-                    dst_dev.transmit(pkt, ctx)
-                return handler
-
-            self.c1.outside.set_rx_handler(veth_xdp(self.c2.outside))
-            self.c2.outside.set_rx_handler(veth_xdp(self.c1.outside))
-        elif config == "dpdk":
-            vs = host.install_ovs("netdev")
-            vs.add_bridge("br0")
-            p1 = vs.add_system_port("br0", self.c1.outside)
-            p2 = vs.add_system_port("br0", self.c2.outside)
-            of = OpenFlowConnection(vs.bridge("br0"))
-            of.add_flow(0, 10, Match(in_port=p1.ofport),
-                        [OutputAction(self.c2.outside.name)])
-            of.add_flow(0, 10, Match(in_port=p2.ofport),
-                        [OutputAction(self.c1.outside.name)])
-            self.pmd = PmdThread(vs.dpif_netdev, host.cpu, core=0)
-            dpif = vs.dpif_netdev
-            self.pmd.add_rxq(dpif.ports[dpif.port_no(self.c1.outside.name)], 0)
-            self.pmd.add_rxq(dpif.ports[dpif.port_no(self.c2.outside.name)], 0)
-        else:
-            raise ValueError(config)
-
         # Container apps: stash arriving frames (the stacks' costs are
         # charged explicitly in the transaction).
         self.c1.inside.set_rx_handler(
@@ -169,16 +118,6 @@ class _ContainerRrPath:
             ctxs.append(self.pmd.ctx)
         ctxs.extend(self.host.kernel._softirq_ctx.values())
         return ctxs
-
-    def _pump(self) -> None:
-        pmd = self.pmd
-        if pmd is None:
-            return
-        for _ in range(PUMP_ITERATIONS):
-            if not pmd.run_iteration():
-                return
-        raise AssertionError(
-            f"PMD did not quiesce in {PUMP_ITERATIONS} pump iterations")
 
     def one_transaction(self) -> None:
         costs = DEFAULT_COSTS

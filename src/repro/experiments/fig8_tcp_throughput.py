@@ -22,26 +22,22 @@ super-segments end-to-end without any segmentation — the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.afxdp.driver import AfxdpOptions
+from repro.afxdp.umempool import LockStrategy
 from repro.analysis.reporting import format_table
-from repro.hosts.container import Container
-from repro.hosts.host import Host
-from repro.hosts.testbed import Testbed
-from repro.hosts.vm import VirtualMachine
+from repro.experiments.world import Endpoints, World, build_world
 from repro.kernel.conntrack import CT_ESTABLISHED, CT_NEW
-from repro.net.addresses import ip_to_int
 from repro.net.ipv4 import IPProto
 from repro.net.tunnel import GENEVE_PORT
 from repro.ovs.match import Match
 from repro.ovs.ofactions import CtAction, OutputAction, PopTunnel
+from repro.ovs.ofproto import OfPort
 from repro.ovs.openflow import OpenFlowConnection
-from repro.ovs.pmd import PmdThread
 from repro.ovs.vswitchd import VSwitchd
-from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
-from repro.traffic.iperf import IperfResult, measure_throughput
+from repro.traffic.iperf import measure_throughput
 
 TOTAL_BYTES = 400_000
 CHUNK = 32 * 1448
@@ -131,226 +127,17 @@ def install_overlay_pipeline(
         of.add_flow(2, 100, allow_est, [OutputAction(vif_port)])
 
 
-def _prime_guest_neighbors(vm_a: VirtualMachine, vm_b: VirtualMachine) -> None:
-    vm_a.kernel.init_ns.neighbors.update(
-        ip_to_int(vm_b.ip), vm_b.nic.mac, vm_a.nic.ifindex, permanent=True)
-    vm_b.kernel.init_ns.neighbors.update(
-        ip_to_int(vm_a.ip), vm_a.nic.mac, vm_b.nic.ifindex, permanent=True)
+def _vm_pair_pipeline(vs: VSwitchd, bridge: str, a: OfPort, b: OfPort) -> None:
+    """Panel (b): classify, conntrack, forward, in both directions."""
+    install_overlay_pipeline(vs, bridge, a.name, zone=5, peer_vif_port=b.name)
+    _reverse_pipeline(vs, bridge, b.name, a.name, zone=5)
 
 
-def _iperf(
-    cpus,
-    client_stack,
-    client_conn,
-    server_sock,
-    pump: Callable[[], None],
-    client_ctx: ExecContext,
-    tso: bool,
-    total_bytes: int = TOTAL_BYTES,
-    link_gbps: Optional[float] = None,
-) -> IperfResult:
-    state = {"seen": server_sock.bytes_received}
-
-    def step() -> int:
-        client_stack.tcp_send(client_conn, b"\x00" * CHUNK, client_ctx,
-                              tso=tso)
-        pump()
-        now = server_sock.bytes_received
-        got = now - state["seen"]
-        state["seen"] = now
-        return got
-
-    return measure_throughput(cpus, step, total_bytes, link_gbps=link_gbps)
-
-
-# ---------------------------------------------------------------------------
-# Panel (a): cross-host over Geneve.
-# ---------------------------------------------------------------------------
-def _panel_a_host(
-    testbed: Testbed,
-    side: str,
-    config: str,
-    vm_ip: str,
-    remote_vtep: str,
-) -> "tuple[VirtualMachine, Callable[[], None]]":
-    host = testbed.a if side == "a" else testbed.b
-    nic = host.nics["ens1"]
-    vm = VirtualMachine(host, f"vm-{side}", vm_ip, vcpu_core=12,
-                        tso=False)  # no TSO across the tunnel on this NIC
-    pumps: List[Callable[[], int]] = []
-    if config == "kernel+tap":
-        tap = vm.attach_tap(qemu_core=13, vhost_net=False)
-        vs = host.install_ovs("system")
-        vs.add_bridge("br-int")
-        vs.add_system_port("br-int", nic)
-        vs.add_system_port("br-int", tap)
-        tun = vs.add_tunnel_port("br-int", "geneve0", "geneve",
-                                 remote_vtep, key=77)
-        install_overlay_pipeline(vs, "br-int", tap.name, zone=5,
-                                 uplink_port=nic.name, tunnel_port="geneve0")
-        pumps.append(lambda: host.kernel.service_nic(nic, budget=16))
-        pumps.append(vm.qemu.pump)
-    else:
-        interrupt = "interrupt" in config
-        if interrupt:
-            # "using AF_XDP in an interrupt-driven fashion, which cannot
-            # take advantage of any of the optimizations described in
-            # Section 3" — no PMD, mutexes, no batching, no prealloc.
-            from repro.afxdp.umempool import LockStrategy
-
-            options = AfxdpOptions(
-                interrupt_mode=True,
-                lock_strategy=LockStrategy.MUTEX,
-                batched_locking=False,
-                preallocated_metadata=False,
-                sw_checksum_on_tx=True,
-                batch_size=8,
-            )
-        else:
-            options = AfxdpOptions(
-                sw_checksum_on_tx="csum" not in config,
-            )
-        vs = host.install_ovs("netdev")
-        vs.add_bridge("br-int")
-        vs.add_afxdp_port("br-int", nic, options)
-        if "tap" in config:
-            tap = vm.attach_tap(qemu_core=13, vhost_net=False)
-            vs.add_system_port("br-int", tap)
-            vif_name = tap.name
-            pumps.append(vm.qemu.pump)
-        else:
-            vs.add_vhostuser_port("br-int", vm.attach_vhostuser())
-            vif_name = f"vhost-{vm.name}"
-        tun = vs.add_tunnel_port("br-int", "geneve0", "geneve",
-                                 remote_vtep, key=77)
-        install_overlay_pipeline(vs, "br-int", vif_name, zone=5,
-                                 uplink_port=nic.name, tunnel_port="geneve0")
-        pmd = PmdThread(vs.dpif_netdev, host.cpu, core=0,
-                        main_thread_mode=interrupt,
-                        batch_size=options.batch_size)
-        dpif = vs.dpif_netdev
-        pmd.add_rxq(dpif.ports[dpif.port_no(nic.name)], 0)
-        pmd.add_rxq(dpif.ports[dpif.port_no(vif_name)], 0)
-        pumps.append(pmd.run_iteration)
-        pumps.append(
-            lambda: host.kernel.service_nic(nic, budget=16,
-                                            interrupt_mode=interrupt))
-
-    pumps.append(vm.pump)
-
-    def pump_once() -> None:
-        for _ in range(60):
-            if not sum(p() for p in pumps) and not nic.pending():
-                return
-
-    return vm, pump_once
-
-
-def run_panel_a(config: str, total_bytes: int = TOTAL_BYTES) -> float:
-    testbed = Testbed(link_gbps=LINK_GBPS)
-    testbed.configure_underlay()
-    # Overlay deployments raise the underlay MTU to fit the Geneve
-    # headers around full-size inner frames (NSX requires >= 1600).
-    testbed.a.nics["ens1"].mtu = 1600
-    testbed.b.nics["ens1"].mtu = 1600
-    vm1, pump_a = _panel_a_host(testbed, "a", config, "10.0.0.1",
-                                "192.168.1.2")
-    vm2, pump_b = _panel_a_host(testbed, "b", config, "10.0.0.2",
-                                "192.168.1.1")
-    _prime_guest_neighbors(vm1, vm2)
-
-    def pump() -> None:
-        for _ in range(40):
-            pump_a()
-            pump_b()
-            if not (testbed.a.nics["ens1"].pending()
-                    or testbed.b.nics["ens1"].pending()):
-                if not vm1.nic.tx_queue and not vm2.nic.tx_queue:
-                    break
-
-    server = vm2.kernel.init_ns.stack.tcp_listen(vm2.ip, 5001)
-    conn = vm1.kernel.init_ns.stack.tcp_connect(vm1.ip, vm2.ip, 5001,
-                                                vm1.ctx)
-    pump()
-    assert conn.state.value == "ESTABLISHED", f"{config}: no connection"
-    server_sock = server.accept_queue.popleft()
-    result = _iperf([testbed.a.cpu, testbed.b.cpu],
-                    vm1.kernel.init_ns.stack, conn, server_sock, pump,
-                    vm1.ctx, tso=False, total_bytes=total_bytes,
-                    link_gbps=LINK_GBPS)
-    return result.gbps
-
-
-# ---------------------------------------------------------------------------
-# Panel (b): VM to VM within one host.
-# ---------------------------------------------------------------------------
-def run_panel_b(config: str, total_bytes: int = TOTAL_BYTES) -> float:
-    host = Host("hv", n_cpus=16)
-    tso = "tso" in config
-    csum = "csum" in config or config == "kernel+tap"
-    vm1 = VirtualMachine(host, "vm1", "10.0.0.1", vcpu_core=12,
-                         csum_offload=csum, tso=tso or config == "kernel+tap")
-    vm2 = VirtualMachine(host, "vm2", "10.0.0.2", vcpu_core=14,
-                         csum_offload=csum, tso=tso or config == "kernel+tap")
-    _prime_guest_neighbors(vm1, vm2)
-    pumps: List[Callable[[], int]] = []
-
-    if config == "kernel+tap":
-        # Panel (b)'s tap VMs ran without vhost-net: "packets ... traverse
-        # the userspace QEMU process to the kernel" is exactly what the
-        # paper says vhostuser avoids.
-        tap1 = vm1.attach_tap(qemu_core=13, vhost_net=False)
-        tap2 = vm2.attach_tap(qemu_core=15, vhost_net=False)
-        vs = host.install_ovs("system")
-        vs.add_bridge("br-int")
-        vs.add_system_port("br-int", tap1)
-        vs.add_system_port("br-int", tap2)
-        install_overlay_pipeline(vs, "br-int", tap1.name, zone=5,
-                                 peer_vif_port=tap2.name)
-        _reverse_pipeline(vs, "br-int", tap2.name, tap1.name, zone=5)
-        pumps += [vm1.qemu.pump, vm2.qemu.pump]
-        use_tso = True
-    else:
-        options = AfxdpOptions(sw_checksum_on_tx=not csum)
-        vs = host.install_ovs("netdev")
-        vs.add_bridge("br-int")
-        if "tap" in config:
-            tap1 = vm1.attach_tap(qemu_core=13, vhost_net=False)
-            tap2 = vm2.attach_tap(qemu_core=15, vhost_net=False)
-            vs.add_system_port("br-int", tap1)
-            vs.add_system_port("br-int", tap2)
-            names = (tap1.name, tap2.name)
-            pumps += [vm1.qemu.pump, vm2.qemu.pump]
-        else:
-            vs.add_vhostuser_port("br-int", vm1.attach_vhostuser())
-            vs.add_vhostuser_port("br-int", vm2.attach_vhostuser())
-            names = (f"vhost-{vm1.name}", f"vhost-{vm2.name}")
-        install_overlay_pipeline(vs, "br-int", names[0], zone=5,
-                                 peer_vif_port=names[1])
-        _reverse_pipeline(vs, "br-int", names[1], names[0], zone=5)
-        pmd = PmdThread(vs.dpif_netdev, host.cpu, core=0)
-        dpif = vs.dpif_netdev
-        pmd.add_rxq(dpif.ports[dpif.port_no(names[0])], 0)
-        pmd.add_rxq(dpif.ports[dpif.port_no(names[1])], 0)
-        pumps.append(pmd.run_iteration)
-        use_tso = tso
-
-    pumps += [vm1.pump, vm2.pump]
-
-    def pump() -> None:
-        for _ in range(60):
-            if not sum(p() for p in pumps):
-                return
-
-    server = vm2.kernel.init_ns.stack.tcp_listen(vm2.ip, 5001)
-    conn = vm1.kernel.init_ns.stack.tcp_connect(vm1.ip, vm2.ip, 5001,
-                                                vm1.ctx)
-    pump()
-    assert conn.state.value == "ESTABLISHED", f"{config}: no connection"
-    server_sock = server.accept_queue.popleft()
-    result = _iperf(host.cpu, vm1.kernel.init_ns.stack, conn, server_sock,
-                    pump, vm1.ctx, tso=use_tso, total_bytes=total_bytes)
-    return result.gbps
+def _geneve_pipeline(vs: VSwitchd, bridge: str, vif: OfPort,
+                     tunnel: OfPort) -> None:
+    """Panel (a): vif -> ct -> tunnel, and the uplink's tunnel -> ct -> vif."""
+    install_overlay_pipeline(vs, bridge, vif.name, zone=5,
+                             uplink_port="ens1", tunnel_port=tunnel.name)
 
 
 def _reverse_pipeline(vs: VSwitchd, bridge: str, vif: str, peer: str,
@@ -367,144 +154,105 @@ def _reverse_pipeline(vs: VSwitchd, bridge: str, vif: str, peer: str,
                 [OutputAction(peer)])
 
 
+def _tcp_gbps(
+    world: World,
+    config: str,
+    client_ctx: ExecContext,
+    tso: bool,
+    total_bytes: int,
+    link_gbps: Optional[float] = None,
+) -> float:
+    """One iperf run between the world's two ends: a handshake from the
+    client end to port 5001 on the server end, then bulk TCP until
+    ``total_bytes`` have arrived, the world settled after every chunk."""
+    client, server_end = world.ends
+    stack = client.stack
+    server = server_end.stack.tcp_listen(server_end.ip, 5001)
+    conn = stack.tcp_connect(client.ip, server_end.ip, 5001, client_ctx)
+    world.pump()
+    if conn.state.value != "ESTABLISHED":
+        raise AssertionError(f"{config}: no connection")
+    server_sock = server.accept_queue.popleft()
+    state = {"seen": server_sock.bytes_received}
+
+    def step() -> int:
+        stack.tcp_send(conn, b"\x00" * CHUNK, client_ctx, tso=tso)
+        world.pump()
+        now = server_sock.bytes_received
+        got = now - state["seen"]
+        state["seen"] = now
+        return got
+
+    cpus = list(dict.fromkeys(end.host.cpu for end in world.ends))
+    return measure_throughput(cpus, step, total_bytes,
+                              link_gbps=link_gbps).gbps
+
+
+# ---------------------------------------------------------------------------
+# Panel (a): cross-host over Geneve.
+# ---------------------------------------------------------------------------
+def run_panel_a(config: str, total_bytes: int = TOTAL_BYTES) -> float:
+    interrupt = "interrupt" in config
+    if interrupt:
+        # "using AF_XDP in an interrupt-driven fashion, which cannot
+        # take advantage of any of the optimizations described in
+        # Section 3" — no PMD, mutexes, no batching, no prealloc.
+        options = AfxdpOptions(
+            interrupt_mode=True,
+            lock_strategy=LockStrategy.MUTEX,
+            batched_locking=False,
+            preallocated_metadata=False,
+            sw_checksum_on_tx=True,
+            batch_size=8,
+        )
+    else:
+        options = AfxdpOptions(sw_checksum_on_tx="csum" not in config)
+    world = build_world(
+        "kernel" if config == "kernel+tap" else "afxdp_zc",
+        # No TSO across the tunnel on this NIC generation.
+        Endpoints("V2V-geneve", pipeline=_geneve_pipeline, tso=False),
+        link_gbps=LINK_GBPS, options=options,
+        pmd_main_thread_mode=interrupt,
+        vm_attach="tap" if "tap" in config else "vhostuser")
+    return _tcp_gbps(world, config, world.ends[0].ctx, False, total_bytes,
+                     link_gbps=LINK_GBPS)
+
+
+# ---------------------------------------------------------------------------
+# Panel (b): VM to VM within one host.
+# ---------------------------------------------------------------------------
+def run_panel_b(config: str, total_bytes: int = TOTAL_BYTES) -> float:
+    # Panel (b)'s tap VMs run without vhost-net: "packets ... traverse the
+    # userspace QEMU process to the kernel" is exactly what the paper
+    # says vhostuser avoids.
+    kernel = config == "kernel+tap"
+    tso = "tso" in config or kernel
+    world = build_world(
+        "kernel" if kernel else "afxdp_zc",
+        Endpoints("V2V", pipeline=_vm_pair_pipeline,
+                  csum="csum" in config or kernel, tso=tso),
+        vm_attach="tap" if "tap" in config else "vhostuser")
+    return _tcp_gbps(world, config, world.ends[0].ctx, tso, total_bytes)
+
+
 # ---------------------------------------------------------------------------
 # Panel (c): container to container within one host.
 # ---------------------------------------------------------------------------
-class VethAfxdpAdapter:
-    """AF_XDP on a veth (§3.4 path A): copy mode, no offloads.
-
-    The veth had no zero-copy AF_XDP in this kernel generation, so every
-    packet is copied into the umem and back out.
-    """
-
-    n_rxq = 1
-
-    def __init__(self, device) -> None:
-        self.device = device
-        self._rx: List = []
-        device.set_rx_handler(lambda pkt, ctx: self._rx.append(pkt))
-
-    @staticmethod
-    def _umem_frames(pkt) -> int:
-        # AF_XDP umem frames are 2 kB: a GSO super-frame occupies many,
-        # each with its own descriptor, copy and dp_packet.
-        return max(1, -(-len(pkt) // 2048))
-
-    def rx_burst(self, ctx: ExecContext, batch: int = 32,
-                 queue: int = 0) -> List:
-        costs = DEFAULT_COSTS
-        n = min(batch, len(self._rx))
-        if n == 0:
-            return []
-        pkts, self._rx = self._rx[:n], self._rx[n:]
-        ctx.charge(costs.ring_batch_ns + n * costs.ring_op_ns, label="xsk_rx")
-        for pkt in pkts:
-            frames = self._umem_frames(pkt)
-            ctx.charge(frames * costs.afxdp_copy_mode_ns
-                       + costs.copy_cost(len(pkt)), label="afxdp_copy")
-            ctx.charge(frames * (costs.dp_packet_init_ns + costs.ring_op_ns)
-                       + costs.software_rxhash_ns, label="dp_packet")
-        return pkts
-
-    def tx_burst(self, pkts: List, ctx: ExecContext, queue: int = 0) -> int:
-        costs = DEFAULT_COSTS
-        ctx.charge(costs.ring_batch_ns + len(pkts) * costs.ring_op_ns,
-                   label="xsk_tx")
-        with ctx.as_category(CpuCategory.SYSTEM):
-            ctx.charge(costs.syscall_base_ns, label="tx_kick")
-            for pkt in pkts:
-                frames = self._umem_frames(pkt)
-                ctx.charge(frames * costs.ring_op_ns
-                           + costs.copy_cost(len(pkt)), label="afxdp_copy")
-                self.device.transmit(pkt, ctx)
-        return len(pkts)
-
-
 def run_panel_c(config: str, total_bytes: int = TOTAL_BYTES) -> float:
-    host = Host("hv", n_cpus=16)
-    c1 = Container(host, "c1", "172.17.0.2")
-    c2 = Container(host, "c2", "172.17.0.3")
-    offload = "offload" in config or "csum" in config
-    tso = "tso" in config or config == "kernel veth offload"
-    for veth in (c1.outside, c1.inside, c2.outside, c2.inside):
-        veth.csum_offload = offload
-        # Attaching an XDP program (or an XSK) to a veth disables GSO
-        # through it: super-segments pay software segmentation at the
-        # veth boundary.  (The veth MTU is raised so the cost-charged
-        # frame still traverses the simulated path in one piece.)
-        veth.tso = config.startswith("kernel veth")
-        veth.mtu = 65535
-    pumps: List[Callable[[], int]] = []
-
+    # "xdp redirect" is path C between the veths: in-kernel, but no
+    # GSO/csum offload through XDP (§5.1: "XDP does not yet support
+    # checksum offload and TSO").  "afxdp user" is veth -> XSK -> OVS
+    # userspace -> veth.
     if config.startswith("kernel veth"):
-        vs = host.install_ovs("system")
-        vs.add_bridge("br0")
-        p1 = vs.add_system_port("br0", c1.outside)
-        p2 = vs.add_system_port("br0", c2.outside)
-        of = OpenFlowConnection(vs.bridge("br0"))
-        of.add_flow(0, 10, Match(in_port=p1.ofport),
-                    [OutputAction(c2.outside.name)])
-        of.add_flow(0, 10, Match(in_port=p2.ofport),
-                    [OutputAction(c1.outside.name)])
-    elif config == "xdp redirect":
-        # Path C between the veths: in-kernel, but no GSO/csum offload
-        # through XDP (§5.1: "XDP does not yet support checksum offload
-        # and TSO").  The program runs inline in the sender's softirq
-        # context, like real veth XDP.
-        costs = DEFAULT_COSTS
-
-        def veth_xdp(dst):
-            def handler(pkt, ctx):
-                ctx.charge(
-                    costs.xdp_ctx_setup_ns + costs.dma_first_touch_ns
-                    + costs.ebpf_map_lookup_ns + costs.xdp_redirect_ns,
-                    label="veth_xdp")
-                dst.transmit(pkt, ctx)
-            return handler
-
-        c1.outside.set_rx_handler(veth_xdp(c2.outside))
-        c2.outside.set_rx_handler(veth_xdp(c1.outside))
-        tso = False
-    else:  # afxdp user: veth -> XSK -> OVS userspace -> veth
-        vs = host.install_ovs("netdev")
-        vs.add_bridge("br0")
-        a1 = VethAfxdpAdapter(c1.outside)
-        a2 = VethAfxdpAdapter(c2.outside)
-        dp1 = vs.dpif_netdev.add_port(c1.outside.name, a1,
-                                      device=c1.outside)
-        dp2 = vs.dpif_netdev.add_port(c2.outside.name, a2,
-                                      device=c2.outside)
-        br = vs.bridge("br0")
-        p1 = br.add_port(c1.outside.name, dp1.port_no)
-        p2 = br.add_port(c2.outside.name, dp2.port_no)
-        vs.ofproto.register_port(br, p1)
-        vs.ofproto.register_port(br, p2)
-        of = OpenFlowConnection(br)
-        of.add_flow(0, 10, Match(in_port=p1.ofport),
-                    [OutputAction(c2.outside.name)])
-        of.add_flow(0, 10, Match(in_port=p2.ofport),
-                    [OutputAction(c1.outside.name)])
-        pmd = PmdThread(vs.dpif_netdev, host.cpu, core=0)
-        pmd.add_rxq(vs.dpif_netdev.ports[dp1.port_no], 0)
-        pmd.add_rxq(vs.dpif_netdev.ports[dp2.port_no], 0)
-        pumps.append(pmd.run_iteration)
-        if "tso" not in config:
-            tso = False
-
-    def pump() -> None:
-        for _ in range(60):
-            if not sum(p() for p in pumps):
-                return
-
-    client_ctx = ExecContext(host.cpu, 10, CpuCategory.USER, name="iperf-c")
-    server = c2.stack.tcp_listen("172.17.0.3", 5001)
-    conn = c1.stack.tcp_connect("172.17.0.2", "172.17.0.3", 5001, client_ctx)
-    pump()
-    assert conn.state.value == "ESTABLISHED", f"{config}: no connection"
-    server_sock = server.accept_queue.popleft()
-    result = _iperf(host.cpu, c1.stack, conn, server_sock, pump,
-                    client_ctx, tso=tso, total_bytes=total_bytes)
-    return result.gbps
+        datapath = "kernel"
+    else:
+        datapath = "afxdp_zc" if config == "xdp redirect" else "afxdp_copy"
+    tso = "tso" in config or config == "kernel veth offload"
+    world = build_world(datapath, Endpoints(
+        "C2C", csum="offload" in config or "csum" in config, tso=tso))
+    client_ctx = ExecContext(world.host.cpu, 10, CpuCategory.USER,
+                             name="iperf-c")
+    return _tcp_gbps(world, config, client_ctx, tso, total_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,10 @@ class VirtualMachine:
         self.host.pumpables.append(self.qemu.pump)
         return self.tap
 
+    @property
+    def stack(self):
+        return self.kernel.init_ns.stack
+
     # ------------------------------------------------------------------
     def pump(self, budget: int = 256) -> int:
         """Guest-side NAPI: deliver queued virtio rx frames to the guest

@@ -4,7 +4,8 @@
 from ``run_fig10`` as failed operations, so every output check of the
 two latency figures has to be an explicit ``raise`` — an ``assert``
 statement disappears under ``python -O`` — and a path that never
-quiesces has to say so instead of leaving its pump loop quietly.
+quiesces has to say so instead of leaving its pump loop quietly.  The
+same holds for Fig. 8's TCP checks and the world table's pumps.
 """
 
 import ast
@@ -12,16 +13,25 @@ import inspect
 
 import pytest
 
-from repro.experiments import fig10_latency, fig11_container_latency
+from repro.experiments import (
+    fig8_tcp_throughput,
+    fig10_latency,
+    fig11_container_latency,
+    world,
+)
 from repro.experiments.fig10_latency import _RrPath
 from repro.experiments.fig11_container_latency import _ContainerRrPath
+from repro.experiments.world import PUMP_CAP
+from repro.hosts.vm import VhostNetBackend
+from repro.ovs.pmd import PmdThread
 
 
 def drop(pkt, ctx):
     """An rx handler that loses the frame."""
 
 
-@pytest.mark.parametrize("module", [fig10_latency, fig11_container_latency])
+@pytest.mark.parametrize("module", [fig10_latency, fig11_container_latency,
+                                    fig8_tcp_throughput, world])
 def test_no_check_is_an_assert_statement(module):
     tree = ast.parse(inspect.getsource(module))
     asserts = [node.lineno for node in ast.walk(tree)
@@ -47,19 +57,28 @@ def test_fig10_reply_lost_at_a_full_guest_ring(config):
     assert path.vm.nic.rx_queue.drops_full == 1
 
 
+def forever(rounds):
+    """A pump stage that reports progress on every call."""
+    return lambda self, *args, **kwargs: rounds.append(1) or 1
+
+
 @pytest.mark.parametrize("config", ["kernel", "afxdp", "dpdk"])
-def test_fig10_path_that_never_quiesces(config):
-    path = _RrPath(config)
+def test_fig10_path_that_never_quiesces(config, monkeypatch):
     # A stage that reports progress forever: the vhost-net worker on the
-    # kernel path, the PMD on the userspace ones.
+    # kernel path, the PMD on the userspace ones.  The world's pump binds
+    # its stages when the world is built, so the class is patched first
+    # and the path's warm-up transactions trip it.
     rounds = []
-    if config == "kernel":
-        path.vm.qemu.pump = lambda: rounds.append(1) or 1
-    else:
-        path.pmd.run_iteration = lambda: rounds.append(1) or 1
-    with pytest.raises(AssertionError, match="did not quiesce in 50"):
-        path.one_transaction()
-    assert len(rounds) == fig10_latency.PUMP_ITERATIONS == 50
+    stage = ((VhostNetBackend, "pump") if config == "kernel"
+             else (PmdThread, "run_iteration"))
+    monkeypatch.setattr(*stage, forever(rounds))
+    datapath = "afxdp_zc" if config == "afxdp" else config
+    with pytest.raises(AssertionError,
+                       match=rf"^{datapath}/W2V world still moving frames "
+                             rf"after {PUMP_CAP} pump rounds "
+                             r"\(0 frames pending\)$"):
+        _RrPath(config)
+    assert len(rounds) == PUMP_CAP
 
 
 # -- Figure 11 ---------------------------------------------------------
@@ -81,13 +100,14 @@ def test_fig11_reply_lost(config):
         path.one_transaction()
 
 
-def test_fig11_pmd_that_never_quiesces():
-    path = _ContainerRrPath("dpdk")  # the only config with a PMD
+def test_fig11_pmd_that_never_quiesces(monkeypatch):
     rounds = []
-    path.pmd.run_iteration = lambda: rounds.append(1) or 1
-    with pytest.raises(AssertionError, match="did not quiesce in 20"):
-        path.one_transaction()
-    assert len(rounds) == fig11_container_latency.PUMP_ITERATIONS == 20
+    monkeypatch.setattr(PmdThread, "run_iteration", forever(rounds))
+    with pytest.raises(AssertionError,
+                       match=rf"^dpdk/C2C world still moving frames after "
+                             rf"{PUMP_CAP} pump rounds$"):
+        _ContainerRrPath("dpdk")  # the only config with a PMD
+    assert len(rounds) == PUMP_CAP
 
 
 def test_run_fig10_lets_the_error_out(monkeypatch):
