@@ -59,6 +59,7 @@ from repro.ovs.pmd import PmdThread
 from repro.ovs.vswitchd import VSwitchd
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
+from repro.telemetry.drops import DropReason
 from repro.tools.conservation import PacketLedger, afxdp_packet_ledger
 from repro.traffic.trex import TrexStream
 
@@ -320,7 +321,10 @@ class World:
         sinks = dict(extra_sinks or {})
         _sink(sinks, "nic.rx_missed", self.nic_in.rx_missed)
         if self.datapath == "kernel":
-            _sink(sinks, "dp.lost_upcalls", self.vs.dpif_netlink.dp.n_lost)
+            dpif = self.vs.dpif_netlink
+            _sink(sinks, "dp.lost_upcalls", dpif.dp.n_lost)
+            _sink(sinks, DropReason.KERNEL_UPCALL_FAILED.value,
+                  dpif.n_failed_upcalls)
         elif self.datapath == "ebpf":
             _sink(sinks, "nic.xdp_drops", self.nic_in.xdp_drops)
             _sink(sinks, "nic.xdp_passes_to_stack", self.nic_in.xdp_passes)

@@ -13,6 +13,7 @@ real miniflow representation.
 from __future__ import annotations
 
 import struct
+from operator import and_, itemgetter
 from typing import NamedTuple, Optional, Tuple
 
 from repro.net.ethernet import ETH_HLEN, VLAN_HLEN, EtherType
@@ -113,19 +114,27 @@ class MaskSpec:
     once per mask and :meth:`project` yields the short tuple of those
     fields only: two keys collide under ``project`` iff they match under
     the mask.  Subtable dictionaries are keyed by projections.
+
+    The projection runs in C: an ``itemgetter`` picks the fields and
+    ``map(and_, ...)`` masks them.  ``itemgetter`` returns a bare value
+    for one index and has no zero-index form, so its indices are padded
+    to at least two; ``map`` stops at the end of the shorter ``_bits``.
     """
 
-    __slots__ = ("mask", "fields")
+    __slots__ = ("mask", "fields", "_pick", "_bits")
 
     def __init__(self, mask: FlowMask) -> None:
         self.mask = tuple(mask)
         self.fields: Tuple[Tuple[int, int], ...] = tuple(
             (i, bits) for i, bits in enumerate(self.mask) if bits
         )
+        index = [i for i, _bits in self.fields]
+        self._pick = itemgetter(*index, *[0] * (2 - len(index)))
+        self._bits = tuple(bits for _i, bits in self.fields)
 
     def project(self, key: FlowKey) -> Tuple[int, ...]:
         """The masked key with wildcarded (constant-zero) fields elided."""
-        return tuple(key[i] & bits for i, bits in self.fields)
+        return tuple(map(and_, self._pick(key), self._bits))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(FlowKey._fields[i] for i, _ in self.fields)

@@ -54,6 +54,7 @@ from repro.ovs.ct_userspace import UserspaceConntrack
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.meter import MeterTable
+from repro.ovs.ofproto import TranslationError
 from repro.ovs.packet_ops import do_pop_vlan, do_push_vlan, set_field
 from repro.sim import faults, trace
 from repro.sim.costs import DEFAULT_COSTS
@@ -475,7 +476,14 @@ class DpifNetdev:
         # inclusive "upcall" total in the trace ledger.
         with trace.span("upcall"):
             ctx.charge(costs.userspace_slowpath_ns, label="upcall")
-            result = self.upcall_fn(key, ctx)
+            try:
+                result = self.upcall_fn(key, ctx)
+            except TranslationError:
+                # A failed xlate (a table loop, an unknown recirculation
+                # id) drops and counts this packet only, as real OVS
+                # does; the rest of the burst is forwarded.
+                trace.count("dp.upcall_xlate_errors")
+                result = None
         if result is None:
             for s in statses:
                 s.failed_upcalls += 1

@@ -14,7 +14,9 @@ from repro.kernel.netdev import NetDevice
 from repro.kernel.ovs_module import KernelDatapath, Upcall
 from repro.net.addresses import MacAddress
 from repro.net.flow import FlowKey
+from repro.ovs.ofproto import TranslationError
 from repro import telemetry
+from repro.sim import trace
 from repro.sim.cpu import ExecContext
 from repro.telemetry.drops import DropReason
 
@@ -29,6 +31,8 @@ class DpifNetlink:
             Callable[[FlowKey, Optional[ExecContext]], Optional[Tuple]]
         ] = None
         self.n_installed_flows = 0
+        #: Upcalls whose translation failed; the packet was dropped.
+        self.n_failed_upcalls = 0
 
     # -- ports ------------------------------------------------------------
     def add_port(self, device: NetDevice) -> int:
@@ -81,7 +85,16 @@ class DpifNetlink:
             telemetry.drop_event(DropReason.KERNEL_UPCALL_LOST,
                                  octets=len(upcall.pkt.data))
             return
-        result = self.upcall_fn(upcall.key, ctx)
+        try:
+            result = self.upcall_fn(upcall.key, ctx)
+        except TranslationError:
+            # A failed xlate drops and counts this packet only; the
+            # kernel goes on with the rest of its poll.
+            self.n_failed_upcalls += 1
+            trace.count("dp.upcall_xlate_errors")
+            telemetry.drop_event(DropReason.KERNEL_UPCALL_FAILED,
+                                 octets=len(upcall.pkt.data))
+            return
         if result is None:
             return
         actions, mask = result

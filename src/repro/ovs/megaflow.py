@@ -22,9 +22,10 @@ the shape of the kernel module's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.flow import FlowKey, FlowMask, MaskSpec, N_FLOW_FIELDS
+from repro.net.flow import FlowKey, FlowMask, MaskSpec, WILDCARD_MASK
 from repro.ovs import odp
 from repro.sim import trace
 from repro.sim.costs import DEFAULT_COSTS
@@ -180,11 +181,15 @@ def union_masks(masks: List[FlowMask]) -> FlowMask:
     The megaflow must be at least as specific as every field any lookup
     stage examined, or the cached entry would match packets the slow
     path would have treated differently.
+
+    A translation probes the same few subtable masks over and over, and
+    OR is idempotent, so each distinct mask is ORed in once, column-wise
+    in C.
     """
     if not masks:
-        return tuple([0] * N_FLOW_FIELDS)
-    out = list(masks[0])
-    for mask in masks[1:]:
-        for i, bits in enumerate(mask):
-            out[i] |= bits
-    return tuple(out)
+        return WILDCARD_MASK
+    distinct = iter(dict.fromkeys(masks))
+    out = next(distinct)
+    for mask in distinct:
+        out = tuple(map(or_, out, mask))
+    return out

@@ -14,13 +14,14 @@ recirculation id that maps back to the table where translation resumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.netlink import NetlinkMonitor
 from repro.net.flow import FlowKey, FlowMask, mask_from_fields
 from repro.net.tunnel import TunnelConfig
 from repro.ovs import odp
-from repro.ovs.match import full_field_mask
+from repro.ovs.match import _FIELD_INDEX, full_field_mask
 from repro.ovs.megaflow import union_masks
 from repro.ovs import ofactions as ofp
 from repro.ovs.oftable import FlowTable, Rule
@@ -29,8 +30,23 @@ from repro.sim.cpu import ExecContext
 MAX_TABLES = 255
 MAX_TRANSLATION_DEPTH = 64
 
-#: Translation-local key fields (NXM registers + OpenFlow metadata).
-_REG_FIELDS = ("metadata",) + tuple(f"reg{i}" for i in range(9))
+#: Translation-local key fields (OpenFlow metadata + NXM registers) are
+#: the last ten fields of :class:`FlowKey`, from index ``_REG_START`` on.
+_REG_START = _FIELD_INDEX["metadata"]
+#: The register state a ``ct(table=)`` freeze carries, as one tuple.
+_frozen_regs = itemgetter(*range(_REG_START, len(FlowKey._fields)))
+_new_key = tuple.__new__
+
+#: What every megaflow matches exactly: the datapath port and the pass.
+_BASE_MASK = mask_from_fields(
+    in_port=full_field_mask("in_port"),
+    recirc_id=full_field_mask("recirc_id"),
+)
+#: What a recirculated pass adds: the conntrack verdict it resumed on.
+_CT_MASK = mask_from_fields(
+    ct_state=full_field_mask("ct_state"),
+    ct_zone=full_field_mask("ct_zone"),
+)
 
 
 @dataclass
@@ -144,6 +160,11 @@ class Bridge:
                         "ct(table=N) must be the last action "
                         "(translation freezes there)"
                     )
+            elif (isinstance(act, ofp.SetFieldAction)
+                    and act.field not in _FIELD_INDEX):
+                # OpenFlow's OFPBAC_BAD_SET_TYPE: refused at install, not
+                # at the first packet's translation.
+                raise ValueError(f"set_field: unknown field {act.field!r}")
 
 
 class Ofproto:
@@ -205,25 +226,15 @@ class Ofproto:
         translation itself is unchanged.
         """
         self.n_translations += 1
-        probed: List[FlowMask] = [
-            mask_from_fields(
-                in_port=full_field_mask("in_port"),
-                recirc_id=full_field_mask("recirc_id"),
-            )
-        ]
+        probed: List[FlowMask] = [_BASE_MASK]
         dp_in_port = key.in_port
         located = self._dp_ports.get(dp_in_port)
         if key.recirc_id:
             bridge_name, table_id, regs = self._resume_point(key.recirc_id)
             bridge = self.bridges[bridge_name]
             if regs:
-                key = key._replace(**dict(zip(_REG_FIELDS, regs)))
-            probed.append(
-                mask_from_fields(
-                    ct_state=full_field_mask("ct_state"),
-                    ct_zone=full_field_mask("ct_zone"),
-                )
-            )
+                key = _new_key(FlowKey, key[:_REG_START] + regs)
+            probed.append(_CT_MASK)
         else:
             if located is None:
                 return XlateResult(odp.DROP, union_masks(probed))
@@ -232,7 +243,7 @@ class Ofproto:
         # OpenFlow rules match on OpenFlow port numbers; the datapath key
         # carries datapath port numbers.  Map before table lookups.
         if located is not None:
-            key = key._replace(in_port=located[1].ofport)
+            key = _new_key(FlowKey, (located[1].ofport,) + key[1:])
         actions = self._xlate_tables(
             bridge, table_id, key, probed, ctx, dp_in_port=dp_in_port,
             observer=observer,
@@ -312,54 +323,59 @@ class Ofproto:
     ) -> List[odp.OdpAction]:
         out: List[odp.OdpAction] = []
         for act in rule.actions:
-            if isinstance(act, ofp.OutputAction):
-                out.extend(
-                    self._xlate_output(bridge, act.port, key, dp_in_port)
-                )
-            elif isinstance(act, (ofp.GotoTable, ofp.Resubmit)):
+            # Action classes are final: dispatch on the exact type, most
+            # frequent (the NSX pipeline's) first.
+            kind = type(act)
+            if kind is ofp.SetFieldAction:
+                # A known field: Bridge._validate_rule checked at install.
+                index = _FIELD_INDEX[act.field]
+                # Registers/metadata are translation-local: update the
+                # working key, emit nothing to the datapath.
+                if index < _REG_START:
+                    out.append(odp.SetField(act.field, act.value))
+                fields = list(key)
+                fields[index] = act.value
+                key = _new_key(FlowKey, fields)
+            elif kind is ofp.GotoTable or kind is ofp.Resubmit:
                 out.extend(
                     self._xlate_tables(
                         bridge, act.table_id, key, probed, ctx, depth + 1,
                         dp_in_port, observer=observer,
                     )
                 )
-                if isinstance(act, ofp.GotoTable):
+                if kind is ofp.GotoTable:
                     break  # goto does not return
-            elif isinstance(act, ofp.SetFieldAction):
-                if act.field in _REG_FIELDS:
-                    # Registers/metadata are translation-local: update the
-                    # working key, emit nothing to the datapath.
-                    key = key._replace(**{act.field: act.value})
-                else:
-                    out.append(odp.SetField(act.field, act.value))
-                    key = key._replace(**{act.field: act.value})
-            elif isinstance(act, ofp.PushVlanAction):
-                out.append(odp.PushVlan(act.vid, act.pcp))
-                key = key._replace(vlan_tci=act.vid | 0x1000 | (act.pcp << 13))
-            elif isinstance(act, ofp.PopVlanAction):
-                out.append(odp.PopVlan())
-                key = key._replace(vlan_tci=0)
-            elif isinstance(act, ofp.CtAction):
+            elif kind is ofp.OutputAction:
+                out.extend(
+                    self._xlate_output(bridge, act.port, key, dp_in_port)
+                )
+            elif kind is ofp.CtAction:
                 out.append(
                     odp.Ct(zone=act.zone, commit=act.commit,
                            nat_dst=act.nat_dst)
                 )
                 if act.table is not None:
-                    regs = tuple(getattr(key, f) for f in _REG_FIELDS)
-                    rid = self.alloc_recirc_id(bridge, act.table, regs)
+                    rid = self.alloc_recirc_id(bridge, act.table,
+                                               _frozen_regs(key))
                     out.append(odp.Recirc(rid))
                     return out  # freeze: the datapath resumes via recirc
-            elif isinstance(act, ofp.PopTunnel):
+            elif kind is ofp.PushVlanAction:
+                out.append(odp.PushVlan(act.vid, act.pcp))
+                key = key._replace(vlan_tci=act.vid | 0x1000 | (act.pcp << 13))
+            elif kind is ofp.PopVlanAction:
+                out.append(odp.PopVlan())
+                key = key._replace(vlan_tci=0)
+            elif kind is ofp.PopTunnel:
                 port = bridge.port(act.tunnel_port)
                 out.append(odp.TunnelPop(port.dp_port_no))
                 return out
-            elif isinstance(act, ofp.MeterAction):
+            elif kind is ofp.MeterAction:
                 out.append(odp.Meter(act.meter_id))
-            elif isinstance(act, ofp.TruncAction):
+            elif kind is ofp.TruncAction:
                 out.append(odp.Trunc(act.max_len))
-            elif isinstance(act, ofp.ControllerAction):
+            elif kind is ofp.ControllerAction:
                 out.append(odp.Userspace(act.reason))
-            elif isinstance(act, ofp.DropAction):
+            elif kind is ofp.DropAction:
                 return []
             else:
                 raise TranslationError(f"cannot translate {act!r}")

@@ -96,6 +96,12 @@ class FlowTable:
     def __init__(self, table_id: int = 0) -> None:
         self.table_id = table_id
         self._subtables: Dict[FlowMask, _Subtable] = {}
+        #: The probe order: ``_subtables`` stably sorted by descending
+        #: ``max_priority``.  Only ``add_rule`` and ``remove_rule`` change
+        #: a ``max_priority`` or the set of subtables; each drops the
+        #: order and the next lookup sorts again, so an install of many
+        #: rules sorts once.
+        self._ordered: Optional[List[_Subtable]] = None
         self.n_lookups = 0
         self.n_matches = 0
 
@@ -108,6 +114,7 @@ class FlowTable:
 
     def add_rule(self, rule: Rule) -> Optional[Rule]:
         rule.table_id = self.table_id
+        self._ordered = None
         shape = rule.match.shape
         subtable = self._subtables.get(shape.mask)
         if subtable is None:
@@ -118,6 +125,7 @@ class FlowTable:
         subtable = self._subtables.get(rule.match.mask)
         if subtable is None:
             return False
+        self._ordered = None
         ok = subtable.remove(rule)
         if ok and not len(subtable):
             del self._subtables[rule.match.mask]
@@ -156,9 +164,11 @@ class FlowTable:
         self.n_lookups += 1
         best: Optional[Rule] = None
         probes = 0
-        ordered = sorted(
-            self._subtables.values(), key=lambda s: -s.max_priority
-        )
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = sorted(
+                self._subtables.values(), key=lambda s: -s.max_priority
+            )
         for subtable in ordered:
             if best is not None and best.priority >= subtable.max_priority:
                 break

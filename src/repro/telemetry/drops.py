@@ -110,6 +110,9 @@ class DropReason(enum.Enum):
     KERNEL_RX_NO_PORT = ("kernel.rx_no_port", DropStage.PRE_DATAPATH,
                          None)
     KERNEL_UPCALL_LOST = ("kernel.upcall_lost", DropStage.DATAPATH, None)
+    #: The upcall reached userspace but translation failed.
+    KERNEL_UPCALL_FAILED = ("kernel.upcall_failed", DropStage.DATAPATH,
+                            None)
     KERNEL_RECIRC_LIMIT = ("kernel.recirc_limit", DropStage.DATAPATH,
                            None)
     KERNEL_TUNNEL_DECAP_FAILED = ("kernel.tunnel_decap_failed",

@@ -236,7 +236,8 @@ def _op_sequences(draw):
         else:
             constraints = draw(st.sampled_from(pool))
             ops.append((kind, draw(st.integers(1, 3)), constraints,
-                        draw(_as_written(constraints)), f"r{i}"))
+                        draw(_as_written(constraints)), f"r{i}",
+                        draw(st.sampled_from([0, 1]))))
     return ops
 
 
@@ -244,39 +245,49 @@ def _op_sequences(draw):
 @settings(max_examples=100, deadline=None)
 def test_sparse_classifier_equals_dense_oracle(ops):
     """Same winner, same *sequence* of probed masks, same ``classifier``
-    charge, after any mix of add / replace / strict delete."""
+    charge, after any mix of add / replace / strict delete.
+
+    Two tables are mutated in any interleaving and every lookup probes
+    both, so a table whose cached probe order outlives an add, a replace
+    or a strict delete (its own, not the other table's) fails here."""
     of = OpenFlowConnection(Bridge("br0"))
-    table = of.bridge.table(0)
-    oracle = _DenseOracle()
+    tables = (of.bridge.table(0), of.bridge.table(1))
+    oracles = (_DenseOracle(), _DenseOracle())
     ctx = ExecContext(CpuModel(1), 0, CpuCategory.USER)
     for op in ops:
         if op[0] == "add":
-            _kind, priority, constraints, kwargs, tag = op
-            of.add_flow(0, priority, Match(**kwargs), [OutputAction(tag)])
-            oracle.add(priority, constraints, tag)
+            _kind, priority, constraints, kwargs, tag, table_id = op
+            of.add_flow(table_id, priority, Match(**kwargs),
+                        [OutputAction(tag)])
+            oracles[table_id].add(priority, constraints, tag)
         elif op[0] == "delete":
-            _kind, priority, constraints, kwargs, _tag = op
+            _kind, priority, constraints, kwargs, _tag, table_id = op
             of.flow_mod(FlowMod(FlowModCommand.DELETE_STRICT,
-                                priority=priority, match=Match(**kwargs)))
-            oracle.delete_strict(priority, constraints)
+                                table_id=table_id, priority=priority,
+                                match=Match(**kwargs)))
+            oracles[table_id].delete_strict(priority, constraints)
         else:
             key = op[1]
-            expected, expected_probed = oracle.lookup(key)
-            probed = []
-            with ctx.tracing(LatencyTrace()) as trace:
-                got = table.lookup(key, ctx, probed_masks=probed)
-            assert probed == expected_probed
-            cost = len(expected_probed) * DEFAULT_COSTS.classifier_subtable_ns
-            assert trace.components == ({"classifier": cost} if cost else {})
-            if expected is None:
-                assert got is None
-            else:
-                assert (got.priority, got.actions[0].port) == \
-                    (expected[0], expected[3])
-        assert len(table) == len(oracle)
-        assert table.n_subtables == len(oracle.subtables)
-        assert [s.mask for s in table._subtables.values()] == \
-            list(oracle.subtables)
+            for table, oracle in zip(tables, oracles):
+                expected, expected_probed = oracle.lookup(key)
+                probed = []
+                with ctx.tracing(LatencyTrace()) as trace:
+                    got = table.lookup(key, ctx, probed_masks=probed)
+                assert probed == expected_probed
+                cost = (len(expected_probed)
+                        * DEFAULT_COSTS.classifier_subtable_ns)
+                assert trace.components == (
+                    {"classifier": cost} if cost else {})
+                if expected is None:
+                    assert got is None
+                else:
+                    assert (got.priority, got.actions[0].port) == \
+                        (expected[0], expected[3])
+        for table, oracle in zip(tables, oracles):
+            assert len(table) == len(oracle)
+            assert table.n_subtables == len(oracle.subtables)
+            assert [s.mask for s in table._subtables.values()] == \
+                list(oracle.subtables)
 
 
 @given(st.data())

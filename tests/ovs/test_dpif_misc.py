@@ -131,3 +131,52 @@ def test_main_cli_arguments():
     assert set(EXPERIMENTS) >= {"fig2", "table2", "table3", "fig9",
                                 "fig10", "fig11", "table5", "fig12",
                                 "fig8", "fig1"}
+
+
+@pytest.mark.parametrize("datapath", ["afxdp_zc", "kernel"])
+def test_a_failed_translation_drops_only_its_packet(datapath):
+    """A 3-packet burst whose middle packet loops ``goto_table``: that
+    packet's upcall fails and it is dropped and counted; the other two
+    are forwarded, and the world's packet ledger balances."""
+    from repro.experiments.world import build_world
+    from repro.ovs.ofactions import GotoTable
+    from repro.sim import trace
+
+    world = build_world(datapath, "P2P", n_queues=1)
+    of = OpenFlowConnection(world.vs.bridge("br0"))
+    of.add_flow(0, 100, Match(nw_dst=0x0A000063), [GotoTable(0)])
+    pkts = [udp_pkt(dst=dst) for dst in ("10.0.0.2", "10.0.0.99",
+                                          "10.0.0.3")]
+    with trace.recording() as rec:
+        for pkt in pkts:
+            world.nic_in.host_receive(pkt)
+        world.pump()
+    ledger = world.ledger(3)
+    assert ledger.forwarded == 2 and ledger.conserved(), ledger.render()
+    assert rec.counters["dp.upcall_xlate_errors"] == 1
+    if datapath == "kernel":
+        assert world.vs.dpif_netlink.n_failed_upcalls == 1
+        assert ledger.sinks == {"kernel.upcall_failed": 1}
+    else:
+        stats = world.vs.dpif_netdev.stats
+        assert stats.batch_hist == {3: 1}
+        assert (stats.upcalls, stats.failed_upcalls, stats.dropped) == \
+            (3, 1, 1)
+        assert ledger.sinks == {"dp.dropped": 1}
+
+
+def test_an_unknown_set_field_is_refused_at_install(world):
+    """OpenFlow's OFPBAC_BAD_SET_TYPE: the flow-mod fails, naming the
+    field, and no rule is installed."""
+    from repro.ovs.ofactions import SetFieldAction
+
+    _host, vs, *_rest = world
+    of = OpenFlowConnection(vs.bridge("br0"))
+    with pytest.raises(ValueError, match="bogus_field"):
+        of.add_flow(0, 10, Match(), [SetFieldAction("bogus_field", 1),
+                                     OutputAction("p2")])
+    assert of.flow_count() == 0
+    of.add_flow(0, 10, Match(), [SetFieldAction("reg8", 1),
+                                 SetFieldAction("nw_ttl", 9),
+                                 OutputAction("p2")])
+    assert of.flow_count() == 1

@@ -76,6 +76,24 @@ def test_regs_frozen_across_recirculation(world):
     assert len(a2.transmitted) == 1
 
 
+def test_every_register_is_frozen_across_recirculation(world):
+    """metadata and reg0-reg8, each with its own value, all come back on
+    the resume pass, and the frozen state is exactly those ten."""
+    vs, of, (p1, a1), (p2, a2), ctx, emc = world
+    regs = {name: 0x10 + i for i, name in enumerate(
+        ["metadata"] + [f"reg{i}" for i in range(9)])}
+    of.add_flow(0, 10, Match(),
+                [SetFieldAction(name, value) for name, value in regs.items()]
+                + [CtAction(zone=1, commit=True, table=3)])
+    of.add_flow(3, 10, Match(**regs), [OutputAction("p2")])
+    of.add_flow(3, 1, Match(), [])
+    vs.dpif_netdev.process_batch([tcp_pkt(flags=0x02)],
+                                 p1.dp_port_no, ctx, emc)
+    assert len(a2.transmitted) == 1
+    [frozen] = vs.ofproto._recirc_ids
+    assert frozen == ("br0", 3, tuple(regs.values()))
+
+
 def test_different_reg_states_get_different_recirc_ids(world):
     vs, of, (p1, a1), (p2, a2), ctx, emc = world
     bridge = vs.bridge("br0")
