@@ -5,18 +5,23 @@
     python -m repro --trace fig2    # + per-stage virtual-time profile
     python -m repro --profile fig9  # + call tree (perf-report style)
     python -m repro --list
+    taskset -c 0 python -m repro    # serial, in this process
 
-Each experiment prints the same rows/series the paper reports; expect a
-few minutes for the full set (fig8/fig9 dominate).  ``--trace`` attaches
-a :class:`~repro.sim.trace.TraceRecorder` per experiment and prints the
-profile (see :mod:`repro.tools.perf_report`); ``--profile`` also attaches
-a :class:`~repro.sim.profile.Profiler` and prints the call tree.
+Each experiment prints the same rows/series the paper reports.  The
+experiments run in parallel, one worker process per usable CPU (at most
+one per experiment), each printing into its own buffer; the output
+comes out in registry order, byte for byte what a serial run prints
+(timing lines aside).  With one usable CPU — ``taskset -c 0`` — or one
+experiment, everything runs inline.  ``--trace`` attaches a
+:class:`~repro.sim.trace.TraceRecorder` per experiment, inside its
+worker, and prints the profile (see :mod:`repro.tools.perf_report`);
+``--profile`` also attaches a :class:`~repro.sim.profile.Profiler` and
+prints the call tree.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 
 EXPERIMENTS = {
     "fig1": ("Figure 1: out-of-tree module churn",
@@ -57,7 +62,9 @@ usage: python -m repro [--list] [--trace] [--profile] [experiment ...]
        python -m repro matrix [--quick|--full] [--out PATH] [...]
 
 Reproduce the paper's tables and figures.  With no arguments, runs
-every experiment.  The ``matrix`` subcommand sweeps the automated
+every experiment.  Experiments run in parallel, one worker per usable
+CPU, and print in registry order; `taskset -c 0 python -m repro` runs
+them serially.  The ``matrix`` subcommand sweeps the automated
 performance matrix (packet size x flows x datapath x topology) and
 binary-searches each cell's maximum lossless rate; it takes its own
 flags — see ``python -m repro matrix --help``.
@@ -107,39 +114,22 @@ def main(argv: "list[str]") -> int:
               file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    targets = chosen or list(EXPERIMENTS)
-    import importlib
+    from repro.sim.shard import Unit, run_units, usable_cpus
 
-    for key in targets:
-        title, module_name = EXPERIMENTS[key]
-        print("=" * 72)
-        print(title)
-        print("=" * 72)
-        started = time.time()
-        module = importlib.import_module(module_name)
-        if with_trace:
-            from repro.sim import profile, trace
-            from repro.tools.perf_report import _call_main, format_report
-
-            if with_profile:
-                with profile.profiling() as rec:
-                    _call_main(module)
-            else:
-                with trace.recording() as rec:
-                    _call_main(module)
-            print()
-            print(format_report(
-                rec, title=f"virtual-time profile: {key}"))
-            if with_profile:
-                print()
-                print(profile.render_tree(
-                    rec.profiler.root, title=f"call tree: {key}",
-                    min_share=0.05))
-        else:
-            from repro.tools.perf_report import _call_main
-
-            _call_main(module)
-        print(f"[{key} done in {time.time() - started:.1f}s]\n")
+    plane = "profile" if with_profile else "trace" if with_trace else None
+    # Wall seconds of each experiment on a 2-CPU host: they only steer
+    # the pool's longest-first placement, never what is printed.
+    wall_s = {"matrix": 3.9, "fig9": 2.9, "table3": 1.5, "fig12": 1.4,
+              "upgrade": 1.1, "fig8": 0.7}
+    units = [
+        Unit(key=key, runner="repro.tools.perf_report:render_experiment",
+             params=dict(name=key, plane=plane),
+             weight=wall_s.get(key, 0.3))
+        for key in chosen or EXPERIMENTS
+    ]
+    run = run_units(units, shards=min(usable_cpus(), len(units)))
+    for text in run.values:
+        sys.stdout.write(text)
     return 0
 
 

@@ -134,27 +134,3 @@ def reduce_run(
         capped_by_line=capped,
     )
 
-
-def add_shards_argument(parser) -> None:
-    """The shared ``--shards N`` CLI knob (DESIGN §17).
-
-    Every experiment driver that sharded execution opted into (fig9,
-    fig12, the perf matrix) exposes the same flag with the same
-    contract: N worker processes, merged observables byte-identical to
-    ``--shards 1``.
-    """
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run experiment cells across N worker processes; merged "
-             "observables are byte-identical to --shards 1 "
-             "(see DESIGN §17)",
-    )
-
-
-def sharded_cells(units, shards: int = 1) -> "Dict":
-    """Run shard units and key their results: the common reduction every
-    cell-structured experiment shares (``{unit.key: value}``)."""
-    from repro.sim.shard import run_units
-
-    run = run_units(units, shards=shards)
-    return {u.key: v for u, v in zip(units, run.values)}

@@ -18,29 +18,27 @@ run_units` refuses that configuration outright.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.sim.faults import FaultRule
 from repro.traffic.trex import FlowSpec, TrexStream
 
+if TYPE_CHECKING:
+    from repro.tools.conservation import PacketLedger
+
 LINK_GBPS = 10.0
 
 
-def run_fault_cell(packets: int, n_flows: int) -> Dict:
+def run_fault_cell(packets: int, n_flows: int) -> PacketLedger:
     """One port-pair sub-world driven under the ambient (unit-scoped)
-    fault plan; returns its conservation ledger as a plain dict."""
+    fault plan; returns its conservation ledger."""
     from repro.experiments.common import warmup_count
     from repro.experiments.world import build_world
 
     world = build_world("afxdp_zc", "P2P", link_gbps=LINK_GBPS)
     stream = TrexStream(FlowSpec(n_flows=n_flows), frame_len=64)
     world.drive(stream, packets)
-    ledger = world.ledger(warmup_count(stream) + packets)
-    return {
-        "offered": ledger.offered,
-        "forwarded": ledger.forwarded,
-        "sinks": dict(ledger.sinks),
-    }
+    return world.ledger(warmup_count(stream) + packets)
 
 
 def fault_units(n_ports: int, seed: int, packets: int = 240,
@@ -76,19 +74,13 @@ def merged_fault_ledger(n_ports: int, seed: int, shards: int = 1,
                         placement=None, packets: int = 240) -> Dict:
     """Run the port set (optionally partitioned) and merge the ledgers
     in fixed unit order; the property suite compares these dicts."""
-    from repro.sim.shard import run_units
+    from repro.sim.shard import merge_ledgers, run_units
 
     units = fault_units(n_ports, seed, packets=packets)
-    run = run_units(units, shards=shards, placement=placement)
-    offered = forwarded = 0
-    sinks: Dict[str, int] = {}
-    for cell in run.values:
-        offered += cell["offered"]
-        forwarded += cell["forwarded"]
-        for name, n in cell["sinks"].items():
-            sinks[name] = sinks.get(name, 0) + n
-    return {"offered": offered, "forwarded": forwarded,
-            "sinks": dict(sorted(sinks.items()))}
+    merged = merge_ledgers(
+        run_units(units, shards=shards, placement=placement).values)
+    return {"offered": merged.offered, "forwarded": merged.forwarded,
+            "sinks": dict(sorted(merged.sinks.items()))}
 
 
 def main(argv=None) -> None:  # pragma: no cover - CLI entry
@@ -96,8 +88,6 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
     two worker counts) can be byte-diffed by ``diff``."""
     import argparse
     import json
-
-    from repro.experiments.common import add_shards_argument
 
     parser = argparse.ArgumentParser(
         prog="fault_cells",
@@ -109,7 +99,10 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
     parser.add_argument("--packets", type=int, default=240)
     parser.add_argument("--json", action="store_true",
                         help="emit the merged ledger as sorted JSON")
-    add_shards_argument(parser)
+    parser.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="run the ports across N worker processes; "
+                             "the merged ledger is byte-identical to "
+                             "--shards 1 (see DESIGN §17)")
     args = parser.parse_args(argv)
     ledger = merged_fault_ledger(args.ports, args.seed,
                                  shards=args.shards,

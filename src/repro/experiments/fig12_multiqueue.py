@@ -59,11 +59,8 @@ def _wire_gbps(mpps: float, frame: int) -> float:
 
 def run_cell(datapath: str, frame: int, queues: int,
              packets_per_queue: int) -> Tuple[float, float]:
-    """One Figure 12 point: fresh world, fresh stream, one rate.
-
-    The shard unit (DESIGN §17): a (datapath, frame, queues) point of
-    the multi-queue scaling curve.
-    """
+    """One Figure 12 point — a (datapath, frame, queues) point of the
+    multi-queue scaling curve: fresh world, fresh stream, one rate."""
     # The workload must have enough flows for RSS to spread work
     # across the queues (TRex varies the IPs at line-rate tests).
     flows = FlowSpec(n_flows=max(16 * queues, 16))
@@ -75,34 +72,14 @@ def run_cell(datapath: str, frame: int, queues: int,
     return (m.mpps, _wire_gbps(m.mpps, frame))
 
 
-def cell_units(packets_per_queue: int = PACKETS_PER_QUEUE) -> "List":
-    """The figure as a serial-ordered list of shard units."""
-    from repro.sim.shard import Unit
-
-    units = []
-    for frame in FRAME_SIZES:
-        for queues in QUEUE_COUNTS:
-            for datapath in ("afxdp", "dpdk"):
-                units.append(Unit(
-                    key=(datapath, frame, queues),
-                    runner="repro.experiments.fig12_multiqueue:run_cell",
-                    params=dict(datapath=datapath, frame=frame,
-                                queues=queues,
-                                packets_per_queue=packets_per_queue),
-                    # Cell cost scales with packets (per-queue budget x
-                    # queues); AF_XDP simulates slower than DPDK.
-                    weight=queues * (1.5 if datapath == "afxdp" else 1.0),
-                ))
-    return units
-
-
-def run_fig12(packets_per_queue: int = PACKETS_PER_QUEUE,
-              shards: int = 1) -> Fig12Result:
-    from repro.experiments.common import sharded_cells
-
-    return Fig12Result(
-        series=sharded_cells(cell_units(packets_per_queue),
-                             shards=shards))
+def run_fig12(packets_per_queue: int = PACKETS_PER_QUEUE) -> Fig12Result:
+    return Fig12Result(series={
+        (datapath, frame, queues): run_cell(datapath, frame, queues,
+                                            packets_per_queue)
+        for frame in FRAME_SIZES
+        for queues in QUEUE_COUNTS
+        for datapath in ("afxdp", "dpdk")
+    })
 
 
 def main(argv=None) -> None:  # pragma: no cover - CLI entry
@@ -114,12 +91,8 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
     )
     parser.add_argument("--packets-per-queue", type=int,
                         default=PACKETS_PER_QUEUE)
-    from repro.experiments.common import add_shards_argument
-
-    add_shards_argument(parser)
     args = parser.parse_args(argv)
-    result = run_fig12(packets_per_queue=args.packets_per_queue,
-                       shards=args.shards)
+    result = run_fig12(packets_per_queue=args.packets_per_queue)
     print(result.render())
     line64 = line_rate_mpps(LINK_GBPS, 64)
     print(f"\n64B line rate: {line64:.1f} Mpps; "

@@ -37,7 +37,7 @@ class Fig2Result:
         )
 
 
-#: Serial cell order; each cell is one shard unit (DESIGN §17).
+#: Bar order.
 DATAPATHS = ("kernel", "dpdk", "ebpf")
 
 
@@ -48,17 +48,8 @@ def run_cell(datapath: str, packets: int) -> float:
     return world.drive(stream, packets).mpps
 
 
-def run_fig2(packets: int = PACKETS, shards: int = 1) -> Fig2Result:
-    from repro.experiments.common import sharded_cells
-    from repro.sim.shard import Unit
-
-    units = [
-        Unit(key=dp, runner="repro.experiments.fig2_single_flow:run_cell",
-             params=dict(datapath=dp, packets=packets),
-             weight={"kernel": 2.0, "dpdk": 1.0, "ebpf": 1.5}[dp])
-        for dp in DATAPATHS
-    ]
-    return Fig2Result(mpps=sharded_cells(units, shards=shards))
+def run_fig2(packets: int = PACKETS) -> Fig2Result:
+    return Fig2Result(mpps={dp: run_cell(dp, packets) for dp in DATAPATHS})
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.experiments.common import (
-    PipelineMeasurement,
-    add_shards_argument,
-    sharded_cells,
-)
+from repro.experiments.common import PipelineMeasurement
 from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
@@ -94,7 +90,7 @@ class Fig9Result:
 #: Rough relative wall-clock cost per (scenario, config) cell, measured
 #: once on the reference machine.  Only steers the shard planner's LPT
 #: placement (DESIGN §17) — a wrong weight degrades load balance, never
-#: any observable.
+#: any result.
 CELL_WEIGHTS: Dict[Tuple[str, str], float] = {
     ("P2P", "kernel"): 3.0,
     ("P2P", "afxdp"): 2.0,
@@ -115,7 +111,7 @@ def run_cell(scenario: str, label: str, flows: int,
 
     The shard unit (DESIGN §17): everything the cell touches — host,
     clock, caches, RNG streams — is built here, so a worker process
-    produces byte-identical charges to the serial loop.
+    measures exactly what the serial loop does.
     """
     world = build_world(
         dict(CONFIGS[scenario])[label], scenario, link_gbps=LINK_GBPS,
@@ -154,9 +150,11 @@ def run_fig9(
     scenarios: Tuple[str, ...] = ("P2P", "PVP", "PCP"),
     shards: int = 1,
 ) -> Fig9Result:
+    from repro.sim.shard import run_units
+
+    units = cell_units(packets, scenarios)
     result = Fig9Result()
-    result.cells.update(
-        sharded_cells(cell_units(packets, scenarios), shards=shards))
+    result.cells.update(run_units(units, shards=shards).by_key(units))
     return result
 
 
@@ -173,10 +171,9 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
              "the series as JSONL to PATH",
     )
     parser.add_argument("--packets", type=int, default=PACKETS)
-    add_shards_argument(parser)
     args = parser.parse_args(argv)
     if args.metrics is None:
-        result = run_fig9(packets=args.packets, shards=args.shards)
+        result = run_fig9(packets=args.packets)
     else:
         from repro.sim import trace
         from repro.sim.profile import MetricsSampler

@@ -96,11 +96,8 @@ class Table2Result:
 
 
 def run_cell(label: str, packets: int) -> float:
-    """One ladder rung: fresh world, fresh stream, one rate.
-
-    The shard unit (DESIGN §17); ``label`` indexes :data:`LADDER` so the
-    cell's options never cross a process boundary.
-    """
+    """One ladder rung (``label`` indexes :data:`LADDER`): fresh world,
+    fresh stream, one rate."""
     options, main_mode = next(
         (opts, mode) for lbl, opts, mode in LADDER if lbl == label)
     world = build_world("afxdp_zc", "P2P", options=options,
@@ -110,20 +107,9 @@ def run_cell(label: str, packets: int) -> float:
     return measurement.mpps
 
 
-def run_table2(packets: int = PACKETS, shards: int = 1) -> Table2Result:
-    from repro.experiments.common import sharded_cells
-    from repro.sim.shard import Unit
-
-    units = [
-        Unit(key=label,
-             runner="repro.experiments.table2_optimizations:run_cell",
-             params=dict(label=label, packets=packets),
-             # The un-batched rungs simulate slower (more per-packet
-             # bookkeeping) — weight them heavier for LPT placement.
-             weight=3.0 if label in ("none", "O1") else 1.5)
-        for label, _opts, _main in LADDER
-    ]
-    return Table2Result(mpps=sharded_cells(units, shards=shards))
+def run_table2(packets: int = PACKETS) -> Table2Result:
+    return Table2Result(mpps={label: run_cell(label, packets)
+                              for label, _opts, _main in LADDER})
 
 
 def main() -> None:  # pragma: no cover - CLI entry

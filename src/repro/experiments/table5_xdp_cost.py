@@ -109,32 +109,18 @@ def _build_program(task: str):
 
 
 def run_cell(task: str, packets: int, n_flows: int) -> float:
-    """One Table 5 row: build the task's program and measure it.
-
-    The shard unit (DESIGN §17): program construction (a pure, uncharged
-    build) moved inside the cell so every row is self-contained.
-    """
+    """One Table 5 row: build the task's program (a pure, uncharged
+    build) and measure it."""
     return _measure_task(XdpContext(_build_program(task)), packets,
                          n_flows=n_flows)
 
 
-def run_table5(packets: int = PACKETS, n_flows: int = 1,
-               shards: int = 1) -> Table5Result:
+def run_table5(packets: int = PACKETS, n_flows: int = 1) -> Table5Result:
     """Measure the four tasks; ``n_flows > 1`` spreads the stream over
     that many distinct flows (every-frame-different traffic defeats any
     per-frame verdict caching, isolating raw program execution cost)."""
-    from repro.experiments.common import sharded_cells
-    from repro.sim.shard import Unit
-
-    units = [
-        Unit(key=task,
-             runner="repro.experiments.table5_xdp_cost:run_cell",
-             params=dict(task=task, packets=packets, n_flows=n_flows),
-             # Complexity grows A -> D; D also transmits.
-             weight={"A": 1.0, "B": 1.5, "C": 2.0, "D": 2.5}[task])
-        for task in "ABCD"
-    ]
-    return Table5Result(mpps=sharded_cells(units, shards=shards))
+    return Table5Result(mpps={task: run_cell(task, packets, n_flows)
+                              for task in "ABCD"})
 
 
 def main() -> None:  # pragma: no cover - CLI entry

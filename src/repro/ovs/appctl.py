@@ -19,8 +19,8 @@ operator actually runs:
   decision the datapath would take, without taking any of them,
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
   history with per-phase recovery timings, backoff state,
-* ``shard/show`` — the last sharded run: placement, barriers,
-  merge wall-time (DESIGN §17),
+* ``shard/show`` — the last sharded run: placement, barriers and
+  per-shard wall time (DESIGN §17),
 * ``fdb/stats`` equivalents come from the bridges' OpenFlow dumps.
 
 ``pmd-perf-show`` and ``coverage/show`` read the active
@@ -370,8 +370,8 @@ class OvsAppctl:
     # ------------------------------------------------------------------
     def shard_show(self, report=None) -> str:
         """``ovs-appctl shard/show``: the most recent sharded run —
-        worker count and start method, barrier count, per-shard unit
-        placement with wall times and the coordinator's merge cost.  Reads
+        worker count and start method, barrier count and per-shard unit
+        placement with wall times.  Reads
         :data:`repro.sim.shard.LAST_REPORT` when no report is passed;
         wall times are real seconds and never feed any observable."""
         if report is None:

@@ -121,6 +121,44 @@ def profile_experiment(name: str,
     return rec
 
 
+def render_experiment(name: str, plane: Optional[str] = None) -> str:
+    """Run one ``python -m repro`` experiment and return what it prints:
+    the banner, its output, the ``plane``'s profile (``"trace"`` or
+    ``"profile"``; ``None`` attaches nothing) and the timing line.
+
+    The unit runner of the suite pool (DESIGN §17): the planes live and
+    die inside the worker, and only this text crosses back.
+    """
+    import importlib
+    import time
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    from repro.__main__ import EXPERIMENTS
+
+    title, module_name = EXPERIMENTS[name]
+    out = StringIO()
+    with redirect_stdout(out):
+        print("=" * 72)
+        print(title)
+        print("=" * 72)
+        started = time.time()
+        if plane is None:
+            _call_main(importlib.import_module(module_name))
+        else:
+            rec = profile_experiment(name,
+                                     with_profiler=(plane == "profile"))
+            print()
+            print(format_report(rec, title=f"virtual-time profile: {name}"))
+            if rec.profiler is not None:
+                print()
+                print(profile.render_tree(
+                    rec.profiler.root, title=f"call tree: {name}",
+                    min_share=0.05))
+        print(f"[{name} done in {time.time() - started:.1f}s]\n")
+    return out.getvalue()
+
+
 def _optional_path(argv: List[str], flag: str) -> "tuple[bool, Optional[str]]":
     """Consume ``flag [PATH]`` from argv: (present, path-or-None)."""
     if flag not in argv:

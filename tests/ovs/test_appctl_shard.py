@@ -28,26 +28,21 @@ def test_shard_show_golden_multi_worker():
     report = ShardReport(
         n_shards=2,
         start_method="fork",
-        record="profile",
         barriers=1,
         placement=[("fig9:P2P:kernel", 0, 3.0),
                    ("fig9:P2P:dpdk", 1, 1.0),
                    ("fig9:P2P:ebpf", 1, 1.5)],
         shard_walls={0: 0.25, 1: 0.125},
-        merge_wall_s=0.002,
-        payload_bytes=4096,
     )
     out = _appctl().shard_show(report)
     assert out == "\n".join([
         "shards: 2 (start method: fork)",
-        "record: profile",
         "barriers: 1",
         "shard 0: 1 unit  wall 0.250s",
         "  'fig9:P2P:kernel' (w=3)",
         "shard 1: 2 units  wall 0.125s",
         "  'fig9:P2P:dpdk' (w=1)",
         "  'fig9:P2P:ebpf' (w=1.5)",
-        "merge wall: 2.00 ms (4096 snapshot bytes)",
     ])
 
 
@@ -56,22 +51,17 @@ def test_shard_show_golden_degenerate_single_shard():
         n_shards=1,
         start_method="inline",
         degenerate=True,
-        record="off",
         barriers=0,
         placement=[("port0", 0, 1.0), ("port1", 0, 2.0)],
         shard_walls={0: 0.5},
-        merge_wall_s=0.0,
-        payload_bytes=0,
     )
     out = _appctl().shard_show(report)
     assert out == "\n".join([
         "shards: 1 (start method: inline, degenerate: ran inline)",
-        "record: off",
         "barriers: 0",
         "shard 0: 2 units  wall 0.500s",
         "  'port0' (w=1)",
         "  'port1' (w=2)",
-        "merge wall: 0.00 ms (0 snapshot bytes)",
     ])
 
 

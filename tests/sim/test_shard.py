@@ -9,18 +9,11 @@ import multiprocessing as mp
 
 import pytest
 
+from repro import telemetry
 from repro.sim import faults, profile, trace
-from repro.sim.profile import collapse
-from repro.sim.shard import (
-    RunLog,
-    ShardError,
-    ShardPlan,
-    ShardRecorder,
-    TraceSnapshot,
-    Unit,
-    partition_round_robin,
-    run_units,
-)
+from repro.sim.profile import MetricsSampler
+from repro.sim.shard import ShardError, ShardPlan, Unit, run_units
+from repro.telemetry import Telemetry
 
 
 # ----------------------------------------------------------------------
@@ -31,7 +24,8 @@ def unit_square(x: int) -> int:
 
 
 def unit_trace(seed: int, n: int = 40) -> float:
-    """A deterministic charge stream with order-sensitive floats."""
+    """An order-sensitive float sum, also charged to the attached
+    recorder when there is one."""
     rec = trace.ACTIVE
     total = 0.0
     for i in range(n):
@@ -70,59 +64,8 @@ def _units(n, runner="tests.sim.test_shard:unit_square", **extra):
             for i in range(n)]
 
 
-def _observe(units, shards, **kw):
-    with profile.profiling() as rec:
-        run = run_units(units, shards=shards, **kw)
-    return run.values, rec.ledger(), dict(rec.counters), \
-        collapse(rec.profiler.root), {k: dict(v)
-                                      for k, v in rec.batch_sizes.items()}
-
-
-# ----------------------------------------------------------------------
-# RunLog / snapshot replay.
-# ----------------------------------------------------------------------
-def test_runlog_compresses_consecutive_equal_values():
-    log = RunLog()
-    for _ in range(5):
-        log.add("a", 2.0)
-    log.add("a", 3.0)
-    log.add_n("a", 3.0, 7)
-    log.add_n("b", 1.5, 2)
-    assert log.runs == {"a": [2.0, 5, 3.0, 8], "b": [1.5, 2]}
-
-
-def test_snapshot_replay_is_bit_identical_not_just_close():
-    # 0.1 added 10 times != 1.0: replay must reproduce the exact fold.
-    src = ShardRecorder()
-    for _ in range(10):
-        src.record("s", 0.1)
-    dst = trace.TraceRecorder()
-    src.snapshot().replay_into(dst)
-    assert dst.spans["s"][1] == src.spans["s"][1]
-    assert dst.spans["s"][1] != 1.0  # the exact ulps survive
-
-    collapsed = trace.TraceRecorder()
-    src.snapshot().replay_into(collapsed, collapse=True)
-    assert collapsed.spans["s"][1] == 10 * 0.1  # the mutation differs
-    assert collapsed.spans["s"][1] != dst.spans["s"][1]
-
-
-def test_replay_refuses_open_spans_and_open_profiler_frames():
-    snap = TraceSnapshot(spans={"s": [1.0, 1]}, waits={}, nested={},
-                         cpu=[], counters={}, batch_sizes={})
-    rec = trace.TraceRecorder()
-    with rec.span("open"):
-        with pytest.raises(ShardError):
-            snap.replay_into(rec)
-
-    psnap = TraceSnapshot(spans={}, waits={}, nested={}, cpu=[],
-                          counters={}, batch_sizes={},
-                          prof_enters={("pmd",): 1})
-    prec = trace.TraceRecorder()
-    prec.profiler = profile.Profiler()
-    prec.profiler.enter("open")
-    with pytest.raises(ShardError):
-        psnap.replay_into(prec)
+def _values(units, shards, **kw):
+    return run_units(units, shards=shards, **kw).values
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +103,6 @@ def test_from_partition_validates():
         run_units(_units(3), shards=2, placement=[0, 1])  # wrong length
 
 
-def test_partition_round_robin():
-    assert partition_round_robin(5, 2) == [0, 1, 0, 1, 0]
-    with pytest.raises(ShardError):
-        partition_round_robin(3, 0)
-
-
 # ----------------------------------------------------------------------
 # run_units: degenerate, sharded, guards.
 # ----------------------------------------------------------------------
@@ -183,7 +120,6 @@ def test_sharded_values_keep_serial_order():
     assert run.report.n_shards == 2
     assert not run.report.degenerate
     assert run.report.barriers == 1
-    assert run.report.payload_bytes == 0  # no recorder: no snapshots
 
 
 def test_never_opens_more_shards_than_units():
@@ -193,24 +129,16 @@ def test_never_opens_more_shards_than_units():
 
 def test_sharded_observables_byte_identical_to_serial():
     units = _units(5, runner="tests.sim.test_shard:unit_trace")
-    serial = _observe(units, shards=1)
+    serial = _values(units, shards=1)
     for shards in (2, 3):
-        assert _observe(units, shards=shards) == serial
+        assert _values(units, shards=shards) == serial
 
 
 def test_explicit_placement_never_changes_observables():
     units = _units(4, runner="tests.sim.test_shard:unit_trace")
-    serial = _observe(units, shards=1)
+    serial = _values(units, shards=1)
     for placement in ([0, 1, 2, 0], [2, 2, 2, 2], [1, 0, 1, 0]):
-        assert _observe(units, shards=3, placement=placement) == serial
-
-
-def test_merge_mutations_change_the_ledger():
-    units = _units(4, runner="tests.sim.test_shard:unit_trace")
-    serial = _observe(units, shards=1)
-    for mutation in ("reorder", "collapse"):
-        mutated = _observe(units, shards=2, _mutate_merge=mutation)
-        assert mutated[1] != serial[1], mutation  # ledger bytes differ
+        assert _values(units, shards=3, placement=placement) == serial
 
 
 def test_unit_scoped_fault_plans_are_schedule_independent():
@@ -227,10 +155,47 @@ def test_unit_scoped_fault_plans_are_schedule_independent():
                      placement=[2, 0, 2, 1]).values == serial
 
 
+def _sampled():
+    return profile.profiling(sampler=MetricsSampler())
+
+
+def _faulty():
+    return faults.injecting(faults.FaultPlan(seed=1, rules=(
+        faults.FaultRule("afxdp.tx_kick_eagain", rate=0.5),)))
+
+
+#: Every plane that can be attached in the calling process, and the
+#: name the refusal gives it.
+PLANES = {
+    "trace recorder": trace.recording,
+    "profiler": profile.profiling,
+    "MetricsSampler": _sampled,
+    "FaultPlan": _faulty,
+    "telemetry session": lambda: telemetry.monitoring(Telemetry()),
+}
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_an_attached_plane_is_refused_when_sharded(plane):
+    units = _units(2, runner="tests.sim.test_shard:unit_trace")
+    with PLANES[plane]():
+        with pytest.raises(ShardError, match=f"ambient {plane} is attached"):
+            run_units(units, shards=2)
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_an_attached_plane_runs_inline(plane):
+    units = _units(2, runner="tests.sim.test_shard:unit_trace")
+    with PLANES[plane]():
+        assert _values(units, shards=1) == \
+            [unit_trace(**u.params) for u in units]
+        rec = trace.ACTIVE
+        if rec is not None:  # the inline units charged this recorder
+            assert rec.spans["work"][0] == 2 * 2 * 40
+
+
 def test_ambient_fault_plan_is_refused_when_sharded():
-    plan = faults.FaultPlan(seed=1, rules=(
-        faults.FaultRule("afxdp.tx_kick_eagain", rate=0.5),))
-    with faults.injecting(plan):
+    with _faulty():
         with pytest.raises(ShardError, match="ambient FaultPlan"):
             run_units(_units(2), shards=2)
         # Unit plans cannot nest inside it either, even inline.
@@ -239,9 +204,7 @@ def test_ambient_fault_plan_is_refused_when_sharded():
 
 
 def test_attached_metrics_sampler_is_refused_when_sharded():
-    rec = trace.TraceRecorder()
-    rec.sampler = object()
-    with trace.recording(rec):
+    with _sampled():
         with pytest.raises(ShardError, match="MetricsSampler"):
             run_units(_units(2), shards=2)
 
@@ -260,6 +223,5 @@ def test_bad_runner_specs_raise_shard_errors():
 @pytest.mark.parametrize("method", mp.get_all_start_methods())
 def test_every_start_method_merges_byte_identically(method):
     units = _units(3, runner="tests.sim.test_shard:unit_trace")
-    serial = _observe(units, shards=1)
-    sharded = _observe(units, shards=2, start_method=method)
-    assert sharded == serial
+    assert _values(units, shards=2, start_method=method) == \
+        _values(units, shards=1)
