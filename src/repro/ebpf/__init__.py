@@ -10,8 +10,10 @@ real (subset) eBPF machine:
   (:mod:`repro.ebpf.program`),
 * a verifier (:mod:`repro.ebpf.verifier`) that enforces the sandbox limits
   the paper complains about — program size cap and **no loops**,
-* an interpreter (:mod:`repro.ebpf.vm`) that charges ``ebpf_insn_ns`` per
-  executed instruction,
+* a machine model (:mod:`repro.ebpf.vm`) whose runs execute each program
+  JIT-compiled (:mod:`repro.ebpf.jit`) and charge ``ebpf_insn_ns`` per
+  executed instruction; a program the JIT cannot compile fails to load,
+  and the step-by-step reference VM lives in the tests as the oracle,
 * maps and helpers (:mod:`repro.ebpf.maps`, :mod:`repro.ebpf.helpers`),
 * XDP attach/return semantics (:mod:`repro.ebpf.xdp`).
 """

@@ -3,8 +3,9 @@
 Instructions follow the real eBPF layout: ``(op, dst, src, off, imm)`` where
 ``dst``/``src`` are register numbers, ``off`` a signed 16-bit branch/memory
 offset, ``imm`` a signed 32-bit immediate.  Mnemonics are strings for
-readability; the interpreter dispatches on them through a dict, and the
-verifier knows the full legal set.
+readability; the verifier knows the full legal set, and the JIT
+(:mod:`repro.ebpf.jit`) translates each one to Python source once per
+program.
 """
 
 from __future__ import annotations

@@ -1,47 +1,45 @@
 """JIT-compile verified eBPF programs to native Python closures.
 
 The real kernel escapes its eBPF interpreter with a per-architecture JIT;
-this module is the simulator's equivalent.  A verified
+this module is the simulator's equivalent, and its only way to run eBPF,
+as with Linux's ``CONFIG_BPF_JIT_ALWAYS_ON``.  A verified
 :class:`~repro.ebpf.program.Program` is translated *once* into Python
 source for a single function that executes the whole instruction stream —
-ALU, branches, loads/stores through the same region/bounds model, helper
+ALU, branches, loads/stores through the VM's region/bounds model, helper
 calls through :data:`~repro.ebpf.helpers.HELPERS`, map interaction through
 :class:`~repro.ebpf.maps.BpfMap` — compiled with :func:`compile` and cached
 on the program (invalidated whenever the program's instruction tuple or
-map bindings change).
+map bindings change).  :meth:`repro.ebpf.vm.EbpfVm.run` calls it.
 
-The contract is **charge-exactness**: a compiled run must be
-observationally identical to an interpreted one.  Same verdict, same
-packet bytes, same map contents and version bumps, same
+Translation re-runs the verifier's rules first (``Program.verified`` is
+a plain flag), so a program it cannot compile is refused with a
+:class:`~repro.ebpf.verifier.VerifierError` naming the reason, at attach
+(``ebpf/xdp.py``, ``kernel/tc.py``) or at its first run; so is a program
+that trips a translator defect.
+
+The contract is **charge-exactness** against the step-by-step semantics
+that ``tests/reference/ebpf_vm.py`` keeps as the oracle: same verdict,
+same packet bytes, same map contents and version bumps, same
 ``insns_retired``/``helper_calls``/``runs`` trace counters, and the same
 virtual-time charges in the same order — ``dma_first_touch_ns`` at the
 first packet-data load, then one aggregate
-``executed * ebpf_insn_ns + helper_cost`` charge computed with the same
-float operations the interpreter performs.  Only wall-clock time differs.
-To keep that guarantee cheap, generated fast paths only inline the cases
-whose semantics are locally obvious (int/int ALU, packet/stack memory,
-the xdp_md context); everything else falls back to the *same* module
-functions the interpreter itself runs (:func:`repro.ebpf.vm.alu`,
-:func:`repro.ebpf.vm.branch_taken`, ``EbpfVm._load``/``_store``).
+``executed * ebpf_insn_ns + helper_cost`` charge, the helper cost summed
+call by call.  Generated fast paths only inline the cases whose
+semantics are locally obvious (int/int ALU, packet/stack memory, the
+xdp_md context); everything else calls the module functions
+:func:`repro.ebpf.vm.alu`, :func:`repro.ebpf.vm.branch_taken` and
+``EbpfVm._load``/``_store``.
 
 Control flow needs no goto: the verifier rejects back-edges, so a
 program is a DAG over straight-line segments.  The generated function is
 a ``while True`` loop of ``if label <= <segment start>:`` guards; a taken
 jump sets ``label`` and ``continue``s, which skips every earlier segment
 — a relooper for the forward-only case.
-
-Programs the translator cannot prove it can compile are *declined* and
-run on the interpreter forever (per-program, recorded in
-:func:`stats`).  Gating: module switch :data:`ENABLED` (tests turn it
-off with :func:`disabled` to run the interpreter as the oracle) AND the
-global :mod:`repro.sim.fastpath` switch, checked by the attachment
-layers (``ebpf/xdp.py``, ``kernel/tc.py``) per packet.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ebpf.helpers import HELPERS
 from repro.ebpf.isa import MEM_WIDTHS, U64, to_s64, to_u64
@@ -57,43 +55,30 @@ from repro.ebpf.vm import (
     alu,
     branch_taken,
 )
-from repro.ebpf.verifier import MAX_INSNS, STACK_SIZE
+from repro.ebpf.verifier import STACK_SIZE, VerifierError, check
 from repro.sim import trace as _trace
 from repro.sim.costs import DEFAULT_COSTS
 
-ENABLED: bool = True
-
-
-@contextmanager
-def disabled():
-    """Run a block with the JIT off (forces the interpreter path)."""
-    global ENABLED
-    saved = ENABLED
-    ENABLED = False
-    try:
-        yield
-    finally:
-        ENABLED = saved
-
-
-class JitDecline(Exception):
-    """The translator refuses this program; the interpreter runs it."""
+#: Read only by ``bench/spec.py``'s host fingerprint; goes with the
+#: bench re-base (ROADMAP 1(h)).  The JIT cannot be switched off.
+ENABLED = True
 
 
 # ----------------------------------------------------------------------
 # Per-program bookkeeping.
 # ----------------------------------------------------------------------
 class ProgramJitStats:
-    """Hit/fallback counters for one program name (appctl fastpath/show)."""
+    """Run counter for one program name (appctl fastpath/show)."""
 
-    __slots__ = ("name", "compiled", "declined", "jit_runs", "interp_runs")
+    __slots__ = ("name", "jit_runs")
+
+    #: Read only by ``bench/layers.py``; goes with the bench re-base
+    #: (ROADMAP 1(h)).  Nothing interprets, so it stays 0.
+    interp_runs = 0
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.compiled = False
-        self.declined: Optional[str] = None
         self.jit_runs = 0
-        self.interp_runs = 0
 
 
 _STATS: Dict[str, ProgramJitStats] = {}
@@ -137,36 +122,14 @@ def program_token(program: Program) -> int:
 class CompiledProgram:
     """A program's generated function plus everything needed to trust it."""
 
-    __slots__ = ("program", "fn", "source", "stats", "maps_snapshot")
+    __slots__ = ("fn", "source", "stats", "maps_snapshot")
 
-    def __init__(self, program: Program, fn, source: str,
-                 st: ProgramJitStats, maps_snapshot: Dict) -> None:
-        self.program = program
+    def __init__(self, fn, source: str, st: ProgramJitStats,
+                 maps_snapshot: Dict) -> None:
         self.fn = fn
         self.source = source
         self.stats = st
         self.maps_snapshot = maps_snapshot
-
-
-class JitVm(EbpfVm):
-    """An :class:`EbpfVm` whose :meth:`run` executes compiled code.
-
-    Inherits the whole register/memory surface (helpers call straight
-    into it), so helper semantics are shared with the interpreter by
-    construction rather than re-implemented.
-    """
-
-    def __init__(self, compiled: CompiledProgram, exec_ctx=None,
-                 ktime_ns: int = 0) -> None:
-        super().__init__(compiled.program, exec_ctx=exec_ctx,
-                         ktime_ns=ktime_ns)
-        self._compiled = compiled
-
-    def run(self, pkt_data: bytes, ingress_ifindex: int = 0,
-            rx_queue_index: int = 0) -> int:
-        compiled = self._compiled
-        compiled.stats.jit_runs += 1
-        return compiled.fn(self, pkt_data, ingress_ifindex, rx_queue_index)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +139,6 @@ _PRED_PYOP = {
     "jeq": "==", "jne": "!=", "jgt": ">", "jge": ">=", "jlt": "<", "jle": "<=",
 }
 
-_SUPPORTED_MISC = frozenset({"exit", "call", "ja", "ld_map", "neg", "be", "le"})
 _ALU_BASES = frozenset(
     {"add", "sub", "mul", "div", "mod", "and", "or", "xor",
      "lsh", "rsh", "arsh", "mov"}
@@ -205,42 +167,15 @@ def _split(op: str) -> Tuple[str, str]:
 
 def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
     """Emit the source and globals of ``_jit_entry`` for ``program``."""
+    # ``check`` (run by compile_program) has proved every opcode, helper
+    # id and map id known and every branch forward and in range; collect
+    # the jump targets, where segments start.
     insns = program.insns
-    n = len(insns)
-    if n == 0:
-        raise JitDecline("empty program")
-    if n > MAX_INSNS:
-        raise JitDecline(f"program too large: {n} insns")
-
-    # First pass: validate every opcode and collect jump-target segment
-    # starts.  Anything unknown declines the whole program — the
-    # interpreter defines the semantics of whatever we cannot prove.
     starts = set()
     for pc, insn in enumerate(insns):
-        op = insn.op
-        base, mode = _split(op)
-        is_jump = op == "ja" or (mode in ("imm", "reg") and base in _JMP_PREDS)
-        if is_jump:
-            target = pc + 1 + insn.off
-            if not 0 <= target < n:
-                raise JitDecline(f"pc {pc}: branch target {target} out of range")
-            starts.add(target)
-            continue
-        if op in _SUPPORTED_MISC:
-            if op == "call" and insn.imm not in HELPERS:
-                raise JitDecline(f"pc {pc}: unknown helper id {insn.imm}")
-            if op == "ld_map" and insn.imm not in program.maps:
-                raise JitDecline(f"pc {pc}: undeclared map id {insn.imm}")
-            continue
-        if mode in ("imm", "reg") and base in _ALU_BASES:
-            continue
-        if op.startswith("ldx") and op[3:] in MEM_WIDTHS:
-            continue
-        if op.startswith("stx") and op[3:] in MEM_WIDTHS:
-            continue
-        if op.startswith("st") and op[2:] in MEM_WIDTHS:
-            continue
-        raise JitDecline(f"pc {pc}: unsupported opcode {op!r}")
+        base, mode = _split(insn.op)
+        if insn.op == "ja" or (mode in ("imm", "reg") and base in _JMP_PREDS):
+            starts.add(pc + 1 + insn.off)
 
     glb: Dict[str, object] = {
         "U64": U64,
@@ -254,7 +189,6 @@ def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
         "_vm_load": EbpfVm._load,
         "_vm_store": EbpfVm._store,
         "_to_s64": to_s64,
-        "_to_u64": to_u64,
         "_PTR_CTX": Pointer(CTX_REGION, 0),
         "_PTR_STACK": Pointer(STACK_REGION, STACK_SIZE),
         "_PTR_PKT0": Pointer(PKT_REGION, 0),
@@ -263,8 +197,8 @@ def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
     w = _Emitter()
     w("def _jit_entry(vm, pkt_data, ingress_ifindex, rx_queue_index):")
     w.indent = 1
-    # Prologue — mirrors EbpfVm.run()'s reset exactly.  The stack region
-    # deliberately persists across runs of one VM, as it does there.
+    # Prologue — the per-run reset.  The stack region deliberately
+    # persists across runs of one VM.
     w("costs = _COSTS")
     w("pkt = bytearray(pkt_data)")
     w("vm._pkt = pkt")
@@ -323,14 +257,14 @@ def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
             w("if _a.__class__ is int:")
             w(f"    r{d} = (-_a) & U64")
             w("else:")
-            w(f"    r{d} = (-vm.scalar_from_reg({d})) & U64")
+            _gen_not_scalar(w, d)
         elif op in ("be", "le"):
             mask = (1 << imm) - 1
             w(f"_a = r{d}")
             w("if _a.__class__ is int:")
             w(f"    r{d} = _a & {mask}")
             w("else:")
-            w(f"    r{d} = vm.scalar_from_reg({d}) & {mask}")
+            _gen_not_scalar(w, d)
         else:
             base, mode = _split(op)
             if mode in ("imm", "reg") and base in _JMP_PREDS:
@@ -353,9 +287,9 @@ def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
     w.indent = 2
     w("break")
 
-    # Epilogue — the same commit sequence, in the same order, as the
-    # interpreter's run() tail.  Reached only on clean exit: a VmFault or
-    # helper exception propagates before any of this, exactly as there.
+    # Epilogue — the run's commit sequence, in this order.  Reached only
+    # on clean exit: a VmFault or helper exception propagates before any
+    # of this, so a faulted run retires and charges nothing here.
     w.indent = 1
     w("vm.insns_executed += n_ret")
     w("vm.last_executed = n_ret")
@@ -375,16 +309,20 @@ def _translate(program: Program) -> Tuple[str, Dict[str, object]]:
     w("    vm._flush_map_values()")
     w("if r0.__class__ is int:")
     w("    return r0 & 0xFFFFFFFF")
-    w("if isinstance(r0, Pointer):")
-    w("    raise VmFault('program returned a pointer')")
-    w("return _to_u64(int(r0)) & 0xFFFFFFFF")
+    w("raise VmFault('program returned a pointer')")
     return w.source(), glb
+
+
+def _gen_not_scalar(w: _Emitter, reg: int) -> None:
+    # A register local that is not an int holds a pointer or a map handle.
+    # (``vm._regs`` is synced only at helper calls, so it cannot be asked.)
+    w(f"    raise VmFault('r{reg} holds a pointer where a scalar is needed')")
 
 
 def _gen_call(w: _Emitter, imm: int) -> None:
     # Sync the argument registers helpers may read (r1-r5), call through
-    # the live HELPERS table, and accumulate the helper cost with the
-    # same per-call float additions the interpreter makes.
+    # the live HELPERS table, and accumulate the helper cost with one
+    # float addition per call and per map operation.
     w("regs[1] = r1; regs[2] = r2; regs[3] = r3; regs[4] = r4; regs[5] = r5")
     w(f"r0 = _HELPERS[{imm}](vm)")
     w("vm.helper_calls += 1")
@@ -592,13 +530,13 @@ def _store_body(w: _Emitter, d: int, off: int, width: int,
 
 def _gen_store_reg(w: _Emitter, d: int, s: int, off: int, width: int) -> None:
     mask = (1 << (8 * width)) - 1
-    # Interpreter order: the source scalar is extracted (and may fault on
-    # a pointer) *before* the destination pointer is inspected.
+    # The source scalar is extracted (and may fault on a pointer)
+    # *before* the destination pointer is inspected.
     w(f"_v = r{s}")
     w("if _v.__class__ is int:")
     w(f"    _v = _v & {mask}")
     w("else:")
-    w(f"    _v = vm.scalar_from_reg({s}) & {mask}")
+    _gen_not_scalar(w, s)
     if width == 1:
         _store_body(w, d, off, width, "_v", "_v", "_v")
     else:
@@ -626,34 +564,28 @@ def _gen_store_imm(w: _Emitter, d: int, off: int, width: int,
 # ----------------------------------------------------------------------
 # Compile cache.
 # ----------------------------------------------------------------------
-def compile_program(program: Program) -> Optional[CompiledProgram]:
-    """Translate + compile ``program``; ``None`` if declined."""
-    st = stats_for(program.name)
+def compile_program(program: Program) -> CompiledProgram:
+    """Check, translate and compile ``program``.
+
+    Raises :class:`VerifierError` with the reason when the program breaks
+    a verifier rule or the translator fails on it; nothing else runs it.
+    """
+    if not program.verified:
+        raise VerifierError(f"program {program.name!r} was never verified")
+    check(program)
     try:
         source, glb = _translate(program)
-        code = compile(source, f"<ebpf-jit:{program.name}>", "exec")
-        exec(code, glb)
-    except JitDecline as exc:
-        st.compiled = False
-        st.declined = str(exc)
-        return None
-    except Exception as exc:  # pragma: no cover - codegen bug safety net
-        # A translator defect must never take the datapath down: decline
-        # and let the interpreter define the semantics.  The test suite
-        # asserts every library program compiles, so this cannot hide.
-        st.compiled = False
-        st.declined = f"internal error: {exc!r}"
-        return None
-    compiled = CompiledProgram(
-        program, glb["_jit_entry"], source, st, dict(program.maps)
-    )
-    st.compiled = True
-    st.declined = None
-    return compiled
+        exec(compile(source, f"<ebpf-jit:{program.name}>", "exec"), glb)
+    except Exception as exc:
+        raise VerifierError(
+            f"program {program.name!r}: JIT translation failed: {exc!r}"
+        ) from exc
+    return CompiledProgram(glb["_jit_entry"], source,
+                           stats_for(program.name), dict(program.maps))
 
 
-def compiled_for(program: Program) -> Optional[CompiledProgram]:
-    """The cached compiled form of ``program`` (or ``None`` if declined).
+def compiled_for(program: Program) -> CompiledProgram:
+    """The cached compiled form of ``program``.
 
     Cache validity is checked per call: the instruction tuple must be
     the very object that was compiled and every map id must still bind
@@ -661,10 +593,9 @@ def compiled_for(program: Program) -> Optional[CompiledProgram]:
     the program is recompiled — the "invalidated on program change" rule.
     """
     cached = getattr(program, "_jit_cache", None)
-    if cached is not None and cached[0] is program.insns:
-        compiled = cached[1]
-        if compiled is None or compiled.maps_snapshot == program.maps:
-            return compiled
-    compiled = compile_program(program) if program.verified else None
+    if (cached is not None and cached[0] is program.insns
+            and cached[1].maps_snapshot == program.maps):
+        return cached[1]
+    compiled = compile_program(program)
     program._jit_cache = (program.insns, compiled)
     return compiled

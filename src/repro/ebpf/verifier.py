@@ -11,9 +11,15 @@ reason an eBPF OVS datapath "lacks some OVS datapath features":
   a final-instruction check),
 * stack accesses must stay within the 512-byte frame.
 
-Runtime memory bounds against packet data are enforced by the interpreter
-(:class:`repro.ebpf.vm.EbpfVm`), mirroring how the real verifier's
-data_end-bounds proofs manifest as safe behaviour.
+Runtime memory bounds against packet data are enforced by the VM's
+memory model (:class:`repro.ebpf.vm.EbpfVm`, which the compiled code
+calls into), mirroring how the real verifier's data_end-bounds proofs
+manifest as safe behaviour.
+
+:func:`check` is the rule set without side effects.  The JIT
+(:mod:`repro.ebpf.jit`) re-runs it before translating, because
+``Program.verified`` is a plain flag: a program it refuses fails to load
+or attach with the reason, and never runs on a second engine.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ def _check_reg(value: int, what: str, insn_idx: int) -> None:
 
 def verify(program: Program) -> Program:
     """Verify ``program`` in place; returns it with ``verified=True``."""
+    check(program)
+    program.verified = True
+    trace.count("ebpf.programs_verified")
+    trace.count("ebpf.insns_verified", len(program.insns))
+    return program
+
+
+def check(program: Program) -> None:
+    """Raise :class:`VerifierError` unless ``program`` obeys every rule."""
     insns = program.insns
     if not insns:
         raise VerifierError("empty program")
@@ -52,10 +67,6 @@ def verify(program: Program) -> Program:
         _verify_insn(program, insn, idx, len(insns))
     if insns[-1].op not in ("exit", "ja"):
         raise VerifierError("control can fall off the end of the program")
-    program.verified = True
-    trace.count("ebpf.programs_verified")
-    trace.count("ebpf.insns_verified", len(insns))
-    return program
 
 
 def _verify_insn(program: Program, insn: Insn, idx: int, n: int) -> None:

@@ -1,12 +1,14 @@
-"""The eBPF interpreter.
+"""The eBPF machine: registers, memory regions and one run per packet.
 
 Registers hold either 64-bit scalars or tagged :class:`Pointer` values into
 named memory regions (packet data, the 512-byte stack, exposed map values,
-the xdp_md context).  Every executed instruction charges ``ebpf_insn_ns``
-to the attached :class:`~repro.sim.cpu.ExecContext` — this is the sandbox
-interpretation overhead that makes the eBPF datapath 10–20 % slower than
-native kernel code (§2.2.2) and makes XDP program complexity cost
-throughput (§5.4, Table 5).
+the xdp_md context).  A run executes the program's compiled function
+(:mod:`repro.ebpf.jit`), which calls back into this model for helpers,
+map values and every access its fast paths do not inline.  Every
+executed instruction charges ``ebpf_insn_ns`` to the attached
+:class:`~repro.sim.cpu.ExecContext` — this is the sandbox overhead that
+makes the eBPF datapath 10–20 % slower than native kernel code (§2.2.2)
+and makes XDP program complexity cost throughput (§5.4, Table 5).
 
 Runtime faults (out-of-bounds access, bad pointer arithmetic) raise
 :class:`VmFault`; the XDP hook translates a fault into ``XDP_ABORTED``.
@@ -16,12 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.ebpf.helpers import HELPERS
-from repro.ebpf.isa import MEM_WIDTHS, Insn, to_s64, to_u64
+from repro.ebpf.isa import to_s64, to_u64
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import STACK_SIZE
-from repro.sim import trace as _trace
 from repro.sim.cpu import ExecContext
 from repro.sim.rng import make_rng
 
@@ -49,7 +49,7 @@ CTX_LEN = 20
 
 
 class EbpfVm:
-    """Interprets one program run over one packet/context."""
+    """One program's machine state for runs over packets/contexts."""
 
     def __init__(
         self,
@@ -100,9 +100,9 @@ class EbpfVm:
 
     def scalar_from_reg(self, index: int) -> int:
         value = self._regs[index]
-        if isinstance(value, Pointer):
+        if not isinstance(value, int):  # a pointer or a map handle
             raise VmFault(f"r{index} holds a pointer where a scalar is needed")
-        return to_u64(int(value))
+        return to_u64(value)
 
     def scalar_signed_from_reg(self, index: int) -> int:
         return to_s64(self.scalar_from_reg(index))
@@ -176,92 +176,17 @@ class EbpfVm:
         ingress_ifindex: int = 0,
         rx_queue_index: int = 0,
     ) -> int:
-        """Execute the program over a packet; returns r0 (the verdict)."""
-        from repro.sim.costs import DEFAULT_COSTS
+        """Execute the program over a packet; returns r0 (the verdict).
 
-        costs = DEFAULT_COSTS
-        self._pkt = bytearray(pkt_data)
-        self._regions[CTX_REGION] = bytearray(CTX_LEN)
-        self._ctx_meta = (ingress_ifindex, rx_queue_index)
-        self._regs = [0] * 11
-        self._regs[1] = Pointer(CTX_REGION, 0)
-        self._regs[10] = Pointer(STACK_REGION, STACK_SIZE)
-        self.redirect_target = None
-
-        insns = self.program.insns
-        decoded = decoded_insns(self.program)
-        regs = self._regs
-        pc = 0
-        executed = 0
-        helpers_before = self.helper_calls
-        helper_cost = 0.0
-        n = len(insns)
-        while pc < n:
-            kind, dst, src, arg, imm, aux = decoded[pc]
-            executed += 1
-            if kind == _K_ALU_IMM:
-                regs[dst] = alu(aux, regs[dst], imm)
-                pc += 1
-            elif kind == _K_LDX:
-                regs[dst] = self._load(regs[src], arg, aux)
-                pc += 1
-            elif kind == _K_JMP_IMM:
-                pc = arg if branch_taken(aux, regs[dst], imm) else pc + 1
-            elif kind == _K_ALU_REG:
-                regs[dst] = alu(aux, regs[dst], regs[src])
-                pc += 1
-            elif kind == _K_JMP_REG:
-                pc = arg if branch_taken(aux, regs[dst], regs[src]) else pc + 1
-            elif kind == _K_STX:
-                value = self.scalar_from_reg(src) & aux[1]
-                self._store(regs[dst], arg, aux[0], value)
-                pc += 1
-            elif kind == _K_CALL:
-                helper = HELPERS[imm]
-                regs[0] = helper(self)
-                self.helper_calls += 1
-                helper_cost += costs.ebpf_helper_ns
-                if imm == 1:  # map lookup
-                    helper_cost += costs.ebpf_map_lookup_ns
-                elif imm in (2, 3):
-                    helper_cost += costs.ebpf_map_update_ns
-                pc += 1
-            elif kind == _K_EXIT:
-                break
-            elif kind == _K_JA:
-                pc = arg
-            elif kind == _K_ST:
-                self._store(regs[dst], arg, aux[0], aux[1])
-                pc += 1
-            elif kind == _K_NEG:
-                regs[dst] = to_u64(-self.scalar_from_reg(dst))
-                pc += 1
-            elif kind == _K_END:
-                regs[dst] = self.scalar_from_reg(dst) & aux
-                pc += 1
-            elif kind == _K_LDMAP:
-                regs[dst] = self.program.maps[imm]
-                pc += 1
-            else:
-                pc = self._step(insns[pc], pc)
-
-        self.insns_executed += executed
-        self.last_executed = executed
-        self.last_helper_calls = self.helper_calls - helpers_before
-        self.last_charge_ns = executed * costs.ebpf_insn_ns + helper_cost
-        if self.exec_ctx is not None:
-            self.exec_ctx.charge(self.last_charge_ns, label="ebpf")
-        rec = _trace.ACTIVE
-        if rec is not None:
-            rec.count("ebpf.insns_retired", executed)
-            if self.last_helper_calls:
-                rec.count("ebpf.helper_calls", self.last_helper_calls)
-            rec.count("ebpf.runs")
-        self._flush_map_values()
-        verdict = self._regs[0]
-        if isinstance(verdict, Pointer):
-            raise VmFault("program returned a pointer")
-        return to_u64(int(verdict)) & 0xFFFFFFFF
+        The program runs as its compiled function, translated on first
+        use and again after its instructions or maps are rebound; a
+        program the translator refuses raises
+        :class:`~repro.ebpf.verifier.VerifierError` here, as it does at
+        attach.
+        """
+        compiled = _jit.compiled_for(self.program)
+        compiled.stats.jit_runs += 1
+        return compiled.fn(self, pkt_data, ingress_ifindex, rx_queue_index)
 
     def pkt_bytes(self) -> bytes:
         """The (possibly rewritten) packet after a run."""
@@ -276,69 +201,6 @@ class EbpfVm:
             if buf is not None and bytes(buf) != original:
                 bpf_map.update(key, bytes(buf))
         self._map_values.clear()
-
-    # ------------------------------------------------------------------
-    def _step(self, insn: Insn, pc: int) -> int:
-        op = insn.op
-        regs = self._regs
-
-        if op == "ld_map":
-            regs[insn.dst] = self.program.maps[insn.imm]
-            return pc + 1
-        if op == "ja":
-            return pc + 1 + insn.off
-
-        base, _, mode = op.rpartition("_")
-        if mode in ("imm", "reg") and base in (
-            "jeq", "jne", "jgt", "jge", "jlt", "jle", "jset", "jsgt", "jsge",
-        ):
-            lhs = regs[insn.dst]
-            rhs = insn.imm if mode == "imm" else regs[insn.src]
-            if self._branch_taken(base, lhs, rhs):
-                return pc + 1 + insn.off
-            return pc + 1
-
-        if mode in ("imm", "reg") and base in (
-            "add", "sub", "mul", "div", "mod", "and", "or", "xor",
-            "lsh", "rsh", "arsh", "mov",
-        ):
-            rhs = insn.imm if mode == "imm" else regs[insn.src]
-            regs[insn.dst] = self._alu(base, regs[insn.dst], rhs)
-            return pc + 1
-        if op == "neg":
-            regs[insn.dst] = to_u64(-self.scalar_from_reg(insn.dst))
-            return pc + 1
-        if op in ("be", "le"):
-            # Our loads already produce host-order scalars from network-order
-            # bytes where the program used ldxh/ldxw on packet data; the
-            # byteswap narrows to the requested width (the observable effect
-            # programs rely on after bpf_ntohs-style patterns).
-            width = insn.imm
-            regs[insn.dst] = self.scalar_from_reg(insn.dst) & ((1 << width) - 1)
-            return pc + 1
-
-        if op.startswith("ldx"):
-            width = MEM_WIDTHS[op[3:]]
-            regs[insn.dst] = self._load(regs[insn.src], insn.off, width)
-            return pc + 1
-        if op.startswith("stx"):
-            width = MEM_WIDTHS[op[3:]]
-            value = self.scalar_from_reg(insn.src) & ((1 << (8 * width)) - 1)
-            self._store(regs[insn.dst], insn.off, width, value)
-            return pc + 1
-        if op.startswith("st"):
-            width = MEM_WIDTHS[op[2:]]
-            value = to_u64(insn.imm) & ((1 << (8 * width)) - 1)
-            self._store(regs[insn.dst], insn.off, width, value)
-            return pc + 1
-
-        raise VmFault(f"unimplemented opcode {op!r}")  # pragma: no cover
-
-    def _branch_taken(self, pred: str, lhs: object, rhs: object) -> bool:
-        return branch_taken(pred, lhs, rhs)
-
-    def _alu(self, op: str, lhs: object, rhs: object) -> object:
-        return alu(op, lhs, rhs)
 
     def _load(self, ptr: object, off: int, width: int) -> object:
         if not isinstance(ptr, Pointer):
@@ -389,9 +251,8 @@ class EbpfVm:
 
 
 # ----------------------------------------------------------------------
-# Shared semantic primitives.  Module-level so the JIT (repro.ebpf.jit)
-# uses the *same* code as the interpreter for every case its generated
-# fast paths do not inline — equivalence by construction, not by copy.
+# Semantic primitives.  Module-level so the compiled code calls them for
+# every case its generated fast paths do not inline.
 # ----------------------------------------------------------------------
 def branch_taken(pred: str, lhs: object, rhs: object) -> bool:
     if isinstance(lhs, Pointer) and isinstance(rhs, Pointer):
@@ -434,6 +295,8 @@ def branch_taken(pred: str, lhs: object, rhs: object) -> bool:
 def alu(op: str, lhs: object, rhs: object) -> object:
     if op == "mov":
         return rhs
+    if isinstance(lhs, BpfMap) or isinstance(rhs, BpfMap):
+        raise VmFault(f"illegal arithmetic on a map handle: {op}")
     if isinstance(lhs, Pointer):
         if isinstance(rhs, Pointer):
             if op == "sub" and lhs.region == rhs.region:
@@ -474,84 +337,5 @@ def alu(op: str, lhs: object, rhs: object) -> object:
     raise VmFault(f"bad ALU op {op}")  # pragma: no cover
 
 
-# ----------------------------------------------------------------------
-# Per-program instruction decode cache.
-#
-# The mnemonic strings are convenient to write and verify but expensive
-# to re-parse on every executed instruction (rpartition + set membership
-# per step).  Decode once per Program into flat tuples
-# ``(kind, dst, src, arg, imm, aux)`` — ``arg`` is the resolved branch
-# target for jumps and the memory offset for loads/stores — and cache on
-# the Program keyed by the identity of its insns tuple, so swapping a
-# program's instructions can never replay a stale decode.
-# ----------------------------------------------------------------------
-(
-    _K_ALU_IMM,
-    _K_LDX,
-    _K_JMP_IMM,
-    _K_ALU_REG,
-    _K_JMP_REG,
-    _K_STX,
-    _K_CALL,
-    _K_EXIT,
-    _K_JA,
-    _K_ST,
-    _K_NEG,
-    _K_END,
-    _K_LDMAP,
-    _K_OTHER,
-) = range(14)
-
-_JMP_PREDS = frozenset(
-    {"jeq", "jne", "jgt", "jge", "jlt", "jle", "jset", "jsgt", "jsge"}
-)
-_ALU_BASES = frozenset(
-    {"add", "sub", "mul", "div", "mod", "and", "or", "xor",
-     "lsh", "rsh", "arsh", "mov"}
-)
-
-
-def _decode_insn(insn: Insn, pc: int) -> Tuple:
-    op = insn.op
-    if op == "exit":
-        return (_K_EXIT, 0, 0, 0, 0, None)
-    if op == "call":
-        return (_K_CALL, 0, 0, 0, insn.imm, None)
-    if op == "ja":
-        return (_K_JA, 0, 0, pc + 1 + insn.off, 0, None)
-    if op == "ld_map":
-        return (_K_LDMAP, insn.dst, 0, 0, insn.imm, None)
-    if op == "neg":
-        return (_K_NEG, insn.dst, 0, 0, 0, None)
-    if op in ("be", "le"):
-        return (_K_END, insn.dst, 0, 0, insn.imm, (1 << insn.imm) - 1)
-    base, _, mode = op.rpartition("_")
-    if mode in ("imm", "reg") and base in _JMP_PREDS:
-        kind = _K_JMP_IMM if mode == "imm" else _K_JMP_REG
-        return (kind, insn.dst, insn.src, pc + 1 + insn.off, insn.imm, base)
-    if mode in ("imm", "reg") and base in _ALU_BASES:
-        kind = _K_ALU_IMM if mode == "imm" else _K_ALU_REG
-        return (kind, insn.dst, insn.src, 0, insn.imm, base)
-    if op.startswith("ldx"):
-        return (_K_LDX, insn.dst, insn.src, insn.off, 0, MEM_WIDTHS[op[3:]])
-    if op.startswith("stx"):
-        width = MEM_WIDTHS[op[3:]]
-        mask = (1 << (8 * width)) - 1
-        return (_K_STX, insn.dst, insn.src, insn.off, 0, (width, mask))
-    if op.startswith("st"):
-        width = MEM_WIDTHS[op[2:]]
-        value = to_u64(insn.imm) & ((1 << (8 * width)) - 1)
-        return (_K_ST, insn.dst, 0, insn.off, insn.imm, (width, value))
-    return (_K_OTHER, 0, 0, 0, 0, None)
-
-
-def decoded_insns(program: Program) -> Tuple[Tuple, ...]:
-    """Decoded form of ``program.insns``, cached on the program object."""
-    cached = getattr(program, "_decoded_cache", None)
-    if cached is not None and cached[0] is program.insns:
-        return cached[1]
-    decoded = tuple(
-        _decode_insn(insn, pc) for pc, insn in enumerate(program.insns)
-    )
-    program._decoded_cache = (program.insns, decoded)
-    return decoded
+# The translator builds on the model above, so it is imported last.
+from repro.ebpf import jit as _jit  # noqa: E402

@@ -75,7 +75,7 @@ class XdpVerdict:
 class XdpContext:
     """A program attached at a driver hook, ready to run per packet.
 
-    Interpreting the program is by far the slowest part of the simulated
+    Running the program is by far the slowest part of the simulated
     driver, so identical runs are memoized: a run over the same frame and
     context metadata, with every program map at the same version and the
     same cost table, must produce the same verdict and the same charges.
@@ -107,6 +107,8 @@ class XdpContext:
             raise ValueError(
                 f"refusing to attach unverified program {program.name!r}"
             )
+        # Load-time JIT: a program the translator refuses never attaches.
+        _jit.compiled_for(program)
         self.program = program
         #: (data, ifindex, rx_queue, ktime) -> (tag, verdict,
         #: helper_calls, charge_ns).  The verdict object itself is
@@ -209,21 +211,9 @@ class XdpContext:
 
         if exec_ctx is not None:
             exec_ctx.charge(costs.xdp_ctx_setup_ns, label="xdp_setup")
-        # Memo misses execute through compiled code when the fastpath
-        # allows it: cyclic traffic replays from the memo, diverse
-        # traffic runs the JIT, and the interpreter remains the fallback
-        # for declined programs.  Charges and counters are identical
-        # either way by the JIT's charge-exactness contract, so memo
-        # entries are engine-agnostic.
-        compiled = None
-        if fastpath.ENABLED and _jit.ENABLED:
-            compiled = _jit.compiled_for(self.program)
-        if compiled is not None:
-            vm: EbpfVm = _jit.JitVm(compiled, exec_ctx=exec_ctx,
-                                    ktime_ns=ktime_ns)
-        else:
-            _jit.stats_for(self.program.name).interp_runs += 1
-            vm = EbpfVm(self.program, exec_ctx=exec_ctx, ktime_ns=ktime_ns)
+        # A memo miss runs the compiled program; a replay re-issues
+        # exactly that run's charges and counters.
+        vm = EbpfVm(self.program, exec_ctx=exec_ctx, ktime_ns=ktime_ns)
         try:
             verdict = vm.run(
                 data,

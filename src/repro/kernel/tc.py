@@ -3,7 +3,7 @@
 §2.2.2's eBPF OVS datapath attaches here, not at XDP: the program runs
 *after* sk_buff allocation, inside the normal stack path — which is why it
 can at best match the kernel module's performance and in practice runs
-10–20 % slower due to sandbox interpretation (Figure 2).
+10–20 % slower due to the sandbox's per-instruction cost (Figure 2).
 
 Verdicts follow tc semantics: TC_ACT_OK passes to the stack, TC_ACT_SHOT
 drops, TC_ACT_REDIRECT sends out another device (the program calls the
@@ -19,7 +19,7 @@ from repro.ebpf.program import Program
 from repro.ebpf.vm import EbpfVm, VmFault
 from repro.kernel.netdev import NetDevice
 from repro.net.packet import Packet
-from repro.sim import fastpath, trace
+from repro.sim import trace
 from repro.sim.cpu import ExecContext
 
 TC_ACT_OK = 0
@@ -33,6 +33,8 @@ class TcIngressHook:
     def __init__(self, device: NetDevice, program: Program, namespace) -> None:
         if not program.verified:
             raise ValueError("refusing to attach an unverified program")
+        # Load-time JIT: a program the translator refuses never attaches.
+        _jit.compiled_for(program)
         self.device = device
         self.program = program
         self.ns = namespace
@@ -47,7 +49,7 @@ class TcIngressHook:
 
     def _ingress(self, pkt: Packet, ctx: ExecContext) -> None:
         # tc runs on the skb the driver already allocated for this frame;
-        # the interpreter cost is the program's only extra charge.
+        # the program's run is its only extra charge.
         # Profiler-only frame per program, so a call tree splits tc cost
         # by program just like the xdp: frames do.
         rec = trace.ACTIVE
@@ -55,17 +57,7 @@ class TcIngressHook:
         if prof is not None:
             prof.enter(f"tc:{self.program.name}")
         try:
-            # Compiled (JIT) execution when the fastpath allows it; the
-            # charge/counter sequence is identical either way, so the
-            # ledger cannot tell which path ran.
-            compiled = None
-            if fastpath.ENABLED and _jit.ENABLED:
-                compiled = _jit.compiled_for(self.program)
-            if compiled is not None:
-                vm = _jit.JitVm(compiled, exec_ctx=ctx)
-            else:
-                _jit.stats_for(self.program.name).interp_runs += 1
-                vm = EbpfVm(self.program, exec_ctx=ctx)
+            vm = EbpfVm(self.program, exec_ctx=ctx)
             try:
                 verdict = vm.run(pkt.data,
                                  ingress_ifindex=self.device.ifindex)

@@ -12,9 +12,8 @@ operator actually runs:
   real-OVS-style events-per-second rate columns (per *virtual* second),
 * ``dpctl/dump-conntrack`` — the connection table,
 * ``metrics/show`` — the attached virtual-time metrics sampler's view,
-* ``fastpath/show`` — which wall-clock fastpath layers are active
-  (the memos and the eBPF JIT) and per-program JIT
-  compile/run/fallback counts,
+* ``fastpath/show`` — whether the wall-clock memos are on, and each
+  eBPF program's compiled-run count,
 * ``ofproto/trace`` — inject a synthetic packet and narrate every
   decision the datapath would take, without taking any of them,
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
@@ -237,38 +236,22 @@ class OvsAppctl:
 
     # ------------------------------------------------------------------
     def fastpath_show(self) -> str:
-        """``ovs-appctl fastpath/show``: the wall-clock fastpath layers
-        (none of which may change a single observable byte) and the
-        per-program eBPF JIT counters.
-
-        ``jit`` counts compiled runs, ``interp`` counts interpreter
-        fallbacks; a program with a decline reason shows why the
-        translator refused it.
-        """
+        """``ovs-appctl fastpath/show``: the wall-clock memo switch (no
+        memo may change a single observable byte) and how many runs each
+        eBPF program made as compiled code."""
         from repro.ebpf import jit
         from repro.sim import fastpath
 
-        def onoff(flag: bool) -> str:
-            return "on" if flag else "off"
-
         lines = [
-            f"wall-clock memos: {onoff(fastpath.ENABLED)}",
-            f"ebpf-jit: {onoff(fastpath.ENABLED and jit.ENABLED)}",
+            f"wall-clock memos: {'on' if fastpath.ENABLED else 'off'}",
         ]
         stats = jit.stats()
         if not stats:
             lines.append("(no eBPF programs run yet)")
             return "\n".join(lines)
-        lines.append("program               compiled  jit-runs  interp-runs")
+        lines.append("program               jit-runs")
         for name in sorted(stats):
-            st = stats[name]
-            compiled = "yes" if st.compiled else "no"
-            lines.append(
-                f"{name:20s}  {compiled:8s}  {st.jit_runs:8d}  "
-                f"{st.interp_runs:11d}"
-            )
-            if st.declined:
-                lines.append(f"  declined: {st.declined}")
+            lines.append(f"{name:20s}  {stats[name].jit_runs:8d}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Wall-clock layers change *no* observable simulation output — virtual-time
 charges, trace ledgers, counters and packet bytes are byte-identical —
 but make the simulator run faster in real time.  The XDP verdict memo,
-the NIC's steering shortcut and rxhash memo, the AF_XDP driver's receive
-loop and the eBPF JIT (with :data:`repro.ebpf.jit.ENABLED`, the other
-speed switch) consult this flag.
+the NIC's steering shortcut and rxhash memo and the AF_XDP driver's
+receive loop consult this flag.  It is the only one: eBPF always runs
+compiled (:mod:`repro.ebpf.jit`).
 
 ``ENABLED`` exists so the equivalence test suites can run the optimized
 stack against the memo-free reference in one process (``reference_mode``

@@ -4,6 +4,7 @@ from repro.sim import fastpath
 
 
 def reference_mode():
-    """Everything off: no wall-clock memos, no JIT — the reference the
-    optimized stack must equal."""
+    """Every wall-clock memo off — the reference the memoized stack must
+    equal.  (eBPF runs compiled either way; the step-by-step oracle for
+    it is ``tests/reference/ebpf_vm.py``.)"""
     return fastpath.disabled()

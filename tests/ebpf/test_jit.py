@@ -1,5 +1,6 @@
-"""Unit gates for the eBPF JIT: compilation coverage, charge-exactness,
-cache invalidation, decline fallback, and the memo stale-verdict fix."""
+"""Unit gates for the eBPF JIT: compilation coverage, charge-exactness
+against the reference VM, cache invalidation, load-time rejection, and
+the memo stale-verdict fix."""
 
 import pytest
 
@@ -8,10 +9,14 @@ from repro.ebpf.helpers import Helper
 from repro.ebpf.isa import Insn, Reg
 from repro.ebpf.maps import HashMap
 from repro.ebpf.program import Program, ProgramBuilder
-from repro.ebpf.verifier import verify
+from repro.ebpf.verifier import MAX_INSNS, VerifierError, verify
 from repro.ebpf.vm import EbpfVm, VmFault
 from repro.ebpf.xdp import XdpAction, XdpContext
-from repro.sim import fastpath, trace
+from repro.kernel.netdev import NetDevice
+from repro.kernel.tc import TcIngressHook
+from repro.net.addresses import MacAddress
+from repro.sim import trace
+from tests.reference.ebpf_vm import ReferenceVm
 
 PKT = bytes(range(64))
 
@@ -31,17 +36,12 @@ class _ChargeLog:
 
 
 def _run_both(program, pkt=PKT, **kwargs):
-    """Run on interpreter and JIT; returns ((verdict, vm, charges) * 2)."""
-    compiled = jit.compiled_for(program)
-    assert compiled is not None, jit.stats_for(program.name).declined
+    """Run on the reference VM and the JIT; returns
+    ((verdict, vm, charges) * 2)."""
     out = []
-    for vm_factory in (
-        lambda c: EbpfVm(program, exec_ctx=c, ktime_ns=kwargs.get("ktime", 0)),
-        lambda c: jit.JitVm(compiled, exec_ctx=c,
-                            ktime_ns=kwargs.get("ktime", 0)),
-    ):
+    for vm_class in (ReferenceVm, EbpfVm):
         log = _ChargeLog()
-        vm = vm_factory(log)
+        vm = vm_class(program, exec_ctx=log, ktime_ns=kwargs.get("ktime", 0))
         try:
             verdict = vm.run(pkt, ingress_ifindex=kwargs.get("ifindex", 0),
                              rx_queue_index=kwargs.get("queue", 0))
@@ -71,10 +71,7 @@ class TestCompilationCoverage:
     def test_every_library_program_compiles(self, name, factory):
         program = factory()
         compiled = jit.compiled_for(program)
-        assert compiled is not None, (
-            f"{name} declined: {jit.stats_for(program.name).declined}"
-        )
-        assert jit.stats_for(program.name).compiled
+        assert compiled.stats is jit.stats_for(program.name)
         assert "def _jit_entry" in compiled.source
 
     @pytest.mark.parametrize("name,factory", ALL_PROGRAMS)
@@ -92,6 +89,18 @@ class TestCompilationCoverage:
             assert vm1.redirect_target == vm2.redirect_target
             assert vm1.touched_pkt_data == vm2.touched_pkt_data
 
+    def test_stats_count_jit_runs(self):
+        program = programs.drop_program()
+        st = jit.stats_for(program.name)
+        ctx = XdpContext(program)
+        before = st.jit_runs
+        ctx.run(PKT)
+        assert st.jit_runs == before + 1
+        # Kept only for bench/: always 0, and nothing can count into it.
+        assert st.interp_runs == 0
+        with pytest.raises(AttributeError):
+            st.interp_runs = 1
+
 
 class TestChargeExactness:
     def test_trace_counters_match(self):
@@ -102,13 +111,11 @@ class TestChargeExactness:
             b.call(Helper.KTIME_GET_NS),
             b.exit_(),
         ))
-        compiled = jit.compiled_for(program)
         ledgers = []
         counters = []
-        for factory in (lambda: EbpfVm(program),
-                        lambda: jit.JitVm(compiled)):
+        for vm_class in (ReferenceVm, EbpfVm):
             with trace.recording() as rec:
-                factory().run(PKT)
+                vm_class(program).run(PKT)
             ledgers.append(rec.ledger())
             counters.append(dict(rec.counters))
         assert counters[0] == counters[1]
@@ -120,7 +127,7 @@ class TestChargeExactness:
     def test_first_touch_charge_order_and_fault_paths(self):
         # An OOB packet load *after* a good one: the dma_first_touch
         # charge lands, the final aggregate charge does not, and the
-        # fault message is the interpreter's, byte for byte.
+        # fault message is the reference VM's, byte for byte.
         program = _build(lambda b: (
             b.mov_reg(Reg.R2, Reg.R1),
             b.ldxw(Reg.R2, Reg.R1, 0),
@@ -136,7 +143,7 @@ class TestChargeExactness:
                              __import__("repro.sim.costs",
                                         fromlist=["DEFAULT_COSTS"])
                              .DEFAULT_COSTS.dma_first_touch_ns)]
-        # Faulted runs never retire instructions in either engine.
+        # Faulted runs never retire instructions on either side.
         assert vm1.insns_executed == vm2.insns_executed == 0
 
     def test_map_flush_and_versions_match(self):
@@ -146,7 +153,7 @@ class TestChargeExactness:
         v_before = fib.version
         (v1, _, _), (v2, _, _) = _run_both(program)
         assert v1 == v2
-        # Read-only lookups must not bump the version on either path.
+        # Read-only lookups must not bump the version on either side.
         assert fib.version == v_before
 
     def test_prandom_stream_matches(self):
@@ -170,10 +177,11 @@ class TestCacheInvalidation:
 
     def test_rebinding_insns_recompiles(self):
         program = _build(lambda b: b.mov_imm(Reg.R0, 1).exit_())
-        assert jit.JitVm(jit.compiled_for(program)).run(PKT) == 1
+        c1 = jit.compiled_for(program)
+        assert EbpfVm(program).run(PKT) == 1
         program.insns = (Insn("mov_imm", dst=0, imm=7), Insn("exit"))
-        compiled = jit.compiled_for(program)
-        assert jit.JitVm(compiled).run(PKT) == 7
+        assert EbpfVm(program).run(PKT) == 7
+        assert jit.compiled_for(program) is not c1
 
     def test_rebinding_a_map_recompiles(self):
         table = HashMap(key_size=1, value_size=1, max_entries=4)
@@ -197,45 +205,61 @@ class TestCacheInvalidation:
         assert jit.program_token(program) != t1
 
 
-class TestDeclineFallback:
-    def test_unknown_opcode_declines_and_interpreter_still_runs(self):
-        # Forge a verified program with an opcode the translator does
-        # not know; compiled_for must decline, and the XDP layer must
-        # fall back to the interpreter (which faults -> ABORTED).
-        program = Program("forged", (Insn("bogus_op"), Insn("exit")),
-                          verified=True)
-        assert jit.compiled_for(program) is None
-        st = jit.stats_for("forged")
-        assert not st.compiled
-        assert "unsupported opcode" in st.declined
-        ctx = XdpContext(program)
-        with fastpath.disabled():
-            verdict = ctx.run(PKT)
-        assert verdict.action == XdpAction.ABORTED
+def _forged(insns):
+    """A program marked verified without ever passing the verifier."""
+    return Program("forged", tuple(insns), verified=True)
+
+
+#: Every program the translator cannot compile, one per reason: each is a
+#: verifier reject at load, and at attach even with a forged flag.
+FORMER_DECLINE_REASONS = {
+    "empty program": [],
+    "program too large": [Insn("mov_imm", dst=0)] * MAX_INSNS
+                         + [Insn("exit")],
+    "jump past the end": [Insn("ja", off=5), Insn("exit")],
+    "unknown helper id 999": [Insn("call", imm=999), Insn("exit")],
+    "undeclared map id 3": [Insn("ld_map", dst=1, imm=3), Insn("exit")],
+    "unknown opcode 'bogus_op'": [Insn("bogus_op"), Insn("exit")],
+}
+
+
+class TestLoadTimeRejection:
+    @pytest.mark.parametrize("reason", sorted(FORMER_DECLINE_REASONS))
+    def test_former_decline_reason_is_a_verifier_reject(self, reason):
+        program = Program("rejected", tuple(FORMER_DECLINE_REASONS[reason]))
+        with pytest.raises(VerifierError, match=reason):
+            verify(program)
+        assert not program.verified
+        # A forged ``verified`` flag does not get it past the JIT either.
+        with pytest.raises(VerifierError, match=reason):
+            jit.compiled_for(_forged(FORMER_DECLINE_REASONS[reason]))
+
+    def test_forged_program_is_refused_at_attach(self):
+        program = _forged([Insn("bogus_op"), Insn("exit")])
+        with pytest.raises(VerifierError, match="unknown opcode 'bogus_op'"):
+            XdpContext(program)
+        device = NetDevice("eth0", MacAddress.local(1))
+        with pytest.raises(VerifierError, match="unknown opcode 'bogus_op'"):
+            TcIngressHook(device, program, namespace=None)
+        # Refused before it attached: the device's handler is untouched.
+        assert device.rx_handler is None
+
+    def test_translator_defect_is_refused_loudly(self, monkeypatch):
+        def broken(program):
+            raise KeyError("codegen bug")
+
+        monkeypatch.setattr(jit, "_translate", broken)
+        program = _build(lambda b: b.mov_imm(Reg.R0, 1).exit_(),
+                         name="defect_t")
+        with pytest.raises(VerifierError, match="JIT translation failed"):
+            XdpContext(program)
 
     def test_unverified_program_never_compiles(self):
         b = ProgramBuilder("unverified_t")
         b.mov_imm(Reg.R0, 1)
         b.exit_()
-        assert jit.compiled_for(b.build()) is None
-
-    def test_disabled_context_manager(self):
-        assert jit.ENABLED in (True, False)
-        saved = jit.ENABLED
-        with jit.disabled():
-            assert not jit.ENABLED
-        assert jit.ENABLED == saved
-
-    def test_stats_count_jit_and_interp_runs(self):
-        program = programs.drop_program()
-        st = jit.stats_for(program.name)
-        ctx = XdpContext(program)
-        jit_before, interp_before = st.jit_runs, st.interp_runs
-        ctx.run(PKT)  # fastpath+jit default on -> compiled run
-        assert st.jit_runs == jit_before + 1
-        with jit.disabled():
-            XdpContext(program).run(bytes(33))  # fresh frame, no memo
-        assert st.interp_runs == interp_before + 1
+        with pytest.raises(VerifierError, match="never verified"):
+            jit.compiled_for(b.build())
 
 
 class TestMemoStaleVerdict:
@@ -243,15 +267,13 @@ class TestMemoStaleVerdict:
         """PR 2's verdict memo keyed only on frame+maps+costs; swapping
         the attached program mid-run must not replay the old verdict."""
         ctx = XdpContext(programs.drop_program())
-        with jit.disabled():  # exercise the memo path specifically
-            assert ctx.run(PKT).action == XdpAction.DROP
-            ctx.program = programs.pass_program()
-            assert ctx.run(PKT).action == XdpAction.PASS
+        assert ctx.run(PKT).action == XdpAction.DROP
+        ctx.program = programs.pass_program()
+        assert ctx.run(PKT).action == XdpAction.PASS
 
     def test_insn_rebind_is_not_replayed(self):
         program = programs.drop_program()
         ctx = XdpContext(program)
-        with jit.disabled():
-            assert ctx.run(PKT).action == XdpAction.DROP
-            program.insns = (Insn("mov_imm", dst=0, imm=2), Insn("exit"))
-            assert ctx.run(PKT).action == XdpAction.PASS
+        assert ctx.run(PKT).action == XdpAction.DROP
+        program.insns = (Insn("mov_imm", dst=0, imm=2), Insn("exit"))
+        assert ctx.run(PKT).action == XdpAction.PASS

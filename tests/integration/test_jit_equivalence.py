@@ -1,12 +1,13 @@
 """The identity gate: every way of running an experiment other than the
 default must be invisible to every observable.
 
-For each experiment (fig2, fig9, table2, table5) the default run — every
-compiler and memo on, no telemetry session, one process — is compared
+For each experiment (fig2, fig9, table2, table5) the default run — eBPF
+compiled, every memo on, no telemetry session, one process — is compared
 with the same run under one changed axis:
 
-* the eBPF JIT off (interpreter + verdict memo);
-* full reference mode (no memos, no JIT);
+* every eBPF run on the step-by-step reference VM
+  (``tests/reference/ebpf_vm.py``, monkeypatched over ``EbpfVm.run``);
+* reference mode (no wall-clock memos);
 * an inert ``Telemetry()`` session installed (sampler and exporter off).
 
 Each comparison byte-diffs the trace ledger, the counter map and the
@@ -27,12 +28,14 @@ import pytest
 
 from repro import telemetry
 from repro.ebpf import jit
+from repro.ebpf.vm import EbpfVm
 from repro.experiments.fig9_forwarding import run_fig9
 from repro.sim import profile, shard
 from repro.sim.profile import collapse
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
 from repro.telemetry.sflow import SAMPLE_POINTS
 from tests.conftest import reference_mode
+from tests.reference.ebpf_vm import ReferenceVm
 
 PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
 EXPERIMENTS = sorted(PACKETS)
@@ -104,8 +107,11 @@ def _assert_identical(experiment: str, *contexts) -> None:
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_jit_run_is_byte_identical_to_interpreter_run(experiment):
-    _assert_identical(experiment, jit.disabled())
+def test_jit_run_is_byte_identical_to_interpreter_run(experiment,
+                                                      monkeypatch):
+    default = _default(experiment)  # observed before the substitution
+    monkeypatch.setattr(EbpfVm, "run", ReferenceVm.run)
+    assert diff(default, observe(experiment)) is None
 
 
 @pytest.mark.parametrize("experiment", DP_EXPERIMENTS)
@@ -115,7 +121,8 @@ def test_run_matches_full_reference_mode(experiment):
 
 def test_table5_jit_matches_full_reference_mode():
     """table5 — the all-XDP workload, where virtually every charged
-    nanosecond flows through the eBPF engine."""
+    nanosecond flows through eBPF and, with the memos off, every frame
+    runs the compiled program."""
     _assert_identical("table5", reference_mode())
 
 
@@ -142,15 +149,21 @@ def test_sharded_run_is_byte_identical_to_serial(shards):
 # ----------------------------------------------------------------------
 # Proof of teeth: each axis can make the comparison fail.
 # ----------------------------------------------------------------------
-def test_jit_actually_ran_the_experiments():
-    """table5's four programs must all execute through compiled code
-    with zero declines, not fall back to the interpreter."""
+def test_jit_actually_ran_the_experiments(monkeypatch):
+    """table5's four programs execute as compiled code by default, and
+    the reference-VM axis really replaces every one of those runs."""
     jit.reset_stats()
     _run_experiment("table5")
-    stats = jit.stats()
-    ran = {name: st for name, st in stats.items() if st.jit_runs}
-    assert len(ran) >= 4, stats
-    assert all(st.declined is None for st in stats.values()), stats
+    compiled_runs = {name: st.jit_runs for name, st in jit.stats().items()}
+    assert sum(1 for runs in compiled_runs.values() if runs) >= 4, \
+        compiled_runs
+
+    jit.reset_stats()
+    before = ReferenceVm.runs
+    monkeypatch.setattr(EbpfVm, "run", ReferenceVm.run)
+    _run_experiment("table5")
+    assert ReferenceVm.runs - before == sum(compiled_runs.values())
+    assert not any(st.jit_runs for st in jit.stats().values())
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

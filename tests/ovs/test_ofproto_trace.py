@@ -186,18 +186,18 @@ def test_fastpath_show_lists_layers_and_jit_counts(world):
     host, vs, _p1, _p2 = world
     appctl = OvsAppctl(vs)
     out = appctl.fastpath_show()
-    assert out.splitlines()[:2] == ["wall-clock memos: on", "ebpf-jit: on"]
+    assert out.splitlines()[0] == "wall-clock memos: on"
 
     jit.reset_stats()
-    assert "(no eBPF programs run yet)" in appctl.fastpath_show()
+    assert appctl.fastpath_show().splitlines() == [
+        "wall-clock memos: on", "(no eBPF programs run yet)"]
     program = drop_program()
     XdpContext(program).run(bytes(60))
-    out = appctl.fastpath_show()
-    assert program.name in out
-    st = jit.stats_for(program.name)
-    assert st.jit_runs == 1 and st.compiled
-    with jit.disabled():
-        assert "ebpf-jit: off" in appctl.fastpath_show()
+    assert jit.stats_for(program.name).jit_runs == 1
+    assert appctl.fastpath_show().splitlines()[1:] == [
+        "program               jit-runs",
+        f"{program.name:20s}         1",
+    ]
 
 
 # ---------------------------------------------------------------------------
