@@ -87,34 +87,6 @@ class DegradationPoint:
 
 
 def _run_point(
-    rate: float,
-    packets: int,
-    n_flows: int,
-    seed: int,
-    link_gbps: float,
-    sampler=None,
-) -> DegradationPoint:
-    """Build a fresh AF_XDP P2P world and drive it under one fault rate."""
-    plan = FaultPlan(
-        seed=seed,
-        rules=[FaultRule(point, rate=rate) for point in SWEPT_POINTS],
-    )
-    # Each sweep point needs its own isolated ledger (per-point backoff
-    # waits, counters).  Shelve any outer recorder (e.g. ``python -m
-    # repro --trace degradation``) for the duration — nesting is an
-    # error by design.
-    outer = trace.ACTIVE
-    if outer is not None:
-        trace.detach()
-    try:
-        return _run_point_traced(plan, rate, packets, n_flows,
-                                 link_gbps, sampler)
-    finally:
-        if outer is not None:
-            trace.attach(outer)
-
-
-def _run_point_traced(
     plan: FaultPlan,
     rate: float,
     packets: int,
@@ -122,7 +94,11 @@ def _run_point_traced(
     link_gbps: float,
     sampler=None,
 ) -> DegradationPoint:
-    with faults.injecting(plan), trace.recording() as rec:
+    """Build a fresh AF_XDP P2P world and drive it under ``plan``, the
+    sweep's plan for fault ``rate``."""
+    # Each sweep point needs its own isolated ledger (per-point backoff
+    # waits, counters).
+    with faults.injecting(plan), trace.isolated() as rec:
         if sampler is not None:
             rec.sampler = sampler
         stream = TrexStream(FlowSpec(n_flows=n_flows))
@@ -220,7 +196,11 @@ def run_degradation(
             # A sweep point only charges a few hundred virtual µs, so
             # sample far finer than the 1 ms default.
             sampler = MetricsSampler(interval_ns=25_000.0)
-        point = _run_point(rate, packets, n_flows, seed, link_gbps,
+        plan = FaultPlan(
+            seed=seed,
+            rules=[FaultRule(name, rate=rate) for name in SWEPT_POINTS],
+        )
+        point = _run_point(plan, rate, packets, n_flows, link_gbps,
                            sampler)
         if not point.conserved:
             raise AssertionError(

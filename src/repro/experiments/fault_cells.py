@@ -1,19 +1,19 @@
-"""Seeded fault-plan worlds as shard units (DESIGN §17).
+"""Seeded fault-plan worlds as pool units (DESIGN §17).
 
-The Hypothesis partition property needs a world where faults actually
-fire and packets actually die at named sinks, sharded by *port*: each
-unit is one port-pair sub-world (its own NIC, driver, datapath, PMD)
-driven under its own unit-scoped :class:`~repro.sim.faults.FaultPlan`.
-Because every count in a :class:`~repro.tools.conservation.PacketLedger`
-is an integer, the merged ledger is exact under any unit->shard
-partition — offered, forwarded and every per-sink tally sum to the
-serial run's, byte for byte.
+The merged-ledger property needs a world where faults actually fire and
+packets actually die at named sinks, split by *port*: each unit is one
+port-pair sub-world (its own NIC, driver, datapath, PMD) driven under
+its own unit-scoped :class:`~repro.sim.faults.FaultPlan`.  Because every
+count in a :class:`~repro.tools.conservation.PacketLedger` is an
+integer, the merged ledger is exact whichever worker runs which port,
+in whatever order — offered, forwarded and every per-sink tally sum to
+the serial run's, byte for byte.
 
 The plan travels on :attr:`~repro.sim.shard.Unit.plan` (constructor
 kwargs, rebuilt in the worker), never through a module global: an
 ambient plan's per-point RNG streams interleave across units in serial
-order, which no partition can reproduce — :func:`~repro.sim.shard.
-run_units` refuses that configuration outright.
+order, which no pool can reproduce — :func:`~repro.sim.shard.run_units`
+refuses that configuration outright.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ def run_fault_cell(packets: int, n_flows: int) -> PacketLedger:
 
 def fault_units(n_ports: int, seed: int, packets: int = 240,
                 tx_kick_rate: float = 0.1) -> List:
-    """One shard unit per port-pair, each with its own seeded plan.
+    """One unit per port-pair, each with its own seeded plan.
 
     Port ``i`` gets plan seed ``seed + i`` — the per-port streams are a
-    pure function of the port, not of which shard runs it.
+    pure function of the port, not of which worker runs it.
     """
     from repro.sim.shard import Unit
 
@@ -65,20 +65,18 @@ def fault_units(n_ports: int, seed: int, packets: int = 240,
                 ),
                 emc_insert_inv_prob=2,
             ),
-            weight=1.0 + (i % 3),
         ))
     return units
 
 
 def merged_fault_ledger(n_ports: int, seed: int, shards: int = 1,
-                        placement=None, packets: int = 240) -> Dict:
-    """Run the port set (optionally partitioned) and merge the ledgers
-    in fixed unit order; the property suite compares these dicts."""
+                        packets: int = 240) -> Dict:
+    """Run the port set on ``shards`` workers and merge the ledgers; the
+    property suite compares these dicts."""
     from repro.sim.shard import merge_ledgers, run_units
 
     units = fault_units(n_ports, seed, packets=packets)
-    merged = merge_ledgers(
-        run_units(units, shards=shards, placement=placement).values)
+    merged = merge_ledgers(run_units(units, shards=shards))
     return {"offered": merged.offered, "forwarded": merged.forwarded,
             "sinks": dict(sorted(merged.sinks.items()))}
 

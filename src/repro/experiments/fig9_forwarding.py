@@ -87,24 +87,6 @@ class Fig9Result:
         )
 
 
-#: Rough relative wall-clock cost per (scenario, config) cell, measured
-#: once on the reference machine.  Only steers the shard planner's LPT
-#: placement (DESIGN §17) — a wrong weight degrades load balance, never
-#: any result.
-CELL_WEIGHTS: Dict[Tuple[str, str], float] = {
-    ("P2P", "kernel"): 3.0,
-    ("P2P", "afxdp"): 2.0,
-    ("P2P", "dpdk"): 1.0,
-    ("PVP", "kernel+tap"): 4.0,
-    ("PVP", "afxdp+tap"): 3.0,
-    ("PVP", "afxdp+vhost"): 2.5,
-    ("PVP", "dpdk+vhost"): 1.5,
-    ("PCP", "kernel"): 3.5,
-    ("PCP", "afxdp"): 2.5,
-    ("PCP", "dpdk"): 1.5,
-}
-
-
 def run_cell(scenario: str, label: str, flows: int,
              packets: int) -> PipelineMeasurement:
     """One Figure 9 cell: fresh world, fresh stream, one measurement.
@@ -140,7 +122,6 @@ def cell_units(
                     runner="repro.experiments.fig9_forwarding:run_cell",
                     params=dict(scenario=scenario, label=label,
                                 flows=flows, packets=packets),
-                    weight=CELL_WEIGHTS.get((scenario, label), 1.0),
                 ))
     return units
 
@@ -154,7 +135,8 @@ def run_fig9(
 
     units = cell_units(packets, scenarios)
     result = Fig9Result()
-    result.cells.update(run_units(units, shards=shards).by_key(units))
+    result.cells.update(zip((u.key for u in units),
+                            run_units(units, shards=shards)))
     return result
 
 

@@ -105,29 +105,9 @@ def _run_cell(
     pcap_prefix: Optional[str] = None,
 ) -> ObserverPoint:
     """One fresh world driven under one sampling rate."""
-    # Each cell keeps its own isolated ledger; shelve any outer recorder
-    # (``python -m repro --trace observer-effect``) for the duration.
-    outer = trace.ACTIVE
-    if outer is not None:
-        trace.detach()
-    try:
-        return _run_cell_traced(datapath, rate, packets, n_flows, seed,
-                                pcap_prefix)
-    finally:
-        if outer is not None:
-            trace.attach(outer)
-
-
-def _run_cell_traced(
-    datapath: str,
-    rate: int,
-    packets: int,
-    n_flows: int,
-    seed: int,
-    pcap_prefix: Optional[str],
-) -> ObserverPoint:
     points, ipfix_point = POINTS[datapath]
-    with trace.recording():
+    # Each cell keeps its own isolated ledger.
+    with trace.isolated():
         world = build_world(datapath, "P2P", n_queues=1,
                             link_gbps=LINK_GBPS)
         stream = TrexStream(FlowSpec(n_flows=n_flows))

@@ -114,20 +114,8 @@ def _run_scenario(name: str, packets: int, seed: int) -> ScenarioResult:
         FaultRule("ovsdb.disconnect", rate=RETRY_FAULT_RATE),
         FaultRule("netlink.enobufs", rate=RETRY_FAULT_RATE),
     ])
-    outer = trace.ACTIVE
-    if outer is not None:
-        trace.detach()
-    try:
-        return _run_scenario_traced(name, packets, plan)
-    finally:
-        if outer is not None:
-            trace.attach(outer)
-
-
-def _run_scenario_traced(name: str, packets: int,
-                         plan: FaultPlan) -> ScenarioResult:
     stream = TrexStream(FlowSpec(n_flows=N_FLOWS))
-    with faults.injecting(plan), trace.recording():
+    with faults.injecting(plan), trace.isolated():
         # Every scenario wires trex -> ens1 -> br0 -> ens2 -> trex; an
         # untuned host services the NIC at BURST in interrupt mode.
         world = build_world(name, "P2P", link_gbps=LINK_GBPS, n_queues=1,

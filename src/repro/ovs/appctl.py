@@ -18,8 +18,6 @@ operator actually runs:
   decision the datapath would take, without taking any of them,
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
   history with per-phase recovery timings, backoff state,
-* ``shard/show`` — the last sharded run: placement, barriers and
-  per-shard wall time (DESIGN §17),
 * ``fdb/stats`` equivalents come from the bridges' OpenFlow dumps.
 
 ``pmd-perf-show`` and ``coverage/show`` read the active
@@ -349,21 +347,6 @@ class OvsAppctl:
         if supervisor is None:
             return "(no supervisor attached)"
         return supervisor.render()
-
-    # ------------------------------------------------------------------
-    def shard_show(self, report=None) -> str:
-        """``ovs-appctl shard/show``: the most recent sharded run —
-        worker count and start method, barrier count and per-shard unit
-        placement with wall times.  Reads
-        :data:`repro.sim.shard.LAST_REPORT` when no report is passed;
-        wall times are real seconds and never feed any observable."""
-        if report is None:
-            from repro.sim import shard
-
-            report = shard.LAST_REPORT
-        if report is None:
-            return "(no sharded run recorded)"
-        return report.render()
 
     # ------------------------------------------------------------------
     def dpctl_dump_conntrack(self, max_conns: int = 50) -> str:

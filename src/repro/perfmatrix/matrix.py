@@ -80,8 +80,11 @@ FULL_GRID = MatrixGrid(
 
 
 def _shard_cell(spec: CellSpec, packets: int, link_gbps: float,
-                resolution_mpps: float, loss_tolerance: float) -> dict:
-    """Shard-unit wrapper around :func:`run_cell` (DESIGN §17)."""
+                resolution_mpps: float, loss_tolerance: float,
+                progress: bool = False) -> dict:
+    """Pool-unit wrapper around :func:`run_cell` (DESIGN §17)."""
+    if progress:  # pragma: no cover - cosmetics
+        print(f"  {spec.cell_id} ...", file=sys.stderr, flush=True)
     return run_cell(spec, packets=packets, link_gbps=link_gbps,
                     resolution_mpps=resolution_mpps,
                     loss_tolerance=loss_tolerance)
@@ -105,20 +108,10 @@ def run_matrix(grid: MatrixGrid, progress: bool = False,
             params=dict(spec=spec, packets=grid.packets,
                         link_gbps=grid.link_gbps,
                         resolution_mpps=grid.resolution_mpps,
-                        loss_tolerance=grid.loss_tolerance),
-            # The lossless-rate search re-drives the cell per probe;
-            # flows and frame size dominate a cell's wall-clock.
-            weight=(2.0 if spec.n_flows > 1 else 1.0)
-            * (1.5 if spec.topology != "P2P" else 1.0),
+                        loss_tolerance=grid.loss_tolerance,
+                        progress=progress),
         ))
-    if shards <= 1:
-        cells = []
-        for unit in units:
-            if progress:  # pragma: no cover - cosmetics
-                print(f"  {unit.key} ...", file=sys.stderr, flush=True)
-            cells.append(_shard_cell(**unit.params))
-    else:
-        cells = run_units(units, shards=shards).values
+    cells = run_units(units, shards=shards)
     doc = {
         "schema": SCHEMA_ID,
         "grid": {

@@ -4,12 +4,11 @@ One CPython interpreter runs every PMD, softirq lane and experiment
 cell.  What scales across processes is work that is independent by
 construction: the experiments of ``python -m repro``, the cells of the
 perf matrix, the ports of a fault-plan world.  :func:`run_units` takes
-such work as a fixed serial sequence of *units* — each builds its own
-world, clock and RNG streams and returns a picklable value — and runs it
-either inline (``shards=1``) or across ``multiprocessing`` workers.  A
-deterministic plan places units on workers; the coordinator puts the
-values back in serial unit order, so the result is the same list either
-way.
+such work as a sequence of *units* — each builds its own world, clock
+and RNG streams and returns a picklable value — and runs it either
+inline (``shards=1``) or on a pool of worker processes that pull the
+next unit as they go idle.  Values come back in the order the units
+were given, so the result is the same list either way.
 
 Nothing a worker records crosses the process boundary.  A unit that
 wants a trace, a profile, a fault plan or a telemetry session attaches
@@ -32,17 +31,18 @@ from __future__ import annotations
 
 import importlib
 import os
+import signal
 import sys
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim import faults as _faults
 from repro.sim import trace as _trace
 
 
 class ShardError(RuntimeError):
-    """A sharding contract violation (attached plane, bad plan, ...)."""
+    """A sharding contract violation (attached plane, bad runner, a
+    worker that died mid-unit, ...)."""
 
 
 def usable_cpus() -> int:
@@ -57,85 +57,25 @@ def default_start_method() -> str:
     """``fork`` where available (cheap), else the platform default."""
     import multiprocessing as mp
 
-    override = os.environ.get("REPRO_SHARD_START")
-    if override:
-        return override
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-# ----------------------------------------------------------------------
-# Units and placement.
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Unit:
     """One independent work item.
 
     ``runner`` is a ``"package.module:function"`` string resolved *in
     the worker* (spawn-safe: no callables cross the process boundary);
-    ``params`` are its picklable keyword arguments.  ``weight`` is a
-    relative cost estimate that only steers placement — it can be
-    arbitrarily wrong without affecting any result, only the load
-    balance.  ``plan`` optionally carries a unit-scoped fault-plan spec
-    (``FaultPlan`` constructor kwargs) installed around just this unit,
-    identically on the inline and the worker path.
+    ``params`` are its picklable keyword arguments.  ``plan`` optionally
+    carries a unit-scoped fault-plan spec (``FaultPlan`` constructor
+    kwargs) installed around just this unit, identically on the inline
+    and the worker path.
     """
 
     key: Any
     runner: str
     params: Dict[str, Any] = field(default_factory=dict)
-    weight: float = 1.0
     plan: Optional[Dict[str, Any]] = None
-
-
-@dataclass
-class ShardPlan:
-    """Deterministic unit -> shard placement (LPT with stable ties).
-
-    ``shards[s]`` lists unit indices (into the serial order) owned by
-    shard ``s``.  Placement never affects results — values come back in
-    serial index order — only wall-clock balance.
-    """
-
-    n_shards: int
-    shards: List[List[int]]
-
-    @classmethod
-    def from_partition(cls, partition: Sequence[int],
-                       n_shards: int) -> "ShardPlan":
-        """An explicit unit->shard map (property tests, manual pinning)."""
-        if n_shards < 1:
-            raise ShardError("need at least one shard")
-        shards: List[List[int]] = [[] for _ in range(n_shards)]
-        for i, s in enumerate(partition):
-            if not 0 <= s < n_shards:
-                raise ShardError(
-                    f"unit {i} placed on shard {s}, have {n_shards}")
-            shards[s].append(i)
-        return cls(n_shards=n_shards, shards=shards)
-
-    @classmethod
-    def build(cls, units: Sequence[Unit], n_shards: int) -> "ShardPlan":
-        if n_shards < 1:
-            raise ShardError("need at least one shard")
-        shards: List[List[int]] = [[] for _ in range(n_shards)]
-        loads = [0.0] * n_shards
-        # Longest-processing-time-first, ties broken by serial index and
-        # lowest shard id: a pure function of (units, n_shards).
-        order = sorted(range(len(units)),
-                       key=lambda i: (-units[i].weight, i))
-        for i in order:
-            s = min(range(n_shards), key=lambda j: (loads[j], j))
-            shards[s].append(i)
-            loads[s] += units[i].weight
-        for bucket in shards:
-            bucket.sort()
-        return cls(n_shards=n_shards, shards=shards)
-
-    def shard_of(self, index: int) -> int:
-        for s, bucket in enumerate(self.shards):
-            if index in bucket:
-                return s
-        raise KeyError(index)
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +92,18 @@ def _resolve_runner(spec: str) -> Callable:
         raise ShardError(f"runner {spec!r} not found") from exc
 
 
-def _clear_inherited_globals() -> None:
-    """Forked workers inherit the parent's module globals; a worker's
-    planes must start clean (spawned workers start clean anyway)."""
+#: Set in worker processes only: one slot per unit of the pool's run,
+#: holding the pid of the worker running that unit (0 when none is), so
+#: the coordinator can name the unit a dead worker was running.
+_RUNNING = None
+
+
+def _clear_inherited_globals(running=None) -> None:
+    """The pool's initializer.  Forked workers inherit the parent's
+    module globals; a worker's planes must start clean (spawned workers
+    start clean anyway)."""
+    global _RUNNING
+    _RUNNING = running
     if _trace.ACTIVE is not None:
         _trace.detach()
     if _faults.ACTIVE is not None:
@@ -181,70 +130,14 @@ def run_one_unit(unit: Unit) -> Any:
         return runner(**unit.params)
 
 
-def _run_assigned(units: List[Unit]) -> Tuple[List[Any], float]:
-    """Worker entry point: run this shard's units in serial-index order;
-    returns their values and the shard's wall seconds."""
-    _clear_inherited_globals()
-    started = time.perf_counter()
-    values = [run_one_unit(unit) for unit in units]
-    return values, time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
-# Reporting (the data plane of ``appctl shard/show``).
-# ----------------------------------------------------------------------
-@dataclass
-class ShardReport:
-    """What a sharded run looked like, for ``appctl shard/show``.
-
-    Wall times are real seconds (reporting only — never a result).
-    """
-
-    n_shards: int
-    start_method: str
-    degenerate: bool = False
-    barriers: int = 0
-    #: (unit key, shard id, weight) in serial order.
-    placement: List[Tuple[Any, int, float]] = field(default_factory=list)
-    shard_walls: Dict[int, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [
-            f"shards: {self.n_shards} (start method: {self.start_method}"
-            f"{', degenerate: ran inline' if self.degenerate else ''})",
-            f"barriers: {self.barriers}",
-        ]
-        if self.placement:
-            by_shard: Dict[int, List[str]] = {}
-            for key, shard, weight in self.placement:
-                by_shard.setdefault(shard, []).append(
-                    f"{key!r} (w={weight:g})")
-            for shard in range(self.n_shards):
-                units = by_shard.get(shard, [])
-                wall = self.shard_walls.get(shard)
-                suffix = f"  wall {wall:.3f}s" if wall is not None else ""
-                lines.append(f"shard {shard}: {len(units)} unit"
-                             f"{'s' if len(units) != 1 else ''}{suffix}")
-                for u in units:
-                    lines.append(f"  {u}")
-        return "\n".join(lines)
-
-
-@dataclass
-class ShardRun:
-    """The values of a sharded (or degenerate serial) run, in serial
-    unit order."""
-
-    values: List[Any]
-    report: ShardReport
-
-    def by_key(self, units: Sequence[Unit]) -> Dict[Any, Any]:
-        return {u.key: v for u, v in zip(units, self.values)}
-
-
-#: The report of the most recent sharded run, for ``appctl shard/show``
-#: (mirrors how ``faults.ACTIVE`` / ``trace.ACTIVE`` expose themselves).
-LAST_REPORT: Optional[ShardReport] = None
+def _run_pooled(index: int, unit: Unit) -> Any:
+    """A worker's task: :func:`run_one_unit`, with the unit's slot
+    stamped while it runs."""
+    _RUNNING[index] = os.getpid()
+    try:
+        return run_one_unit(unit)
+    finally:
+        _RUNNING[index] = 0
 
 
 # ----------------------------------------------------------------------
@@ -275,77 +168,72 @@ def _guard_ambient_state() -> None:
             f"with shards=1")
 
 
+def _dead_worker(units: List[Unit], running,
+                 exits: Dict[int, Optional[int]]) -> str:
+    """Which unit(s) a broken pool's dead worker was running."""
+    # Once one worker dies the pool SIGTERMs the rest: the culprit is
+    # the stamped worker that exited some other way.
+    dead = [f"unit {units[i].key!r} died with worker {pid} "
+            f"(exit code {exits[pid]})"
+            for i, pid in enumerate(running)
+            if pid in exits and exits[pid] not in (None, -signal.SIGTERM)]
+    return ", ".join(dead) or "no unit was running"
+
+
 def run_units(
     units: Sequence[Unit],
     shards: int = 1,
     start_method: Optional[str] = None,
-    placement: Optional[Sequence[int]] = None,
-) -> ShardRun:
-    """Run ``units`` across ``shards`` workers; values in serial order.
+) -> List[Any]:
+    """Run ``units`` on ``shards`` workers; values in the given order.
 
-    ``shards <= 1`` is the degenerate case: units run inline, in serial
-    order, in this process, under whatever planes are attached.  With
-    ``shards > 1`` no plane may be attached here (:class:`ShardError`
-    names the one that is); units run in worker processes and only
-    their return values come back.
+    ``shards <= 1`` runs every unit inline, in order, in this process,
+    under whatever planes are attached.  With ``shards > 1`` no plane
+    may be attached here (:class:`ShardError` names the one that is);
+    the units are queued in the given order, each idle worker takes the
+    next one, and only their return values come back.  ``start_method``
+    overrides :func:`default_start_method` (the tests' seam).
     """
-    global LAST_REPORT
     units = list(units)
     if shards <= 1:
-        values = [run_one_unit(unit) for unit in units]
-        report = ShardReport(
-            n_shards=1, start_method="inline", degenerate=True,
-            placement=[(u.key, 0, u.weight) for u in units],
-        )
-        LAST_REPORT = report
-        return ShardRun(values=values, report=report)
+        return [run_one_unit(unit) for unit in units]
 
     _guard_ambient_state()
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    # An explicit placement keeps its shard ids even if some end up
-    # empty; the planner otherwise never opens more shards than units.
-    if placement is not None:
-        if len(placement) != len(units):
-            raise ShardError("placement must name one shard per unit")
-        plan = ShardPlan.from_partition(placement, shards)
-    else:
-        plan = ShardPlan.build(units, max(1, min(shards, len(units))))
-    method = start_method or default_start_method()
-    report = ShardReport(
-        n_shards=plan.n_shards, start_method=method, barriers=1,
-        placement=[(u.key, plan.shard_of(i), u.weight)
-                   for i, u in enumerate(units)],
-    )
-    values: List[Any] = [None] * len(units)
+    ctx = mp.get_context(start_method or default_start_method())
+    running = ctx.RawArray("l", len(units))
     # A forked worker flushes its copy of any unwritten parent output.
     sys.stdout.flush()
     sys.stderr.flush()
-    with ProcessPoolExecutor(max_workers=plan.n_shards,
-                             mp_context=mp.get_context(method)) as pool:
-        futures = {
-            shard_id: pool.submit(_run_assigned,
-                                  [units[i] for i in bucket])
-            for shard_id, bucket in enumerate(plan.shards) if bucket
-        }
-        for shard_id, future in futures.items():
-            shard_values, report.shard_walls[shard_id] = future.result()
-            for i, value in zip(plan.shards[shard_id], shard_values):
-                values[i] = value
-    LAST_REPORT = report
-    return ShardRun(values=values, report=report)
+    with ProcessPoolExecutor(max_workers=min(shards, len(units)),
+                             mp_context=ctx,
+                             initializer=_clear_inherited_globals,
+                             initargs=(running,)) as pool:
+        futures = [pool.submit(_run_pooled, i, unit)
+                   for i, unit in enumerate(units)]
+        # The pool's own process table, read for exit codes only.
+        workers = pool._processes
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            pool.shutdown()
+            exits = {pid: p.exitcode for pid, p in workers.items()}
+            raise ShardError(f"the worker pool broke: "
+                             f"{_dead_worker(units, running, exits)}"
+                             ) from exc
 
 
 # ----------------------------------------------------------------------
 # Conservation-ledger merge.
 # ----------------------------------------------------------------------
 def merge_ledgers(ledgers: Sequence) -> "Any":
-    """Merge per-shard :class:`~repro.tools.conservation.PacketLedger`s.
+    """Merge per-unit :class:`~repro.tools.conservation.PacketLedger`s.
 
-    All counts are integers, so summation in fixed shard order is exact;
-    the merged ledger balances iff every shard's does plus no packet
-    crossed shards unaccounted.
+    All counts are integers, so the sum is exact in any order; the
+    merged ledger balances iff every unit's does.
     """
     from repro.tools.conservation import PacketLedger
 

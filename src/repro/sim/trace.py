@@ -341,6 +341,23 @@ def recording(
         detach()
 
 
+@contextmanager
+def isolated() -> Iterator[TraceRecorder]:
+    """Record the block into a fresh recorder of its own.
+
+    Any outer recorder (``python -m repro --trace degradation``) is
+    shelved for the block — nesting is an error by design — and
+    re-attached on the way out, exception or not."""
+    outer = ACTIVE
+    detach()
+    try:
+        with recording() as rec:
+            yield rec
+    finally:
+        if outer is not None:
+            attach(outer)
+
+
 def count(name: str, n: int = 1) -> None:
     """Convenience counter bump for cold paths (checks ACTIVE itself;
     hot paths should inline the ``ACTIVE is None`` guard instead)."""

@@ -522,6 +522,6 @@ def test_packet_conservation_for_any_seeded_plan(
         upcall_queue_cap=cap,
         flow_limit=flow_limit,
     )
-    point = degradation._run_point_traced(
+    point = degradation._run_point(
         plan, 0.0, packets=96, n_flows=8, link_gbps=25.0)
     assert point.conserved, point.to_json()

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.__main__ import EXPERIMENTS
-from repro.sim.shard import usable_cpus
+from repro.sim.shard import Unit, run_units, usable_cpus
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 TIMING = re.compile(r"^\[\S+ done in [0-9.]+s\]$")
@@ -29,6 +29,11 @@ SUBSET = ["fig1", "fig2", "table5", "fig12"]
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"),
     reason="the pool size is set through the CPU affinity mask")
+
+
+def _untimed(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not TIMING.match(line.strip()))
 
 
 def _suite(args, cpus=None, hash_seed="0"):
@@ -44,8 +49,7 @@ def _suite(args, cpus=None, hash_seed="0"):
     proc = subprocess.run([sys.executable, "-m", "repro", *args],
                           capture_output=True, text=True, env=env,
                           preexec_fn=preexec, check=True)
-    return "".join(line for line in proc.stdout.splitlines(keepends=True)
-                   if not TIMING.match(line.strip()))
+    return _untimed(proc.stdout)
 
 
 @needs_affinity
@@ -61,6 +65,17 @@ def test_a_pool_of_two_prints_the_serial_bytes(flags):
     if flags:
         assert serial.count("conservation:") == len(SUBSET)
     assert _suite(flags + SUBSET, cpus=2) == serial
+
+
+def test_spawned_workers_render_the_inline_text():
+    units = [Unit(key=name,
+                  runner="repro.tools.perf_report:render_experiment",
+                  params=dict(name=name, plane="profile"))
+             for name in SUBSET]
+    inline = [_untimed(text) for text in run_units(units)]
+    assert all("conservation:" in text for text in inline)
+    assert [_untimed(text) for text in run_units(
+        units, shards=2, start_method="spawn")] == inline
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -122,6 +122,6 @@ def test_conservation_for_arbitrary_seeded_crash_plans(
         FaultRule("ovsdb.disconnect", rate=retry_rate),
         FaultRule("netlink.enobufs", rate=retry_rate),
     ])
-    point = degradation._run_point_traced(
+    point = degradation._run_point(
         plan, crash_rate, packets=96, n_flows=8, link_gbps=25.0)
     assert point.conserved, point.to_json()

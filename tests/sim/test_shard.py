@@ -5,14 +5,17 @@ including ``spawn``, which imports this module fresh in the child — can
 resolve them by name.
 """
 
+import itertools
 import multiprocessing as mp
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import telemetry
 from repro.sim import faults, profile, trace
 from repro.sim.profile import MetricsSampler
-from repro.sim.shard import ShardError, ShardPlan, Unit, run_units
+from repro.sim.shard import ShardError, Unit, run_one_unit, run_units
 from repro.telemetry import Telemetry
 
 
@@ -21,6 +24,15 @@ from repro.telemetry import Telemetry
 # ----------------------------------------------------------------------
 def unit_square(x: int) -> int:
     return x * x
+
+
+def unit_pid(seed: int) -> int:
+    return os.getpid()
+
+
+def unit_exit(code: int) -> None:
+    """A worker that dies mid-unit, without a traceback."""
+    os._exit(code)
 
 
 def unit_trace(seed: int, n: int = 40) -> float:
@@ -60,85 +72,62 @@ def unit_faulty(n: int) -> int:
 def _units(n, runner="tests.sim.test_shard:unit_square", **extra):
     return [Unit(key=f"u{i}", runner=runner,
                  params=dict(x=i) if "square" in runner
-                 else dict(seed=i), weight=1.0 + (i % 3), **extra)
+                 else dict(seed=i), **extra)
             for i in range(n)]
 
 
-def _values(units, shards, **kw):
-    return run_units(units, shards=shards, **kw).values
-
-
-# ----------------------------------------------------------------------
-# Placement.
-# ----------------------------------------------------------------------
-def test_plan_is_a_pure_function_of_units_and_shard_count():
-    units = _units(7)
-    assert ShardPlan.build(units, 3).shards == \
-        ShardPlan.build(units, 3).shards
-
-
-def test_plan_lpt_puts_the_heaviest_unit_alone():
-    units = [Unit(key="heavy", runner="x:y", weight=10.0),
-             Unit(key="a", runner="x:y", weight=1.0),
-             Unit(key="b", runner="x:y", weight=1.0)]
-    plan = ShardPlan.build(units, 2)
-    assert plan.shards == [[0], [1, 2]]
-    assert plan.shard_of(0) == 0 and plan.shard_of(2) == 1
-
-
-def test_plan_buckets_keep_serial_order():
-    plan = ShardPlan.build(_units(9), 2)
-    for bucket in plan.shards:
-        assert bucket == sorted(bucket)
-
-
-def test_from_partition_validates():
-    plan = ShardPlan.from_partition([1, 0, 1], 2)
-    assert plan.shards == [[1], [0, 2]]
-    with pytest.raises(ShardError):
-        ShardPlan.from_partition([0, 2], 2)
-    with pytest.raises(ShardError):
-        ShardPlan.from_partition([], 0)
-    with pytest.raises(ShardError):
-        run_units(_units(3), shards=2, placement=[0, 1])  # wrong length
+def _inline(units, order):
+    """Run ``units`` inline in the execution ``order`` (a permutation of
+    their indices); values back in unit order."""
+    values = {i: run_one_unit(units[i]) for i in order}
+    return [values[i] for i in range(len(units))]
 
 
 # ----------------------------------------------------------------------
 # run_units: degenerate, sharded, guards.
 # ----------------------------------------------------------------------
 def test_degenerate_run_is_inline_and_ordered():
-    run = run_units(_units(4), shards=1)
-    assert run.values == [0, 1, 4, 9]
-    assert run.report.degenerate and run.report.n_shards == 1
-    assert run.report.barriers == 0
-    assert run.by_key(_units(4)) == {"u0": 0, "u1": 1, "u2": 4, "u3": 9}
+    assert run_units(_units(4), shards=1) == [0, 1, 4, 9]
+    pids = run_units(_units(3, runner="tests.sim.test_shard:unit_pid"),
+                     shards=1)
+    assert pids == [os.getpid()] * 3
 
 
 def test_sharded_values_keep_serial_order():
-    run = run_units(_units(5), shards=2)
-    assert run.values == [0, 1, 4, 9, 16]
-    assert run.report.n_shards == 2
-    assert not run.report.degenerate
-    assert run.report.barriers == 1
+    assert run_units(_units(5), shards=2) == [0, 1, 4, 9, 16]
+    # The pool really ran: no unit ran in this process.
+    pids = run_units(_units(3, runner="tests.sim.test_shard:unit_pid"),
+                     shards=2)
+    assert os.getpid() not in pids
 
 
-def test_never_opens_more_shards_than_units():
-    run = run_units(_units(2), shards=8)
-    assert run.report.n_shards == 2
+def test_never_opens_more_shards_than_units(monkeypatch):
+    import concurrent.futures
+
+    opened = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert run_units(_units(2), shards=8) == [0, 1]
+    assert opened == [2]
 
 
 def test_sharded_observables_byte_identical_to_serial():
     units = _units(5, runner="tests.sim.test_shard:unit_trace")
-    serial = _values(units, shards=1)
+    serial = run_units(units, shards=1)
     for shards in (2, 3):
-        assert _values(units, shards=shards) == serial
+        assert run_units(units, shards=shards) == serial
 
 
-def test_explicit_placement_never_changes_observables():
+def test_execution_order_never_changes_observables():
     units = _units(4, runner="tests.sim.test_shard:unit_trace")
-    serial = _values(units, shards=1)
-    for placement in ([0, 1, 2, 0], [2, 2, 2, 2], [1, 0, 1, 0]):
-        assert _values(units, shards=3, placement=placement) == serial
+    serial = run_units(units, shards=1)
+    for order in itertools.permutations(range(4)):
+        assert _inline(units, order) == serial
 
 
 def test_unit_scoped_fault_plans_are_schedule_independent():
@@ -148,11 +137,22 @@ def test_unit_scoped_fault_plans_are_schedule_independent():
                       faults.FaultRule("afxdp.tx_kick_eagain", rate=0.25),
                   )))
              for i in range(4)]
-    serial = run_units(units, shards=1).values
+    serial = run_units(units, shards=1)
     assert sum(serial) > 0  # the plan actually fires
-    assert run_units(units, shards=2).values == serial
-    assert run_units(units, shards=3,
-                     placement=[2, 0, 2, 1]).values == serial
+    for order in itertools.permutations(range(4)):
+        assert _inline(units, order) == serial
+    for shards in (2, 3):
+        assert run_units(units, shards=shards) == serial
+
+
+def test_a_dead_worker_names_its_unit():
+    units = _units(3) + [Unit(key="doomed",
+                              runner="tests.sim.test_shard:unit_exit",
+                              params=dict(code=3))]
+    with pytest.raises(ShardError,
+                       match=r"unit 'doomed' died .*exit code 3\)") as info:
+        run_units(units, shards=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
 def _sampled():
@@ -187,7 +187,7 @@ def test_an_attached_plane_is_refused_when_sharded(plane):
 def test_an_attached_plane_runs_inline(plane):
     units = _units(2, runner="tests.sim.test_shard:unit_trace")
     with PLANES[plane]():
-        assert _values(units, shards=1) == \
+        assert run_units(units, shards=1) == \
             [unit_trace(**u.params) for u in units]
         rec = trace.ACTIVE
         if rec is not None:  # the inline units charged this recorder
@@ -223,5 +223,5 @@ def test_bad_runner_specs_raise_shard_errors():
 @pytest.mark.parametrize("method", mp.get_all_start_methods())
 def test_every_start_method_merges_byte_identically(method):
     units = _units(3, runner="tests.sim.test_shard:unit_trace")
-    assert _values(units, shards=2, start_method=method) == \
-        _values(units, shards=1)
+    assert run_units(units, shards=2, start_method=method) == \
+        run_units(units, shards=1)

@@ -94,6 +94,20 @@ def test_recording_detaches_on_exception(world):
     assert trace.ACTIVE is None
 
 
+def test_isolated_shelves_the_outer_recorder_and_reattaches_it():
+    with trace.recording() as outer:
+        with pytest.raises(ValueError):
+            with trace.isolated() as inner:
+                assert trace.ACTIVE is inner and inner is not outer
+                trace.count("inner.only")
+                raise ValueError("boom")
+        assert trace.ACTIVE is outer
+        assert "inner.only" not in outer.counters
+    with trace.isolated() as inner:  # no outer recorder: none comes back
+        assert trace.ACTIVE is inner
+    assert trace.ACTIVE is None
+
+
 def test_reset_clears_everything(world):
     _cpu, ctx = world
     with trace.recording() as rec:
