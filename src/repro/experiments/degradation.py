@@ -1,16 +1,14 @@
 """Degradation under injected faults: the robustness curve.
 
 Sweeps a fault rate through the AF_XDP P2P forwarding pipeline —
-tx-kick EAGAIN, fill-ring overruns and upcall-queue overload firing
-together — and reports how throughput, drops and per-packet latency
-degrade.  The paper argues the userspace datapath must absorb exactly
-these faults gracefully (§3.3, §6); the curve this produces is the
-simulated version of that claim: goodput declines smoothly, every lost
-packet is attributed to a named counter, and packet conservation holds
-at every sweep point.
+tx-kick EAGAIN, fill-ring overruns, upcall-queue overload and a crashing
+ovs-vswitchd firing together — and reports how throughput, drops and
+per-packet latency degrade (the paper's operability claims, §3.3, §6).
+Every lost packet lands in a named counter and conservation holds at
+every point.  Goodput falls monotonically, with a cliff at the first
+non-zero rate: one restart's downtime dominates the per-run ratio.
 
-Runs are deterministic per seed (the CI fault-matrix job runs each seed
-twice and diffs the JSON)::
+Runs are deterministic per seed (``test_robustness_determinism.py``)::
 
     python -m repro degradation
     python -m repro.experiments.degradation --json --seed 7

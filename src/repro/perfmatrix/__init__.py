@@ -4,21 +4,13 @@
 size × flow count × datapath × topology, find each cell's maximum
 lossless rate with the TRex-style binary search
 (:class:`repro.traffic.lossless.LosslessSearch`), and emit one
-machine-readable ``matrix.json`` that CI diffs cell-by-cell against the
-committed ``BASELINE_matrix.json`` via
-:mod:`repro.tools.matrix_gate` — so regressions in *virtual*
-performance are caught the way ``benchmarks/test_wallclock.py`` catches
-wall-clock ones.
-
-Entry points::
-
-    python -m repro matrix --quick --out matrix.json
-    python -m repro.tools.matrix_gate matrix.json
+machine-readable ``matrix.json`` (``python -m repro matrix --quick
+--out matrix.json``).  See :mod:`repro.perfmatrix.matrix` for the grids.
 
 The harness is observably read-only: it builds every cell from the world
-table the paper experiments use and never mutates global
-state, so a matrix run leaves the fig2/fig9 trace ledgers byte-identical
-to runs without it (gated by ``tests/integration/test_matrix_determinism``).
+table the paper experiments use and never mutates global state, so a
+matrix run leaves the fig2/fig9 trace ledgers byte-identical to runs
+without it (``tests/integration/test_matrix_determinism``).
 """
 
 from repro.perfmatrix.cells import (  # noqa: F401

@@ -2,10 +2,10 @@
 
 Two committed grids:
 
-* ``QUICK_GRID`` — the CI surface: {64B, 1518B} × {1, 1000 flows} ×
-  {kernel, AF_XDP copy, AF_XDP zero-copy, DPDK} × {P2P, PVP}.  This is
-  what ``BASELINE_matrix.json`` pins and the ``perf-matrix`` CI job
-  gates.
+* ``QUICK_GRID`` — {64B, 1518B} × {1, 1000 flows} × {kernel, AF_XDP
+  copy, AF_XDP zero-copy, DPDK} × {P2P, PVP}.  Tier-1 compares its whole
+  document exactly with the ``matrix-quick`` entry of
+  ``tests/record.json``.
 * ``FULL_GRID`` — the paper-scale surface: {64B, 256B, 1024B, 1518B} ×
   {1, 1k, 100k flows} × all five datapaths × {P2P, PVP, PCP}.  The
   100k-flow column warms up 200k packets per cell; expect the full
@@ -13,8 +13,7 @@ Two committed grids:
 
 Everything is deterministic — no timestamps, no wall-clock, floats
 straight from the virtual cost model — so two runs of the same grid
-produce byte-identical canonical JSON, and the gate can afford tight
-per-cell tolerances.
+produce byte-identical canonical JSON.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from repro.perfmatrix.cells import (
     run_cell,
 )
 from repro.perfmatrix.schema import SCHEMA_ID, validate_matrix
+from repro.sim.stats import line_rate_mpps
+from repro.traffic.lossless import LosslessSearch
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,17 @@ class MatrixGrid:
     link_gbps: float = 25.0
     resolution_mpps: float = 0.01
     loss_tolerance: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.specs():
+            raise ValueError("the grid is empty")
+        if self.packets < 1:
+            raise ValueError("measure at least one packet")
+        if self.link_gbps <= 0:
+            raise ValueError("link speed must be positive")
+        LosslessSearch(line_rate_mpps(self.link_gbps, self.frame_lens[0]),
+                       resolution_mpps=self.resolution_mpps,
+                       loss_tolerance=self.loss_tolerance)
 
     def specs(self) -> List[CellSpec]:
         return [
@@ -209,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true",
-                      help="the CI grid (default)")
+                      help="the quick grid (default)")
     mode.add_argument("--full", action="store_true",
                       help="the paper-scale grid incl. 100k flows, eBPF "
                            "and PCP (tens of minutes)")
@@ -238,9 +250,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "matrix document is byte-identical to "
                              "--shards 1 (see DESIGN §17)")
     args = parser.parse_args(argv)
+    try:
+        grid = build_grid(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    doc = run_matrix(build_grid(args), progress=args.progress,
-                     shards=args.shards)
+    doc = run_matrix(grid, progress=args.progress, shards=args.shards)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(canonical_json(doc))

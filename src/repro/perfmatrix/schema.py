@@ -1,9 +1,7 @@
 """Schema validation for ``matrix.json`` (no external dependency).
 
 ``validate_matrix`` returns a list of human-readable problems (empty =
-valid).  Both the emitter and the gate run it, so a malformed document
-can never silently pass CI, and a hand-edited baseline is caught the
-first time the gate loads it.
+valid).  The emitter runs it, so a malformed document is never emitted.
 """
 
 from __future__ import annotations

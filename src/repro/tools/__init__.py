@@ -8,10 +8,10 @@ argument in executable form — they all work on any kernel-managed device
 
 The package also holds the simulator's own reporting tools, imported by
 path: :mod:`~repro.tools.perf_report` (call-tree profiles with a
-conservation audit), :mod:`~repro.tools.matrix_gate` (the perf-matrix
-baseline gate), :mod:`~repro.tools.conservation` (packet ledgers) and
-:mod:`~repro.tools.pcap`.  Wall-clock measurement lives outside the
-package, in ``bench/``; byte-identity checks are tier-1 tests.
+conservation audit), :mod:`~repro.tools.conservation` (packet ledgers)
+and :mod:`~repro.tools.pcap`.  Wall-clock measurement lives outside the
+package, in ``bench/``; byte-identity checks and the exact results
+record are tier-1 tests.
 """
 
 from repro.tools.iproute import IpCommand

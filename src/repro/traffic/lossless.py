@@ -16,10 +16,10 @@ without bound and the excess is lost.  The search therefore converges
 to the same quantity :func:`repro.traffic.trex.max_lossless_mpps`
 computes in closed form — but it converges the way the physical TRex
 harness does, probe by probe, and records the full search trace so a
-regression gate can audit *how* a rate was found, not just the rate.
+reader can audit *how* a rate was found, not just the rate.
 
 Every step is deterministic: identical inputs produce an identical
-trace, which is what lets ``matrix.json`` be byte-diffed in CI.
+trace, which is what lets the results record compare it exactly.
 """
 
 from __future__ import annotations

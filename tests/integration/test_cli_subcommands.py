@@ -81,3 +81,22 @@ def test_trace_flag_composes_with_an_experiment(monkeypatch, capsys):
 def test_unknown_subcommand_is_rejected(capsys):
     assert main(["fig99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sizes", "abc"), ("--sizes", "0"), ("--flows", "-3"),
+    ("--datapaths", "bogus"), ("--topologies", "bogus"),
+    ("--budget", "-5"), ("--resolution", "0"), ("--link-gbps", "0"),
+    ("--flows", ","),
+])
+def test_matrix_rejects_a_malformed_value_before_sweeping(flag, value,
+                                                          capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["matrix", flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: repro matrix")
+    assert captured.err.count("usage:") == 1
+    assert captured.err.splitlines()[-1].startswith("repro matrix: error: ")
+    assert "Traceback" not in captured.err

@@ -1,7 +1,7 @@
 """Cross-datapath invariants of ``matrix.json`` (the paper's ordering).
 
-Asserted over a freshly swept quick grid *and* over the committed
-``BASELINE_matrix.json``:
+Asserted over a freshly swept quick grid (the sweep the record's
+``matrix-quick`` entry compares exactly):
 
 * §5.2 / Fig. 9 ordering at 64B single-flow cells:
   DPDK >= AF_XDP zero-copy >= AF_XDP copy >= kernel;
@@ -10,39 +10,22 @@ Asserted over a freshly swept quick grid *and* over the committed
   for the kernel datapath — RSS spreads 1000 flows over 10 IRQ lanes —
   so the total-rate version of the invariant only binds when the lane
   count does not grow.)
-* the emitted document is schema-valid and covers the advertised grid.
+* the emitted document is schema-valid and covers the advertised grid,
+  and the schema refuses a rate its own search trace does not back.
 """
 
-import json
-import pathlib
+import copy
 
 import pytest
 
-from repro.perfmatrix.matrix import QUICK_GRID, MatrixGrid, run_matrix
+from repro.perfmatrix.cells import CellSpec, run_cell
 from repro.perfmatrix.schema import validate_matrix
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "BASELINE_matrix.json"
-
-#: The exact CI grid — same budget as the baseline, so the fresh sweep
-#: must reproduce the committed rates bit-for-bit (determinism) and the
-#: gate comparator must find nothing to flag.
-GRID = QUICK_GRID
+from tests.record import load, quick_matrix
 
 
 @pytest.fixture(scope="module")
-def fresh_doc():
-    return run_matrix(GRID)
-
-
-@pytest.fixture(scope="module")
-def baseline_doc():
-    return json.loads(BASELINE.read_text())
-
-
-@pytest.fixture(scope="module", params=["fresh", "baseline"])
-def doc(request, fresh_doc, baseline_doc):
-    return fresh_doc if request.param == "fresh" else baseline_doc
+def doc():
+    return quick_matrix()
 
 
 def _cells(doc):
@@ -136,17 +119,22 @@ def test_search_traces_did_bisect(doc):
                 cell["id"])
 
 
-def test_fresh_matches_baseline_through_the_gate(fresh_doc, baseline_doc):
-    """The in-repo sweep reproduces the committed baseline through the
-    gate's own comparator — the same check CI's perf-matrix job runs."""
-    from repro.tools.matrix_gate import compare
+def test_fresh_rates_are_bit_identical_to_the_record(doc):
+    """Determinism, end to end: same grid, same budget, same floats as
+    the record's ``matrix-quick`` entry."""
+    recorded = load()["matrix-quick"]["result"]["cells"]
+    assert {c["id"]: c["rate_mpps"] for c in doc["cells"]} == {
+        cell_id: c["rate_mpps"] for cell_id, c in recorded.items()}
 
-    assert compare(baseline_doc, fresh_doc) == []
+
+def test_schema_rejects_tampered_search_evidence(doc):
+    """A rate not backed by its own search trace is schema-invalid:
+    editing the headline number alone does not make a valid document."""
+    tampered = copy.deepcopy(doc)
+    tampered["cells"][0]["rate_mpps"] *= 0.5
+    assert validate_matrix(tampered)
 
 
-def test_fresh_rates_are_bit_identical_to_baseline(fresh_doc,
-                                                   baseline_doc):
-    """Determinism, end to end: same grid, same budget, same floats."""
-    fresh = {c["id"]: c["rate_mpps"] for c in fresh_doc["cells"]}
-    base = {c["id"]: c["rate_mpps"] for c in baseline_doc["cells"]}
-    assert fresh == base
+def test_cell_runner_rejects_bad_budget():
+    with pytest.raises(ValueError):
+        run_cell(CellSpec("P2P", "dpdk", 64, 1), packets=0)
