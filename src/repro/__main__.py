@@ -51,7 +51,7 @@ EXPERIMENTS = {
     "observer-effect": ("Observability: telemetry's throughput cost "
                         "by sampling rate",
                         "repro.experiments.observer_effect"),
-    "matrix": ("Performance matrix: lossless-rate sweep "
+    "matrix": ("Performance matrix: measured-rate sweep "
                "(own flags; see `matrix --help`)",
                "repro.perfmatrix.matrix"),
 }
@@ -66,8 +66,8 @@ every experiment.  Experiments run in parallel, one worker per usable
 CPU, and print in registry order; `taskset -c 0 python -m repro` runs
 them serially.  The ``matrix`` subcommand sweeps the automated
 performance matrix (packet size x flows x datapath x topology) and
-binary-searches each cell's maximum lossless rate; it takes its own
-flags — see ``python -m repro matrix --help``.
+reports each cell's measured rate, the reduction fig9 prints; it takes
+its own flags — see ``python -m repro matrix --help``.
 
 options:
   -h, --help     show this message and exit

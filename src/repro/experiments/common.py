@@ -13,6 +13,7 @@ The measurement methodology mirrors the paper's:
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -23,6 +24,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.traffic.trex import TrexStream
 
 WARMUP_PACKETS = 64
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for a count of packets or workers: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def warmup_count(stream: "TrexStream") -> int:

@@ -16,12 +16,12 @@ Runs are deterministic per seed (``test_robustness_determinism.py``)::
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.common import CpuSnapshot, reduce_run
+from repro.experiments.common import CpuSnapshot, positive_int, reduce_run
 from repro.experiments.common import warmup_count
 from repro.experiments.world import build_world
 from repro.sim import faults, trace
@@ -229,17 +229,20 @@ def render(points: Sequence[DegradationPoint]) -> str:
 
 
 def main(argv: "List[str] | None" = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in argv
-    seed = 0
-    packets = PACKETS
-    metrics_path = None
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    if "--packets" in argv:
-        packets = int(argv[argv.index("--packets") + 1])
-    if "--metrics" in argv:
-        metrics_path = argv[argv.index("--metrics") + 1]
+    parser = argparse.ArgumentParser(
+        prog="degradation",
+        description="Forwarding rate and conservation under a sweep of "
+                    "injected fault rates",
+    )
+    parser.add_argument("--json", action="store_true",
+                        help="emit the sweep as sorted JSON")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--packets", type=positive_int, default=PACKETS)
+    parser.add_argument("--metrics", metavar="PATH", default=None,
+                        help="write each sweep point's metric samples "
+                             "as JSONL to PATH")
+    args = parser.parse_args(argv)
+    seed, packets, metrics_path = args.seed, args.packets, args.metrics
     metrics_lines: "List[str] | None" = (
         [] if metrics_path is not None else None)
     points = run_degradation(packets=packets, seed=seed,
@@ -249,7 +252,7 @@ def main(argv: "List[str] | None" = None) -> None:
             fh.write("\n".join(metrics_lines) + "\n")
         print(f"wrote metric samples for {len(metrics_lines)} sweep "
               f"points to {metrics_path}")
-    if as_json:
+    if args.json:
         print(json.dumps({
             "seed": seed,
             "packets": packets,

@@ -87,6 +87,8 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
     import argparse
     import json
 
+    from repro.experiments.common import positive_int
+
     parser = argparse.ArgumentParser(
         prog="fault_cells",
         description="Seeded fault-plan port set; merged conservation "
@@ -97,7 +99,7 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
     parser.add_argument("--packets", type=int, default=240)
     parser.add_argument("--json", action="store_true",
                         help="emit the merged ledger as sorted JSON")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
+    parser.add_argument("--shards", type=positive_int, default=1, metavar="N",
                         help="run the ports across N worker processes; "
                              "the merged ledger is byte-identical to "
                              "--shards 1 (see DESIGN §17)")

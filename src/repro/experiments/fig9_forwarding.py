@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.experiments.common import PipelineMeasurement
+from repro.experiments.common import PipelineMeasurement, positive_int
 from repro.experiments.world import build_world
 from repro.traffic.trex import FlowSpec, TrexStream
 
@@ -140,7 +140,7 @@ def run_fig9(
     return result
 
 
-def main(argv=None) -> None:  # pragma: no cover - CLI entry
+def main(argv=None) -> None:
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -152,7 +152,7 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
         help="sample counters at fixed virtual-time intervals and write "
              "the series as JSONL to PATH",
     )
-    parser.add_argument("--packets", type=int, default=PACKETS)
+    parser.add_argument("--packets", type=positive_int, default=PACKETS)
     args = parser.parse_args(argv)
     if args.metrics is None:
         result = run_fig9(packets=args.packets)

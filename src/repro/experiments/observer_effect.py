@@ -28,13 +28,13 @@ twice and diffs the JSON)::
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.experiments.common import warmup_count
+from repro.experiments.common import positive_int, warmup_count
 from repro.experiments.world import build_world
 from repro.sim import trace
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
@@ -212,20 +212,22 @@ def render(points: Sequence[ObserverPoint]) -> str:
 
 
 def main(argv: "List[str] | None" = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in argv
-    seed = 0
-    packets = PACKETS
-    pcap_prefix = None
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    if "--packets" in argv:
-        packets = int(argv[argv.index("--packets") + 1])
-    if "--pcap" in argv:
-        pcap_prefix = argv[argv.index("--pcap") + 1]
+    parser = argparse.ArgumentParser(
+        prog="observer_effect",
+        description="Telemetry's throughput cost by sampling rate",
+    )
+    parser.add_argument("--json", action="store_true",
+                        help="emit the sweep as sorted JSON")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--packets", type=positive_int, default=PACKETS)
+    parser.add_argument("--pcap", metavar="PREFIX", default=None,
+                        help="write each cell's sampled headers to "
+                             "PREFIX-*.pcap")
+    args = parser.parse_args(argv)
+    seed, packets, pcap_prefix = args.seed, args.packets, args.pcap
     points = run_observer_effect(packets=packets, seed=seed,
                                  pcap_prefix=pcap_prefix)
-    if as_json:
+    if args.json:
         print(json.dumps({
             "seed": seed,
             "packets": packets,

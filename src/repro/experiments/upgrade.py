@@ -34,12 +34,12 @@ twice and diffs the JSON)::
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.common import warmup_count
+from repro.experiments.common import positive_int, warmup_count
 from repro.experiments.world import DATAPATHS, build_world
 from repro.sim import faults, trace
 from repro.sim.clock import MSEC
@@ -202,21 +202,34 @@ def render(results: Sequence[ScenarioResult]) -> str:
     return "\n".join(lines)
 
 
+def _scenarios(text: str) -> Tuple[str, ...]:
+    """``argparse`` type: a comma-separated subset of :data:`SCENARIOS`."""
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario(s) {', '.join(map(repr, unknown))}; "
+            f"known: {','.join(SCENARIOS)}")
+    return names
+
+
 def main(argv: "List[str] | None" = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in argv
-    seed = 0
-    packets = PACKETS
-    scenarios: Sequence[str] = SCENARIOS
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    if "--packets" in argv:
-        packets = int(argv[argv.index("--packets") + 1])
-    if "--scenarios" in argv:
-        scenarios = tuple(
-            argv[argv.index("--scenarios") + 1].split(","))
-    results = run_upgrade(packets=packets, seed=seed, scenarios=scenarios)
-    if as_json:
+    parser = argparse.ArgumentParser(
+        prog="upgrade",
+        description="Supervised crash-recovery downtime per datapath",
+    )
+    parser.add_argument("--json", action="store_true",
+                        help="emit the results as sorted JSON")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--packets", type=positive_int, default=PACKETS)
+    parser.add_argument("--scenarios", type=_scenarios, default=SCENARIOS,
+                        help=f"comma-separated subset of "
+                             f"{','.join(SCENARIOS)}")
+    args = parser.parse_args(argv)
+    seed, packets = args.seed, args.packets
+    results = run_upgrade(packets=packets, seed=seed,
+                          scenarios=args.scenarios)
+    if args.json:
         print(json.dumps({
             "seed": seed,
             "packets": packets,

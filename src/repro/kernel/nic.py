@@ -156,8 +156,8 @@ class PhysicalNic(NetDevice):
         """A frame arrives from the wire; DMA it into a queue ring.
 
         No CPU cost: this is the NIC hardware working.  Returns False if
-        the ring was full (a "missed" drop — the lossless-rate searches
-        key off this counter).
+        the ring was full (a "missed" drop — the counter a TRex-style
+        lossless-rate search keys off on real hardware).
         """
         if not self.up:
             self.stats.rx_dropped += 1

@@ -1,11 +1,12 @@
 """The automated performance matrix (the scenario-coverage flywheel).
 
 ``ovs_perf``-style harness over the simulated testbed: sweep packet
-size × flow count × datapath × topology, find each cell's maximum
-lossless rate with the TRex-style binary search
-(:class:`repro.traffic.lossless.LosslessSearch`), and emit one
-machine-readable ``matrix.json`` (``python -m repro matrix --quick
---out matrix.json``).  See :mod:`repro.perfmatrix.matrix` for the grids.
+size × flow count × datapath × topology, report each cell's measured
+rate — the world's own drive, reduced by
+:func:`repro.experiments.common.reduce_run` exactly as ``fig9`` reduces
+it — and emit one machine-readable ``matrix.json`` (``python -m repro
+matrix --quick --out matrix.json``).  See :mod:`repro.perfmatrix.matrix`
+for the grids.
 
 The harness is observably read-only: it builds every cell from the world
 table the paper experiments use and never mutates global state, so a

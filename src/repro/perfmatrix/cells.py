@@ -1,13 +1,14 @@
 """Matrix cells: one (datapath, topology, frame, flows) measurement.
 
 A cell builds its world from the experiments' world table
-(:func:`repro.experiments.world.build_world`), drives it with the
-world's measured loop, then runs the TRex-style
-:class:`~repro.traffic.lossless.LosslessSearch` against the measured
-capacity.  The result is a plain JSON-ready dict, fully deterministic:
-building the same cell twice yields byte-identical canonical JSON.
+(:func:`repro.experiments.world.build_world`) and drives it with the
+world's measured loop.  Its rate is that drive's own measurement —
+:func:`repro.experiments.common.reduce_run`'s busiest-lane rate times
+the SMT yield, capped at the line — the same reduction ``fig9`` prints.
+No load is offered, so nothing is searched.  The result is a plain
+JSON-ready dict, fully deterministic: building the same cell twice
+yields byte-identical canonical JSON.
 """
-
 from __future__ import annotations
 
 import re
@@ -20,8 +21,6 @@ from repro.experiments.world import (
     cell_support,
 )
 from repro.sim import trace
-from repro.sim.stats import line_rate_mpps
-from repro.traffic.lossless import LosslessSearch, capacity_loss_model
 from repro.traffic.trex import FlowSpec, TrexStream
 
 #: Nominal core frequency used to express per-packet cost in cycles
@@ -95,10 +94,8 @@ def run_cell(
     spec: CellSpec,
     packets: int = 400,
     link_gbps: float = 25.0,
-    resolution_mpps: float = 0.01,
-    loss_tolerance: float = 0.0,
 ) -> dict:
-    """Measure one cell and binary-search its maximum lossless rate."""
+    """Measure one cell: drive its world and report the measurement."""
     reason = cell_support(spec.datapath, spec.topology)
     if reason is not None:
         raise UnsupportedCell(reason)
@@ -113,12 +110,6 @@ def run_cell(
         frame_len=spec.frame_len,
     )
     measurement, drops = _drive(world, stream, packets)
-    search = LosslessSearch(
-        max_rate_mpps=line_rate_mpps(link_gbps, spec.frame_len),
-        resolution_mpps=resolution_mpps,
-        loss_tolerance=loss_tolerance,
-    )
-    result = search.run(capacity_loss_model(measurement.mpps))
     return {
         "id": spec.cell_id,
         "topology": spec.topology,
@@ -127,13 +118,11 @@ def run_cell(
         "n_flows": spec.n_flows,
         "packets": packets,
         "link_gbps": link_gbps,
-        "rate_mpps": result.rate_mpps,
-        "capacity_mpps": measurement.mpps,
+        "rate_mpps": measurement.mpps,
         "ns_per_packet": measurement.ns_per_packet,
         "cycles_per_packet": measurement.ns_per_packet * CPU_GHZ,
         "capped_by_line": measurement.capped_by_line,
         "n_busy_lanes": measurement.n_busy_lanes,
         "cpu_util": dict(measurement.cpu_util),
         "drops": drops,
-        "search": result.as_dict(),
     }

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import format_table
+from repro.experiments.common import positive_int
 from repro.perfmatrix.cells import (
     DATAPATHS,
     TOPOLOGIES,
@@ -32,8 +33,6 @@ from repro.perfmatrix.cells import (
     run_cell,
 )
 from repro.perfmatrix.schema import SCHEMA_ID, validate_matrix
-from repro.sim.stats import line_rate_mpps
-from repro.traffic.lossless import LosslessSearch
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,6 @@ class MatrixGrid:
     topologies: Tuple[str, ...]
     packets: int = 400
     link_gbps: float = 25.0
-    resolution_mpps: float = 0.01
-    loss_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.specs():
@@ -57,9 +54,6 @@ class MatrixGrid:
             raise ValueError("measure at least one packet")
         if self.link_gbps <= 0:
             raise ValueError("link speed must be positive")
-        LosslessSearch(line_rate_mpps(self.link_gbps, self.frame_lens[0]),
-                       resolution_mpps=self.resolution_mpps,
-                       loss_tolerance=self.loss_tolerance)
 
     def specs(self) -> List[CellSpec]:
         return [
@@ -92,14 +86,11 @@ FULL_GRID = MatrixGrid(
 
 
 def _shard_cell(spec: CellSpec, packets: int, link_gbps: float,
-                resolution_mpps: float, loss_tolerance: float,
                 progress: bool = False) -> dict:
     """Pool-unit wrapper around :func:`run_cell` (DESIGN §17)."""
     if progress:  # pragma: no cover - cosmetics
         print(f"  {spec.cell_id} ...", file=sys.stderr, flush=True)
-    return run_cell(spec, packets=packets, link_gbps=link_gbps,
-                    resolution_mpps=resolution_mpps,
-                    loss_tolerance=loss_tolerance)
+    return run_cell(spec, packets=packets, link_gbps=link_gbps)
 
 
 def run_matrix(grid: MatrixGrid, progress: bool = False,
@@ -119,8 +110,6 @@ def run_matrix(grid: MatrixGrid, progress: bool = False,
             runner="repro.perfmatrix.matrix:_shard_cell",
             params=dict(spec=spec, packets=grid.packets,
                         link_gbps=grid.link_gbps,
-                        resolution_mpps=grid.resolution_mpps,
-                        loss_tolerance=grid.loss_tolerance,
                         progress=progress),
         ))
     cells = run_units(units, shards=shards)
@@ -134,8 +123,6 @@ def run_matrix(grid: MatrixGrid, progress: bool = False,
             "topologies": list(grid.topologies),
             "packets": grid.packets,
             "link_gbps": grid.link_gbps,
-            "resolution_mpps": grid.resolution_mpps,
-            "loss_tolerance": grid.loss_tolerance,
         },
         "cells": cells,
         "skipped": [
@@ -206,8 +193,6 @@ def build_grid(args) -> MatrixGrid:
         topologies=topologies,
         packets=args.budget if args.budget else base.packets,
         link_gbps=args.link_gbps,
-        resolution_mpps=args.resolution,
-        loss_tolerance=args.loss_tolerance,
     )
 
 
@@ -216,8 +201,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro matrix",
-        description="Sweep the performance matrix and binary-search each "
-                    "cell's maximum lossless rate.",
+        description="Sweep the performance matrix: drive each cell's "
+                    "world and report its measured rate (the busiest "
+                    "lane's rate times the SMT yield, capped at the line).",
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true",
@@ -238,14 +224,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--topologies", default=None,
                         help=f"subset of {','.join(TOPOLOGIES)}")
     parser.add_argument("--link-gbps", type=float, default=25.0)
-    parser.add_argument("--resolution", type=float, default=0.01,
-                        metavar="MPPS", help="search bracket width bound")
-    parser.add_argument("--loss-tolerance", type=float, default=0.0,
-                        metavar="FRAC",
-                        help="loss fraction still counted lossless")
     parser.add_argument("--progress", action="store_true",
                         help="narrate cells to stderr")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
+    parser.add_argument("--shards", type=positive_int, default=1,
+                        metavar="N",
                         help="sweep cells across N worker processes; the "
                              "matrix document is byte-identical to "
                              "--shards 1 (see DESIGN §17)")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-SCHEMA_ID = "repro.perfmatrix/1"
+SCHEMA_ID = "repro.perfmatrix/2"
 
 _CELL_REQUIRED = {
     "id": str,
@@ -19,22 +19,12 @@ _CELL_REQUIRED = {
     "packets": int,
     "link_gbps": (int, float),
     "rate_mpps": (int, float),
-    "capacity_mpps": (int, float),
     "ns_per_packet": (int, float),
     "cycles_per_packet": (int, float),
     "capped_by_line": bool,
     "n_busy_lanes": int,
     "cpu_util": dict,
     "drops": dict,
-    "search": dict,
-}
-
-_SEARCH_REQUIRED = {
-    "rate_mpps": (int, float),
-    "bracket": list,
-    "iterations": int,
-    "converged": bool,
-    "trace": list,
 }
 
 _GRID_REQUIRED = {
@@ -71,37 +61,6 @@ def _check_cell(cell: Any, index: int, problems: List[str]) -> None:
     where = f"cells[{index}] ({cell['id']})"
     if cell["rate_mpps"] < 0:
         problems.append(f"{where}: negative rate")
-    if cell["rate_mpps"] > cell["capacity_mpps"] + 1e-9:
-        problems.append(f"{where}: lossless rate exceeds measured capacity")
-    search = cell["search"]
-    if not _check_keys(search, _SEARCH_REQUIRED, f"{where}.search", problems):
-        return
-    if search["rate_mpps"] != cell["rate_mpps"]:
-        problems.append(f"{where}: cell rate disagrees with search result")
-    bracket = search["bracket"]
-    if len(bracket) != 2 or bracket[0] > bracket[1]:
-        problems.append(f"{where}: malformed search bracket {bracket!r}")
-    elif not bracket[0] <= cell["rate_mpps"] <= bracket[1]:
-        problems.append(f"{where}: rate outside its search bracket")
-    if not search["trace"]:
-        problems.append(f"{where}: empty search trace")
-        return
-    for j, probe in enumerate(search["trace"]):
-        if not isinstance(probe, dict) or not {
-            "offered_mpps", "loss", "lossless"
-        } <= set(probe):
-            problems.append(f"{where}: malformed trace probe [{j}]")
-            return
-    lossless = [p["offered_mpps"] for p in search["trace"] if p["lossless"]]
-    lossy = [p["offered_mpps"] for p in search["trace"] if not p["lossless"]]
-    if lossless and abs(max(lossless) - cell["rate_mpps"]) > 1e-9:
-        problems.append(
-            f"{where}: returned rate is not the highest lossless probe"
-        )
-    if not lossless and cell["rate_mpps"] != 0:
-        problems.append(f"{where}: nonzero rate but no lossless probe")
-    if lossy and min(lossy) <= cell["rate_mpps"]:
-        problems.append(f"{where}: a lossy probe at or below the rate")
 
 
 def validate_matrix(doc: Any) -> List[str]:

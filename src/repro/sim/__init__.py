@@ -12,7 +12,7 @@ latency, exactly the way ``perf`` and ``top`` were used in the paper.
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
-from repro.sim.stats import Histogram, RateEstimator, percentile
+from repro.sim.stats import Histogram, percentile
 from repro.sim.trace import TraceRecorder, recording
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "CpuModel",
     "ExecContext",
     "Histogram",
-    "RateEstimator",
     "percentile",
     "TraceRecorder",
     "recording",

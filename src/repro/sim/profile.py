@@ -116,8 +116,8 @@ class Profiler:
 
     * ``span(stage)`` enter/exit -> :meth:`enter`/:meth:`exit_`
       (interior nodes), and
-    * every ``record``/``record_n`` charge -> :meth:`leaf`/:meth:`leaf_n`
-      (leaf accumulation under the current frame),
+    * every ``record`` charge -> :meth:`leaf` (leaf accumulation under
+      the current frame),
 
     so the tree partitions exactly the ledger's conservation set.
     Subsystems may also open *profiler-only* frames (PMD iterations,
@@ -148,15 +148,6 @@ class Profiler:
             node = self._stack[-1].children[label] = CallNode(label)
         node.calls += 1
         node.ns += ns
-
-    def leaf_n(self, label: str, ns: float, n: int) -> None:
-        """``n`` individual :meth:`leaf` folds (float order preserved)."""
-        node = self._stack[-1].children.get(label)
-        if node is None:
-            node = self._stack[-1].children[label] = CallNode(label)
-        node.calls += n
-        for _ in range(n):
-            node.ns += ns
 
     def reset(self) -> None:
         self.root = CallNode(ROOT_LABEL)

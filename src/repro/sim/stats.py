@@ -1,8 +1,10 @@
-"""Measurement helpers: histograms, percentiles, rate estimation.
+"""Measurement helpers: histograms, percentiles, line rate, SMT yield.
 
 The paper reports P50/P90/P99 latencies (netperf) and maximum lossless
-packet rates (TRex).  These helpers provide the corresponding reductions
-over simulated samples.
+packet rates (TRex).  The histograms reduce latency samples; the line
+rate and the SMT yield are the two terms
+:func:`repro.experiments.common.reduce_run` applies when it turns lane
+busy time into a packet rate.
 """
 
 from __future__ import annotations
@@ -193,43 +195,6 @@ class StreamingHistogram:
         )
 
 
-class RateEstimator:
-    """Convert work done in virtual time into packet/bit rates."""
-
-    def __init__(self, packets: int, busy_ns: float, bytes_total: int = 0) -> None:
-        if packets < 0 or busy_ns < 0:
-            raise ValueError("negative work")
-        self.packets = packets
-        self.busy_ns = busy_ns
-        self.bytes_total = bytes_total
-
-    @property
-    def ns_per_packet(self) -> float:
-        if self.packets == 0:
-            return math.inf
-        return self.busy_ns / self.packets
-
-    @property
-    def mpps(self) -> float:
-        """Millions of packets per second sustained by this lane."""
-        if self.busy_ns == 0:
-            return math.inf
-        return self.packets / self.busy_ns * 1e3
-
-    @property
-    def gbps(self) -> float:
-        """Goodput in gigabits per second (based on ``bytes_total``)."""
-        if self.busy_ns == 0:
-            return math.inf
-        return self.bytes_total * 8 / self.busy_ns
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RateEstimator({self.packets} pkts / {self.busy_ns:.0f} ns = "
-            f"{self.mpps:.2f} Mpps)"
-        )
-
-
 def line_rate_mpps(link_gbps: float, frame_bytes: int) -> float:
     """Maximum packet rate of an Ethernet link.
 
@@ -244,11 +209,6 @@ def line_rate_mpps(link_gbps: float, frame_bytes: int) -> float:
         raise ValueError("minimum Ethernet frame is 64 bytes")
     wire_bits = (frame_bytes + 20) * 8
     return link_gbps * 1e3 / wire_bits
-
-
-def effective_parallel_rate(per_lane_mpps: Sequence[float], line_mpps: float) -> float:
-    """Aggregate independent lanes, capped by the wire."""
-    return min(sum(per_lane_mpps), line_mpps)
 
 
 #: Throughput multiplier for a logical CPU whose hyperthread sibling is

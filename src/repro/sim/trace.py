@@ -114,49 +114,12 @@ class TraceRecorder:
             entry[0] += 1
             entry[1] += ns
 
-    def record_n(self, stage: str, ns: float, n: int) -> None:
-        """Attribute ``ns`` to ``stage`` exactly ``n`` times.
-
-        Batch-aware span attribution: byte-identical to ``n`` separate
-        :meth:`record` calls (``n`` float additions to every open
-        accumulator, span count advanced by ``n``) with the dict lookup
-        hoisted out of the loop.  Collapsing into one ``n * ns`` addition
-        would change the ledger — float addition is not associative and
-        the per-stage call counts are part of the canonical dump.
-        """
-        if n <= 0:
-            return
-        entry = self.spans.get(stage)
-        if entry is None:
-            entry = self.spans[stage] = [0, 0.0]
-        stack = self._stack
-        for _ in range(n):
-            entry[0] += 1
-            entry[1] += ns
-            for frame in stack:
-                frame[1] += ns
-        prof = self.profiler
-        if prof is not None:
-            prof.leaf_n(stage, ns, n)
-
     def note_cpu(self, ns: float) -> None:
         """CpuModel-side tally; the other leg of the conservation check."""
         self.cpu_charged_ns += ns
         sampler = self.sampler
         if sampler is not None and self.cpu_charged_ns >= sampler.next_due_ns:
             sampler.tick(self)
-
-    def note_cpu_n(self, ns: float, n: int) -> None:
-        """``n`` individual CpuModel-side tallies (see :meth:`record_n`)."""
-        sampler = self.sampler
-        if sampler is None:
-            for _ in range(n):
-                self.cpu_charged_ns += ns
-            return
-        for _ in range(n):
-            self.cpu_charged_ns += ns
-            if self.cpu_charged_ns >= sampler.next_due_ns:
-                sampler.tick(self)
 
     def note_batch(self, stage: str, n: int) -> None:
         """Record that ``stage`` handled a batch of ``n`` packets.

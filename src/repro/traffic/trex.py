@@ -12,19 +12,12 @@ device-under-test's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.net.addresses import MacAddress, ip_to_int
 from repro.net.builder import make_udp_packet
 from repro.net.packet import Packet
 from repro.sim.rng import make_rng
-from repro.sim.stats import line_rate_mpps
-from repro.traffic.lossless import (
-    LosslessSearch,
-    SearchResult,
-    aggregate_capacity_mpps,
-    capacity_loss_model,
-)
 
 
 @dataclass(frozen=True)
@@ -148,46 +141,3 @@ class TrexStream:
     def __iter__(self) -> Iterator[Packet]:
         while True:
             yield self.next_packet()
-
-
-def max_lossless_mpps(
-    per_lane_busy_ns: Sequence[float],
-    packets_per_lane: Sequence[int],
-    link_gbps: float,
-    frame_len: int,
-) -> float:
-    """The maximum lossless forwarding rate of a multi-lane pipeline.
-
-    Each lane (a PMD thread, a softirq core) can sustain
-    ``packets / busy_ns`` before its queue grows without bound; the
-    aggregate is their sum, capped by the wire.  This is the closed form
-    of the quantity the TRex binary search converges to on the real
-    testbed; :class:`repro.traffic.lossless.LosslessSearch` finds the
-    same rate probe by probe and keeps the search trace.
-    """
-    total = aggregate_capacity_mpps(per_lane_busy_ns, packets_per_lane)
-    return min(total, line_rate_mpps(link_gbps, frame_len))
-
-
-def lossless_search_from_lanes(
-    per_lane_busy_ns: Sequence[float],
-    packets_per_lane: Sequence[int],
-    link_gbps: float,
-    frame_len: int,
-    resolution_mpps: float = 0.01,
-    loss_tolerance: float = 0.0,
-) -> "SearchResult":
-    """Run the TRex-style binary search against a measured pipeline.
-
-    The lanes define the capacity (as in :func:`max_lossless_mpps`); the
-    wire defines the search ceiling.  Returns the full
-    :class:`~repro.traffic.lossless.SearchResult`, whose ``rate_mpps``
-    agrees with the closed form to within ``resolution_mpps``.
-    """
-    capacity = aggregate_capacity_mpps(per_lane_busy_ns, packets_per_lane)
-    search = LosslessSearch(
-        max_rate_mpps=line_rate_mpps(link_gbps, frame_len),
-        resolution_mpps=resolution_mpps,
-        loss_tolerance=loss_tolerance,
-    )
-    return search.run(capacity_loss_model(capacity))

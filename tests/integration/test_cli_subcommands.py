@@ -66,7 +66,7 @@ def test_matrix_subcommand_runs(tmp_path, capsys):
             "--topologies", "P2P", "--out", str(out_path)]
     assert main(argv) == 0
     doc = json.loads(out_path.read_text())
-    assert doc["schema"] == "repro.perfmatrix/1"
+    assert doc["schema"] == "repro.perfmatrix/2"
     assert len(doc["cells"]) == 4
     # The rendered table reaches stdout too.
     assert "Mpps" in capsys.readouterr().out
@@ -86,8 +86,8 @@ def test_unknown_subcommand_is_rejected(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--sizes", "abc"), ("--sizes", "0"), ("--flows", "-3"),
     ("--datapaths", "bogus"), ("--topologies", "bogus"),
-    ("--budget", "-5"), ("--resolution", "0"), ("--link-gbps", "0"),
-    ("--flows", ","),
+    ("--budget", "-5"), ("--link-gbps", "0"), ("--flows", ","),
+    ("--shards", "0"), ("--shards", "-2"),
 ])
 def test_matrix_rejects_a_malformed_value_before_sweeping(flag, value,
                                                           capsys):
@@ -99,4 +99,32 @@ def test_matrix_rejects_a_malformed_value_before_sweeping(flag, value,
     assert captured.err.startswith("usage: repro matrix")
     assert captured.err.count("usage:") == 1
     assert captured.err.splitlines()[-1].startswith("repro matrix: error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("degradation", ["--seed", "abc"]),
+    ("degradation", ["--bogus"]),
+    ("degradation", ["--seed"]),
+    ("upgrade", ["--scenarios", "bogus"]),
+    ("upgrade", ["--bogus"]),
+    ("upgrade", ["--seed"]),
+    ("observer_effect", ["--bogus"]),
+    ("observer_effect", ["--seed"]),
+    ("fig9_forwarding", ["--packets", "0"]),
+    ("fig9_forwarding", ["--packets", "-5"]),
+    ("fault_cells", ["--shards", "0"]),
+])
+def test_experiment_cli_rejects_a_malformed_value(module, argv, capsys):
+    """Each experiment module's own CLI refuses a malformed value or an
+    unknown flag with exit 2 and one usage line, before it runs."""
+    main_fn = importlib.import_module(f"repro.experiments.{module}").main
+    with pytest.raises(SystemExit) as exit_:
+        main_fn(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {module}")
+    assert captured.err.count("usage:") == 1
+    assert captured.err.splitlines()[-1].startswith(f"{module}: error: ")
     assert "Traceback" not in captured.err

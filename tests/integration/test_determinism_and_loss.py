@@ -1,4 +1,4 @@
-"""Determinism of the simulation and the lossless-rate machinery."""
+"""Determinism of the simulation and its ring-overflow loss detection."""
 
 import pytest
 
@@ -41,7 +41,7 @@ class TestVaryDst:
 class TestLossDetection:
     def test_ring_overflow_counts_missed(self):
         """Offered load beyond the ring's capacity shows up as 'missed'
-        frames — the signal the TRex lossless search keys off."""
+        frames — the signal a TRex lossless search keys off."""
         bench = build_world("dpdk", "P2P", link_gbps=25)
         nic = bench.nic_in
         nic.ring_size = 64

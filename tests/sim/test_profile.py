@@ -101,16 +101,6 @@ def test_exit_underflow_is_guarded():
     assert p.depth == 0
 
 
-def test_leaf_n_matches_n_individual_leaves():
-    a, b = Profiler(), Profiler()
-    for _ in range(5):
-        a.leaf("x", 3.3)
-    b.leaf_n("x", 3.3, 5)
-    na, nb = a.root.children["x"], b.root.children["x"]
-    assert na.calls == nb.calls == 5
-    assert na.ns == nb.ns  # bit-identical float order
-
-
 def test_reset_clears_tree_and_stack():
     p = Profiler()
     p.enter("a")

@@ -47,7 +47,8 @@ def unit_trace(seed: int, n: int = 40) -> float:
             continue
         rec.record("work", v)
         rec.record("tick", 0.1)  # repeated non-dyadic: collapse-sensitive
-        rec.record_n("burst", 0.3, 3)
+        for _ in range(3):
+            rec.record("burst", 0.3)
         if i % 5 == 0:
             rec.record_wait("wait", v / 2)
         rec.note_cpu(v)

@@ -1,14 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
     Histogram,
-    RateEstimator,
     StreamingHistogram,
-    effective_parallel_rate,
     line_rate_mpps,
     percentile,
 )
@@ -61,24 +57,6 @@ def test_histogram_empty_mean_raises():
         Histogram().mean()
 
 
-def test_rate_estimator_mpps():
-    # 1000 packets in 100,000 ns -> 10 Mpps.
-    r = RateEstimator(packets=1000, busy_ns=100_000)
-    assert r.mpps == pytest.approx(10.0)
-    assert r.ns_per_packet == pytest.approx(100.0)
-
-
-def test_rate_estimator_gbps():
-    # 125 bytes/ns = 1000 Gbit/s sanity scaling.
-    r = RateEstimator(packets=1, busy_ns=1_000, bytes_total=125_000)
-    assert r.gbps == pytest.approx(1_000.0)
-
-
-def test_rate_estimator_zero_work():
-    assert RateEstimator(0, 0).mpps == math.inf
-    assert RateEstimator(0, 100).ns_per_packet == math.inf
-
-
 def test_line_rate_matches_paper_25g_numbers():
     # §5.5: 25 Gbps line rate is 33 Mpps at 64 B and 2.1 Mpps at 1518 B.
     assert line_rate_mpps(25, 64) == pytest.approx(37.2, abs=0.1)
@@ -95,11 +73,6 @@ def test_line_rate_10g_64b():
 def test_line_rate_rejects_tiny_frames():
     with pytest.raises(ValueError):
         line_rate_mpps(10, 32)
-
-
-def test_effective_parallel_rate_caps_at_line():
-    assert effective_parallel_rate([5.0, 5.0], line_mpps=7.0) == 7.0
-    assert effective_parallel_rate([2.0, 3.0], line_mpps=7.0) == 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from repro.net.flow import extract_flow
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext, LatencyTrace
 from repro.traffic.iperf import measure_throughput
 from repro.traffic.netperf import TcpRrRunner
-from repro.traffic.trex import FlowSpec, TrexStream, max_lossless_mpps
+from repro.traffic.trex import FlowSpec, TrexStream
 
 
 class TestTrexStream:
@@ -70,29 +70,6 @@ class TestTrexStream:
     def test_rejects_zero_flows(self):
         with pytest.raises(ValueError):
             FlowSpec(n_flows=0)
-
-
-class TestMaxLossless:
-    def test_single_lane(self):
-        # 1000 packets in 100 us -> 10 Mpps, under a 25G/64B line.
-        assert max_lossless_mpps([100_000], [1000], 25, 64) == pytest.approx(10.0)
-
-    def test_lanes_aggregate(self):
-        rate = max_lossless_mpps([100_000, 100_000], [1000, 1000], 25, 64)
-        assert rate == pytest.approx(20.0)
-
-    def test_line_rate_cap(self):
-        rate = max_lossless_mpps([10_000], [1000], 10, 64)
-        assert rate == pytest.approx(14.88, abs=0.01)
-
-    def test_idle_lane_ignored(self):
-        assert max_lossless_mpps([100_000, 0], [1000, 0], 25, 64) == pytest.approx(10.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            max_lossless_mpps([1], [1, 2], 10, 64)
-        with pytest.raises(ValueError):
-            max_lossless_mpps([0], [10], 10, 64)
 
 
 class TestIperf:
