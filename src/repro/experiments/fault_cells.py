@@ -9,18 +9,20 @@ integer, the merged ledger is exact whichever worker runs which port,
 in whatever order — offered, forwarded and every per-sink tally sum to
 the serial run's, byte for byte.
 
-The plan travels on :attr:`~repro.sim.shard.Unit.plan` (constructor
-kwargs, rebuilt in the worker), never through a module global: an
-ambient plan's per-point RNG streams interleave across units in serial
-order, which no pool can reproduce — :func:`~repro.sim.shard.run_units`
-refuses that configuration outright.
+The plan travels in the unit's ``params`` (``FaultPlan`` constructor
+kwargs, rebuilt in the worker) and :func:`run_fault_cell` installs it
+around its own body, never through a module global: an ambient plan's
+per-point RNG streams interleave across units in serial order, which no
+pool can reproduce — :func:`~repro.sim.shard.run_units` refuses that
+configuration outright.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.sim.faults import FaultRule
+from repro.sim import faults
+from repro.sim.faults import FaultPlan, FaultRule
 from repro.traffic.trex import FlowSpec, TrexStream
 
 if TYPE_CHECKING:
@@ -29,16 +31,19 @@ if TYPE_CHECKING:
 LINK_GBPS = 10.0
 
 
-def run_fault_cell(packets: int, n_flows: int) -> PacketLedger:
-    """One port-pair sub-world driven under the ambient (unit-scoped)
-    fault plan; returns its conservation ledger."""
+def run_fault_cell(packets: int, n_flows: int,
+                   plan: Dict[str, Any]) -> PacketLedger:
+    """One port-pair sub-world driven under its own fault plan (``plan``
+    is the ``FaultPlan`` constructor kwargs); returns its conservation
+    ledger."""
     from repro.experiments.common import warmup_count
     from repro.experiments.world import build_world
 
-    world = build_world("afxdp_zc", "P2P", link_gbps=LINK_GBPS)
-    stream = TrexStream(FlowSpec(n_flows=n_flows), frame_len=64)
-    world.drive(stream, packets)
-    return world.ledger(warmup_count(stream) + packets)
+    with faults.injecting(FaultPlan(**plan)):
+        world = build_world("afxdp_zc", "P2P", link_gbps=LINK_GBPS)
+        stream = TrexStream(FlowSpec(n_flows=n_flows), frame_len=64)
+        world.drive(stream, packets)
+        return world.ledger(warmup_count(stream) + packets)
 
 
 def fault_units(n_ports: int, seed: int, packets: int = 240,
@@ -55,8 +60,7 @@ def fault_units(n_ports: int, seed: int, packets: int = 240,
         units.append(Unit(
             key=f"port{i}",
             runner="repro.experiments.fault_cells:run_fault_cell",
-            params=dict(packets=packets, n_flows=2 + (i % 3)),
-            plan=dict(
+            params=dict(packets=packets, n_flows=2 + (i % 3), plan=dict(
                 seed=seed + i,
                 rules=(
                     FaultRule("afxdp.tx_kick_eagain", rate=tx_kick_rate),
@@ -64,7 +68,7 @@ def fault_units(n_ports: int, seed: int, packets: int = 240,
                     FaultRule("dp.upcall_overload", nth=7),
                 ),
                 emc_insert_inv_prob=2,
-            ),
+            )),
         ))
     return units
 
@@ -94,9 +98,9 @@ def main(argv=None) -> None:  # pragma: no cover - CLI entry
         description="Seeded fault-plan port set; merged conservation "
                     "ledger (DESIGN §17)",
     )
-    parser.add_argument("--ports", type=int, default=4)
+    parser.add_argument("--ports", type=positive_int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--packets", type=int, default=240)
+    parser.add_argument("--packets", type=positive_int, default=240)
     parser.add_argument("--json", action="store_true",
                         help="emit the merged ledger as sorted JSON")
     parser.add_argument("--shards", type=positive_int, default=1, metavar="N",

@@ -120,9 +120,10 @@ class Profiler:
       the current frame),
 
     so the tree partitions exactly the ledger's conservation set.
-    Subsystems may also open *profiler-only* frames (PMD iterations,
-    XDP program runs) via :func:`span` — those group the tree without
-    adding entries to the recorder's ``span_totals`` ledger.
+    Hot paths also open *profiler-only* frames (PMD iterations, XDP
+    program runs) by calling :meth:`enter`/:meth:`exit_` inline — those
+    group the tree without adding entries to the recorder's
+    ``span_totals`` ledger.
     """
 
     __slots__ = ("root", "_stack")
@@ -425,30 +426,3 @@ def profiling(
         rec.sampler = sampler
     with trace.recording(rec):
         yield rec
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The attached recorder's profiler, if both exist.
-
-    Hot paths should inline both attribute loads instead of calling
-    this (one function call per packet is real overhead at simulation
-    scale); cold paths and tests use it for clarity.
-    """
-    rec = trace.ACTIVE
-    return rec.profiler if rec is not None else None
-
-
-@contextmanager
-def span(label: str) -> Iterator[None]:
-    """A profiler-only frame: groups the call tree without touching the
-    recorder's ``span_totals`` ledger (so pre-profiler golden ledgers
-    stay byte-identical).  A passthrough when no profiler is attached."""
-    prof = active_profiler()
-    if prof is None:
-        yield
-        return
-    prof.enter(label)
-    try:
-        yield
-    finally:
-        prof.exit_()

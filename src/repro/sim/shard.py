@@ -17,8 +17,8 @@ pool's runner returns an experiment's printed text).  Hence one refusal
 rule: ``run_units(shards>1)`` raises :class:`ShardError` when any plane —
 a trace recorder (with or without a profiler or a metrics sampler), a
 fault plan or a telemetry session — is attached in the calling process,
-because a worker could not record into it.  Fault plans that belong to
-one unit travel as :attr:`Unit.plan`, installed around just that unit on
+because a worker could not record into it.  A fault plan that belongs
+to one unit travels in its ``params`` and the runner installs it, on
 the inline and the worker path alike.
 
 Everything here is spawn-safe: workers are module-level functions fed
@@ -66,16 +66,12 @@ class Unit:
 
     ``runner`` is a ``"package.module:function"`` string resolved *in
     the worker* (spawn-safe: no callables cross the process boundary);
-    ``params`` are its picklable keyword arguments.  ``plan`` optionally
-    carries a unit-scoped fault-plan spec (``FaultPlan`` constructor
-    kwargs) installed around just this unit, identically on the inline
-    and the worker path.
+    ``params`` are its picklable keyword arguments.
     """
 
     key: Any
     runner: str
     params: Dict[str, Any] = field(default_factory=dict)
-    plan: Optional[Dict[str, Any]] = None
 
 
 # ----------------------------------------------------------------------
@@ -117,17 +113,8 @@ def _clear_inherited_globals(running=None) -> None:
 
 
 def run_one_unit(unit: Unit) -> Any:
-    """Run one unit under its own fault plan, if it carries one; shared
-    by the inline path and the workers."""
-    runner = _resolve_runner(unit.runner)
-    if unit.plan is None:
-        return runner(**unit.params)
-    if _faults.ACTIVE is not None:
-        raise ShardError(
-            "unit-scoped fault plans cannot nest inside an ambient "
-            "FaultPlan")
-    with _faults.injecting(_faults.FaultPlan(**unit.plan)):
-        return runner(**unit.params)
+    """Run one unit; shared by the inline path and the workers."""
+    return _resolve_runner(unit.runner)(**unit.params)
 
 
 def _run_pooled(index: int, unit: Unit) -> Any:

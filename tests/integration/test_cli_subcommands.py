@@ -114,6 +114,10 @@ def test_matrix_rejects_a_malformed_value_before_sweeping(flag, value,
     ("fig9_forwarding", ["--packets", "0"]),
     ("fig9_forwarding", ["--packets", "-5"]),
     ("fault_cells", ["--shards", "0"]),
+    ("fault_cells", ["--packets", "0"]),
+    ("fault_cells", ["--packets", "-5"]),
+    ("fault_cells", ["--ports", "0"]),
+    ("fault_cells", ["--ports", "-2"]),
 ])
 def test_experiment_cli_rejects_a_malformed_value(module, argv, capsys):
     """Each experiment module's own CLI refuses a malformed value or an

@@ -65,8 +65,8 @@ def test_any_execution_order_merges_to_the_serial_fault_ledger():
     assert serial.forwarded < serial.offered  # faults really fire
     assert serial.sinks, "no drop sinks: the property is vacuous"
     _inline_in_any_order_merges_to(serial)
-    # The pool's own orders; spawn proves Unit.plan rebuilds in a fresh
-    # interpreter.
+    # The pool's own orders; spawn proves each unit's plan rebuilds in a
+    # fresh interpreter.
     assert merge_ledgers(run_units(_UNITS, shards=2)) == serial
     assert merge_ledgers(run_units(_UNITS, shards=3,
                                    start_method="spawn")) == serial

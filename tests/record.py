@@ -4,9 +4,13 @@
 structure rather than a hash:
 
 * the experiments and perf matrix cells that build through the world
-  table (the smoke battery's ``TINY`` sizes): ``result`` (the result
-  JSON; ``null`` for fig10/fig11), and the ``ledger`` lines and
-  ``counters`` of a recorder attached around the run;
+  table: ``result`` (the result JSON; ``null`` for fig10/fig11), and the
+  ``ledger`` lines and ``counters`` of a recorder attached around the
+  run.  The experiments that ``tests/test_claims.py`` reads run at the
+  sizes its claims are stated at; the rest at the smoke battery's
+  ``TINY`` sizes;
+* the claims' other runs (fig1, the ablations, the sensitivity sweeps,
+  two small worlds): ``result`` only;
 * ``afxdp-*``, the AF_XDP P2P walk (DESIGN §21) in each branch it has —
   cycled and never-repeating flows, copy mode, ``interrupt_mode``, the
   malloc path, a fault plan over every ``afxdp.*`` point: every busy
@@ -42,13 +46,16 @@ from repro.afxdp.driver import AfxdpOptions
 from repro.afxdp.umempool import LockStrategy
 from repro.experiments.degradation import run_degradation
 from repro.experiments.fault_cells import merged_fault_ledger
-from repro.experiments.fig2_single_flow import run_fig2
+from repro.experiments.fig1_loc_churn import run_fig1
+from repro.experiments.fig2_single_flow import DATAPATHS, run_fig2
+from repro.experiments.fig2_single_flow import run_cell as fig2_cell
 from repro.experiments.fig8_tcp_throughput import run_fig8
 from repro.experiments.fig9_forwarding import run_fig9
 from repro.experiments.fig10_latency import run_fig10
 from repro.experiments.fig11_container_latency import run_fig11
 from repro.experiments.fig12_multiqueue import run_fig12
 from repro.experiments.observer_effect import run_observer_effect
+from repro.experiments.table2_optimizations import run_cell as table2_cell
 from repro.experiments.table2_optimizations import run_table2
 from repro.experiments.table3_ruleset import run_table3
 from repro.experiments.table5_xdp_cost import run_table5
@@ -65,7 +72,7 @@ from repro.ovs.ofactions import OutputAction, SetFieldAction
 from repro.ovs.openflow import FlowMod, FlowModCommand, OpenFlowConnection
 from repro.perfmatrix.cells import CellSpec, run_cell
 from repro.perfmatrix.matrix import QUICK_GRID, run_matrix
-from repro.sim import faults, trace
+from repro.sim import costs, faults, trace
 from repro.sim.cpu import CpuCategory, ExecContext
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.tools.conservation import afxdp_packet_ledger
@@ -96,6 +103,10 @@ def _traced(run):
     return observe
 
 
+def _result_only(run):
+    return lambda: {"result": run()}
+
+
 # ----------------------------------------------------------------------
 # The experiments and matrix cells that build through the world table.
 # ----------------------------------------------------------------------
@@ -114,12 +125,12 @@ def _keyed(mapping):
 
 
 def _fig9():
-    cells = run_fig9(packets=TINY["fig9_packets"]).cells
+    cells = run_fig9(packets=1_200).cells
     return _keyed({k: dataclasses.asdict(m) for k, m in cells.items()})
 
 
 def _table3():
-    result = run_table3(target_rules=TINY["rules"])
+    result = run_table3()
     return {"stats": dataclasses.asdict(result.stats),
             "pipeline_passes": result.pipeline_passes}
 
@@ -130,13 +141,13 @@ def _ledger_only(run, **kwargs):
     run(**kwargs)
 
 
-#: name -> the result JSON of one world-table run.
+#: name -> the result JSON of one world-table run.  fig2, fig8, fig9,
+#: fig12, table2, table3 and table5 run at their claims' sizes.
 WORLD_RUNS = {
-    "fig2": lambda: run_fig2(packets=TINY["packets"]).mpps,
+    "fig2": lambda: run_fig2().mpps,
     "fig9": _fig9,
-    "fig12": lambda: _keyed(run_fig12(
-        packets_per_queue=TINY["packets_per_queue"]).series),
-    "table2": lambda: run_table2(packets=TINY["packets"]).mpps,
+    "fig12": lambda: _keyed(run_fig12(packets_per_queue=800).series),
+    "table2": lambda: run_table2().mpps,
     "upgrade-seed0": lambda: [
         r.to_json() for r in run_upgrade(packets=TINY["packets"], seed=0)],
     "upgrade-seed7": lambda: [
@@ -147,9 +158,9 @@ WORLD_RUNS = {
         packets=TINY["packets"] // 2, n_flows=16, seed=0)],
     "fault-ledger": lambda: merged_fault_ledger(
         2, seed=3, packets=TINY["fig9_packets"]),
-    "fig8": lambda: _keyed(run_fig8(total_bytes=TINY["tcp_bytes"]).gbps),
+    "fig8": lambda: _keyed(run_fig8(total_bytes=300_000).gbps),
     "table3": _table3,
-    "table5": lambda: run_table5(packets=TINY["packets"]).mpps,
+    "table5": lambda: run_table5().mpps,
     "fig10": functools.partial(_ledger_only, run_fig10,
                                n_transactions=TINY["transactions"]),
     "fig11": functools.partial(_ledger_only, run_fig11,
@@ -373,23 +384,136 @@ def _nsx_churn():
 
 
 # ----------------------------------------------------------------------
+# The claims' other runs.
+# ----------------------------------------------------------------------
+def _fig1():
+    result = run_fig1()
+    return {"dataset": result.dataset, "simulated": result.simulated}
+
+
+def _mpps(world, packets, flows=1, vary_dst=True):
+    stream = TrexStream(FlowSpec(flows, vary_dst=vary_dst), frame_len=64)
+    return world.drive(stream, packets).mpps
+
+
+def _classifier_ns_per_packet(emc_size, flush_megaflows, packets=1_500):
+    """ns per packet through the userspace datapath behind an EMC of
+    ``emc_size`` entries, the megaflows flushed before every burst or
+    kept: 64 flows, one ``in_port`` rule, warmed by one 256-packet
+    burst."""
+    host = Host("dut", n_cpus=2)
+    vs = host.install_ovs("netdev")
+    vs.add_bridge("br0")
+    p1, _ = vs.add_sim_port("br0", "p1")
+    vs.add_sim_port("br0", "p2")
+    OpenFlowConnection(vs.bridge("br0")).add_flow(
+        0, 10, Match(in_port=p1.ofport), [OutputAction("p2")])
+    dpif = vs.dpif_netdev
+    ctx = ExecContext(host.cpu, 0, CpuCategory.USER)
+    emc = ExactMatchCache(n_entries=emc_size)
+    stream = TrexStream(FlowSpec(64), frame_len=64)
+    dpif.process_batch(stream.burst(256), p1.dp_port_no, ctx, emc)
+    before = host.cpu.busy_ns()
+    bursts = -(-packets // 32)
+    for _ in range(bursts):
+        if flush_megaflows:
+            dpif.megaflows.flush()
+        dpif.process_batch(stream.burst(32), p1.dp_port_no, ctx, emc)
+    return (host.cpu.busy_ns() - before) / (32 * bursts)
+
+
+def _afxdp_p2p(link_gbps, flows, packets, datapath="afxdp_zc", **options):
+    """One P2P AF_XDP rate with ``options`` on the ports."""
+    world = build_world(datapath, "P2P", link_gbps=link_gbps,
+                        options=AfxdpOptions(**options))
+    return _mpps(world, packets, flows=flows)
+
+
+#: At 25 Gbps, 16 flows: the default options (spinlock, batched locking,
+#: polling, zero-copy) and one mechanism taken away at a time.
+AFXDP_ABLATED = {
+    "default": {},
+    "mutex, per-frame": {"lock_strategy": LockStrategy.MUTEX,
+                         "batched_locking": False},
+    "spinlock, per-frame": {"batched_locking": False},
+    "interrupt": {"interrupt_mode": True, "batch_size": 8},
+    "copy": {"datapath": "afxdp_copy"},
+}
+
+
+#: The sensitivity sweeps' cost perturbations.  Their unperturbed
+#: points are the fig2 and table2 entries themselves.
+FIG2_PERTURBED = {
+    "cache_miss +50%": {"cache_miss_ns": 63.0, "dma_first_touch_ns": 42.0},
+    "ebpf_insn -30%": {"ebpf_insn_ns": 1.47},
+    "skb +50%": {"skb_alloc_ns": 180.0, "skb_free_ns": 90.0},
+}
+O1_PERTURBED = {
+    "poll -40%": {"poll_ns": 720.0},
+    "ctx-switch +50%": {"context_switch_ns": 5_250.0},
+}
+
+
+def _perturbed(perturbations, run):
+    out = {}
+    for label, overrides in perturbations.items():
+        with costs.overridden(**overrides):
+            out[label] = run()
+    return out
+
+
+def _afxdp_lifecycle():
+    """§6: deploy OVS on an AF_XDP port, then restart it twice (an
+    upgrade, a bugfix)."""
+    host = Host("prod", n_cpus=4)
+    nic = host.add_nic("ens1")
+    vs = host.install_ovs("netdev")
+    vs.add_bridge("br0")
+    vs.add_afxdp_port("br0", nic, AfxdpOptions())
+    vs.restart()
+    vs.restart()
+    return {"module_loaded": host.kernel.module_loaded,
+            "nic_in_init_ns": host.kernel.init_ns.has_device("ens1")}
+
+
+#: name -> the result JSON of one run the record keeps without a ledger.
+CLAIM_RUNS = {
+    "fig1": _fig1,
+    "ablation-caches": lambda: {
+        "full": _classifier_ns_per_packet(8192, False),
+        "no EMC": _classifier_ns_per_packet(2, False),
+        "no caches": _classifier_ns_per_packet(2, True)},
+    "ablation-afxdp": lambda: {
+        label: _afxdp_p2p(25, 16, 1_500, **knobs)
+        for label, knobs in AFXDP_ABLATED.items()},
+    "ablation-pcp": lambda: {
+        datapath: _mpps(build_world(datapath, "PCP", link_gbps=25), 1_500,
+                        flows=16, vary_dst=False)
+        for datapath in ("kernel", "afxdp_zc", "dpdk")},
+    "sensitivity-fig2": lambda: _perturbed(FIG2_PERTURBED, lambda: {
+        datapath: fig2_cell(datapath, 800) for datapath in DATAPATHS}),
+    "sensitivity-o1": lambda: _perturbed(O1_PERTURBED, lambda: {
+        label: table2_cell(label, 800) for label in ("none", "O1")}),
+    # O2 alone on table2's world: mutex against spinlock, both per frame.
+    "o2-per-frame": lambda: {
+        "mutex": _afxdp_p2p(10, 1, 600, batched_locking=False,
+                            lock_strategy=LockStrategy.MUTEX),
+        "spinlock": _afxdp_p2p(10, 1, 600, batched_locking=False)},
+    "lifecycle-afxdp": _afxdp_lifecycle,
+}
+
+
+# ----------------------------------------------------------------------
 # The quick performance matrix.
 # ----------------------------------------------------------------------
-@functools.cache
-def quick_matrix():
-    """The quick grid's matrix document, swept once per process and
-    shared with the matrix invariants.  Callers must not mutate it, and
-    a cost override does not re-sweep it."""
-    return run_matrix(QUICK_GRID)
-
-
 def _matrix_quick():
-    doc = dict(quick_matrix())
+    doc = run_matrix(QUICK_GRID)
     doc["cells"] = {cell["id"]: cell for cell in doc["cells"]}
     return {"result": doc}
 
 
 RUNS = {name: _traced(run) for name, run in WORLD_RUNS.items()}
+RUNS.update({name: _result_only(run) for name, run in CLAIM_RUNS.items()})
 for _config in AFXDP_CONFIGS:
     RUNS[f"afxdp-{_config}"] = functools.partial(_afxdp, _config)
 RUNS["nsx-churn"] = _nsx_churn

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sim import profile, trace
+from repro.sim import profile
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 from repro.sim.profile import (
     CallNode,
@@ -70,24 +70,6 @@ def test_root_inclusive_conserves_against_ledger():
     root_ns = rec.profiler.root.inclusive_ns()
     assert root_ns == pytest.approx(rec.total_ns, rel=1e-9)
     assert root_ns == pytest.approx(rec.cpu_charged_ns, rel=1e-9)
-
-
-def test_profiler_only_span_groups_without_ledger_entry():
-    with profile.profiling() as rec:
-        ctx = _ctx()
-        with profile.span("pmd-c0"):
-            ctx.charge(7.0, label="emc")
-    assert "pmd-c0" in rec.profiler.root.children
-    # The profiler-only frame never reaches the recorder's span ledger.
-    assert not rec.span_totals
-    assert rec.profiler.root.inclusive_ns() == pytest.approx(7.0)
-
-
-def test_profile_span_is_passthrough_without_profiler():
-    with trace.recording():
-        with profile.span("anything"):
-            pass  # must not raise nor attach anything
-    assert profile.active_profiler() is None
 
 
 def test_exit_underflow_is_guarded():

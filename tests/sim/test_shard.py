@@ -59,21 +59,27 @@ def unit_trace(seed: int, n: int = 40) -> float:
     return total
 
 
-def unit_faulty(n: int) -> int:
-    """Counts fault decisions under the ambient (unit-scoped) plan."""
-    plan = faults.ACTIVE
-    assert plan is not None, "unit plan was not installed"
+def unit_faulty(n: int, plan: dict) -> int:
+    """Counts fault decisions under the unit's own plan, which it
+    installs itself (``plan`` is the ``FaultPlan`` constructor kwargs)."""
     fired = 0
-    for _ in range(n):
-        if plan.should_fire("afxdp.tx_kick_eagain"):
-            fired += 1
+    with faults.injecting(faults.FaultPlan(**plan)) as installed:
+        for _ in range(n):
+            if installed.should_fire("afxdp.tx_kick_eagain"):
+                fired += 1
     return fired
 
 
-def _units(n, runner="tests.sim.test_shard:unit_square", **extra):
+def _units(n, runner="tests.sim.test_shard:unit_square"):
     return [Unit(key=f"u{i}", runner=runner,
-                 params=dict(x=i) if "square" in runner
-                 else dict(seed=i), **extra)
+                 params=dict(x=i) if "square" in runner else dict(seed=i))
+            for i in range(n)]
+
+
+def _faulty_units(n, rate=0.25):
+    return [Unit(key=i, runner="tests.sim.test_shard:unit_faulty",
+                 params=dict(n=200, plan=dict(seed=7 + i, rules=(
+                     faults.FaultRule("afxdp.tx_kick_eagain", rate=rate),))))
             for i in range(n)]
 
 
@@ -132,12 +138,7 @@ def test_execution_order_never_changes_observables():
 
 
 def test_unit_scoped_fault_plans_are_schedule_independent():
-    units = [Unit(key=i, runner="tests.sim.test_shard:unit_faulty",
-                  params=dict(n=200),
-                  plan=dict(seed=7 + i, rules=(
-                      faults.FaultRule("afxdp.tx_kick_eagain", rate=0.25),
-                  )))
-             for i in range(4)]
+    units = _faulty_units(4)
     serial = run_units(units, shards=1)
     assert sum(serial) > 0  # the plan actually fires
     for order in itertools.permutations(range(4)):
@@ -199,9 +200,9 @@ def test_ambient_fault_plan_is_refused_when_sharded():
     with _faulty():
         with pytest.raises(ShardError, match="ambient FaultPlan"):
             run_units(_units(2), shards=2)
-        # Unit plans cannot nest inside it either, even inline.
-        with pytest.raises(ShardError, match="cannot nest"):
-            run_units(_units(2, plan=dict(seed=2)), shards=1)
+        # A unit's own plan cannot nest inside it either, even inline.
+        with pytest.raises(RuntimeError, match="already installed"):
+            run_units(_faulty_units(2), shards=1)
 
 
 def test_attached_metrics_sampler_is_refused_when_sharded():
