@@ -28,10 +28,10 @@ from repro.afxdp.umempool import LockStrategy, UmemPool
 from repro.ebpf.programs import steering_program, xsk_redirect_program
 from repro.ebpf.xdp import XdpContext
 from repro.kernel.nic import PhysicalNic
-from repro.net.flow import extract_flow, rss_hash, rxhash_of
+from repro.net.flow import rxhash_of
 from repro.net.packet import Packet
 from repro import telemetry
-from repro.sim import fastpath, faults, trace
+from repro.sim import faults, trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
 from repro.telemetry.drops import (
@@ -245,7 +245,6 @@ class AfxdpDriver:
             # The O5 estimate: receive "assumes the checksum is correct"
             # (§3.2); otherwise the hardware verdict is lost.
             csum_verified = not opts.sw_checksum_on_tx
-            fast = fastpath.ENABLED
             for pkt in pkts:
                 meta = pkt.meta
                 charge(costs.dp_packet_init_ns, label="dp_packet")
@@ -264,8 +263,7 @@ class AfxdpDriver:
                 # No API exposes the NIC's RSS hash through AF_XDP (§5.5):
                 # it is recomputed in software.
                 charge(costs.software_rxhash_ns, label="sw_rxhash")
-                meta.rxhash = (rxhash_of(pkt.data) if fast else rss_hash(
-                    extract_flow(pkt.data).five_tuple()))
+                meta.rxhash = rxhash_of(pkt.data)
                 meta.csum_verified = csum_verified
             self.rx_packets += len(pkts)
             return pkts

@@ -40,10 +40,6 @@ class DescRing:
     def __len__(self) -> int:
         return self._prod - self._cons
 
-    @property
-    def free_space(self) -> int:
-        return self.size - len(self)
-
     def produce(self, desc: Desc) -> None:
         prod = self._prod
         if prod - self._cons >= self.size:

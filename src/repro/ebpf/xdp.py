@@ -23,7 +23,6 @@ from repro.ebpf import jit as _jit
 from repro.ebpf.program import Program
 from repro.ebpf.vm import EbpfVm, VmFault
 from repro.sim import costs as _costs
-from repro.sim import fastpath
 from repro.sim import faults as _faults
 from repro.sim import trace as _trace
 from repro.sim.cpu import ExecContext
@@ -169,9 +168,9 @@ class XdpContext:
             return XdpVerdict(XdpAction.PASS, data)
 
         memo_key = tag = None
-        if fastpath.ENABLED and self._memo_bypass:
+        if self._memo_bypass:
             self._memo_bypass -= 1
-        elif fastpath.ENABLED:
+        else:
             memo_key = (data, ingress_ifindex, rx_queue_index, ktime_ns)
             # The tag: every map's version, the cost table's, and the
             # program token, which pins the memo to this exact

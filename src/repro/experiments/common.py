@@ -73,10 +73,6 @@ class PipelineMeasurement:
     cpu_util: Dict[str, float]
     capped_by_line: bool = False
 
-    @property
-    def total_cpu(self) -> float:
-        return self.cpu_util.get("total", 0.0)
-
 
 def reduce_run(
     cpu: CpuModel,

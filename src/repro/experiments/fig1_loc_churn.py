@@ -51,10 +51,6 @@ class Fig1Result:
         ]
         return "\n\n".join(parts)
 
-    @property
-    def total_backport_loc(self) -> int:
-        return sum(b for _f, b in self.dataset.values())
-
 
 def run_fig1() -> Fig1Result:
     model = BackportModel()

@@ -16,10 +16,9 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.ebpf.xdp import XdpAction, XdpContext, verdict_drop_reason
 from repro.net.addresses import MacAddress
-from repro.net.flow import extract_flow, rss_hash, rxhash_of
+from repro.net.flow import extract_flow, rxhash_of
 from repro.net.packet import Packet
 from repro import telemetry
-from repro.sim import fastpath
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
 from repro.kernel.netdev import NetDevice
@@ -138,19 +137,14 @@ class PhysicalNic(NetDevice):
     # Hardware receive: steer + DMA into the queue ring.
     # ------------------------------------------------------------------
     def select_queue(self, pkt: Packet) -> int:
-        if fastpath.ENABLED and not self.ntuple_rules:
-            # No steering rules: a single-queue NIC always picks queue 0
-            # and a multi-queue one is pure RSS, so skip the flow walk.
-            if self.n_queues == 1:
-                return 0
-            return rxhash_of(pkt.data) % self.n_queues
-        key = extract_flow(pkt.data)
-        for rule in self.ntuple_rules:
-            if rule.matches(key):
-                return rule.queue
+        if self.ntuple_rules:
+            key = extract_flow(pkt.data)
+            for rule in self.ntuple_rules:
+                if rule.matches(key):
+                    return rule.queue
         if self.n_queues == 1:
             return 0
-        return rss_hash(key.five_tuple()) % self.n_queues
+        return rxhash_of(pkt.data) % self.n_queues
 
     def host_receive(self, pkt: Packet) -> bool:
         """A frame arrives from the wire; DMA it into a queue ring.
@@ -174,10 +168,7 @@ class PhysicalNic(NetDevice):
         features = self.features
         meta.in_port = self.ifindex
         if features.rx_hash:
-            if fastpath.ENABLED:
-                meta.rxhash = rxhash_of(pkt.data)
-            else:
-                meta.rxhash = rss_hash(extract_flow(pkt.data).five_tuple())
+            meta.rxhash = rxhash_of(pkt.data)
         if features.rx_checksum:
             meta.csum_verified = True
         ring.append(pkt)

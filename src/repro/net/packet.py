@@ -79,11 +79,6 @@ class Packet:
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def wire_len(self) -> int:
-        """Frame length as counted on the wire (excl. preamble/IFG/FCS)."""
-        return len(self.data)
-
     def clone(self) -> "Packet":
         """Deep copy — used by mirror/flood actions.
 

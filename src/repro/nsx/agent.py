@@ -107,10 +107,6 @@ class NsxAgent:
         self.stats = collect_stats(bridge, self.topo)
         return self.stats
 
-    def bind_vif(self, vif_id: int, port: OfPort,
-                 vif_ports: Dict[int, OfPort]) -> None:
-        vif_ports[vif_id] = port
-
     def resync(self, ctx: ExecContext) -> int:
         """Desired-state re-sync after a vswitchd restart.
 

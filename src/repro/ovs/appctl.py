@@ -12,8 +12,7 @@ operator actually runs:
   real-OVS-style events-per-second rate columns (per *virtual* second),
 * ``dpctl/dump-conntrack`` — the connection table,
 * ``metrics/show`` — the attached virtual-time metrics sampler's view,
-* ``fastpath/show`` — whether the wall-clock memos are on, and each
-  eBPF program's compiled-run count,
+* ``fastpath/show`` — each eBPF program's compiled-run count,
 * ``ofproto/trace`` — inject a synthetic packet and narrate every
   decision the datapath would take, without taking any of them,
 * ``supervisor/show`` — the crash-recovery watchdog: uptime, restart
@@ -234,20 +233,14 @@ class OvsAppctl:
 
     # ------------------------------------------------------------------
     def fastpath_show(self) -> str:
-        """``ovs-appctl fastpath/show``: the wall-clock memo switch (no
-        memo may change a single observable byte) and how many runs each
-        eBPF program made as compiled code."""
+        """``ovs-appctl fastpath/show``: how many runs each eBPF program
+        made as compiled code."""
         from repro.ebpf import jit
-        from repro.sim import fastpath
 
-        lines = [
-            f"wall-clock memos: {'on' if fastpath.ENABLED else 'off'}",
-        ]
         stats = jit.stats()
         if not stats:
-            lines.append("(no eBPF programs run yet)")
-            return "\n".join(lines)
-        lines.append("program               jit-runs")
+            return "(no eBPF programs run yet)"
+        lines = ["program               jit-runs"]
         for name in sorted(stats):
             lines.append(f"{name:20s}  {stats[name].jit_runs:8d}")
         return "\n".join(lines)

@@ -310,7 +310,6 @@ class DpifNetdev:
         rec = trace.ACTIVE
         if rec is not None:
             rec.count("dp.rx_packets", n)
-            rec.note_batch("dp.rx", n)
         self._burst_upcalls = 0
         for pkt in pkts:
             meta = pkt.meta

@@ -105,7 +105,6 @@ class Bridge:
             i: FlowTable(i) for i in range(n_tables)
         }
         self.ports: Dict[str, OfPort] = {}
-        self._by_ofport: Dict[int, OfPort] = {}
         self._next_ofport = 1
         self.mirrors: List[MirrorConfig] = []
 
@@ -124,7 +123,6 @@ class Bridge:
         self._next_ofport = max(self._next_ofport, ofport + 1)
         port = OfPort(name, ofport, dp_port_no, kind=kind, tunnel=tunnel)
         self.ports[name] = port
-        self._by_ofport[ofport] = port
         return port
 
     def port(self, name: str) -> OfPort:
@@ -132,9 +130,6 @@ class Bridge:
         if p is None:
             raise KeyError(f"no port {name!r} on bridge {self.name}")
         return p
-
-    def port_by_ofport(self, ofport: int) -> Optional[OfPort]:
-        return self._by_ofport.get(ofport)
 
     def table(self, table_id: int) -> FlowTable:
         if table_id not in self.tables:
@@ -190,9 +185,6 @@ class Ofproto:
 
     def register_port(self, bridge: Bridge, port: OfPort) -> None:
         self._dp_ports[port.dp_port_no] = (bridge, port)
-
-    def bridge_for_dp_port(self, dp_port: int) -> Optional[Tuple[Bridge, OfPort]]:
-        return self._dp_ports.get(dp_port)
 
     def alloc_recirc_id(self, bridge: Bridge, resume_table: int,
                         regs: Tuple[int, ...] = ()) -> int:

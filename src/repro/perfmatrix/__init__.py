@@ -10,8 +10,9 @@ for the grids.
 
 The harness is observably read-only: it builds every cell from the world
 table the paper experiments use and never mutates global state, so a
-matrix run leaves the fig2/fig9 trace ledgers byte-identical to runs
-without it (``tests/integration/test_matrix_determinism``).
+matrix sweep leaves the paper experiments' ledgers, counters and
+flamegraphs byte-identical (the ``after-matrix`` row of
+``tests/integration/test_jit_equivalence``).
 """
 
 from repro.perfmatrix.cells import (  # noqa: F401
@@ -29,4 +30,3 @@ from repro.perfmatrix.matrix import (  # noqa: F401
     canonical_json,
     run_matrix,
 )
-from repro.perfmatrix.schema import SCHEMA_ID, validate_matrix  # noqa: F401

@@ -32,7 +32,9 @@ from repro.perfmatrix.cells import (
     cell_support,
     run_cell,
 )
-from repro.perfmatrix.schema import SCHEMA_ID, validate_matrix
+
+#: The document format's name, the first key of every ``matrix.json``.
+SCHEMA_ID = "repro.perfmatrix/2"
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def _shard_cell(spec: CellSpec, packets: int, link_gbps: float,
 
 def run_matrix(grid: MatrixGrid, progress: bool = False,
                shards: int = 1) -> dict:
-    """Sweep the grid; returns the schema-valid matrix document."""
+    """Sweep the grid; returns the matrix document."""
     from repro.sim.shard import Unit, run_units
 
     skipped: Dict[Tuple[str, str], str] = {}
@@ -130,11 +132,6 @@ def run_matrix(grid: MatrixGrid, progress: bool = False,
             for (dp, topo), reason in sorted(skipped.items())
         ],
     }
-    problems = validate_matrix(doc)
-    if problems:  # pragma: no cover - emitter bug guard
-        raise AssertionError(
-            "emitted an invalid matrix: " + "; ".join(problems)
-        )
     return doc
 
 

@@ -119,32 +119,6 @@ class CpuModel:
                 total += lane[category.idx]
         return total
 
-    def utilisation(
-        self, wall_ns: float, category: Optional[CpuCategory] = None
-    ) -> float:
-        """Busy time over a wall-clock window, in units of whole CPUs.
-
-        This is the quantity the paper's Table 4 reports ("in units of a CPU
-        hyperthread"): 1.0 means one logical CPU fully busy.
-        """
-        if wall_ns <= 0:
-            raise ValueError("wall window must be positive")
-        return self.busy_ns(category=category) / wall_ns
-
-    def utilisation_by_category(self, wall_ns: float) -> Dict[str, float]:
-        """Table-4-style breakdown.  POLL_IDLE is folded into ``user``."""
-        out: Dict[str, float] = {}
-        for cat in CpuCategory:
-            v = self.busy_ns(category=cat) / wall_ns
-            if cat is CpuCategory.POLL_IDLE:
-                out["user"] = out.get("user", 0.0) + v
-            else:
-                out[cat.value] = out.get(cat.value, 0.0) + v
-        out["total"] = sum(
-            v for k, v in out.items() if k != "total"
-        )
-        return out
-
     def reset(self) -> None:
         # Zero in place: ExecContexts cache a reference to their lane.
         for lane in self._busy:

@@ -59,7 +59,7 @@ class TraceRecorder:
     """
 
     __slots__ = ("spans", "waits", "counters", "span_totals",
-                 "cpu_charged_ns", "batch_sizes", "profiler", "sampler",
+                 "cpu_charged_ns", "profiler", "sampler",
                  "_stack")
 
     def __init__(self) -> None:
@@ -73,11 +73,6 @@ class TraceRecorder:
         self.span_totals: Dict[str, List[float]] = {}
         #: independently accumulated at the CpuModel layer.
         self.cpu_charged_ns: float = 0.0
-        #: stage -> {batch size -> occurrences}: the packets-per-batch
-        #: histograms (see :meth:`note_batch`).  Deliberately *not* part
-        #: of :meth:`ledger`: the ledger predates batching and must stay
-        #: byte-comparable against pre-batching golden traces.
-        self.batch_sizes: Dict[str, Dict[int, int]] = {}
         #: Optional passive observers (see :mod:`repro.sim.profile`):
         #: a Profiler folds charges into a call tree, a MetricsSampler
         #: snapshots counters on virtual-time thresholds.  Both default
@@ -120,18 +115,6 @@ class TraceRecorder:
         sampler = self.sampler
         if sampler is not None and self.cpu_charged_ns >= sampler.next_due_ns:
             sampler.tick(self)
-
-    def note_batch(self, stage: str, n: int) -> None:
-        """Record that ``stage`` handled a batch of ``n`` packets.
-
-        Feeds the packets-per-batch histograms behind
-        ``dpif-netdev/pmd-perf-show``.  Kept out of :meth:`ledger` so
-        golden ledgers recorded before batching existed stay comparable.
-        """
-        hist = self.batch_sizes.get(stage)
-        if hist is None:
-            hist = self.batch_sizes[stage] = {}
-        hist[n] = hist.get(n, 0) + 1
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -199,7 +182,6 @@ class TraceRecorder:
         self.counters.clear()
         self.span_totals.clear()
         self.cpu_charged_ns = 0.0
-        self.batch_sizes.clear()
         if self.profiler is not None:
             self.profiler.reset()
         if self.sampler is not None:
@@ -244,21 +226,6 @@ class TraceRecorder:
         lines.append(f"{'TOTAL'.ljust(width)}  "
                      f"{sum(int(c) for c, _ in self.spans.values()):>10}  "
                      f"{self.total_ns:>14.0f}  100.0%")
-        return "\n".join(lines)
-
-    def render_batches(self) -> str:
-        """Human-oriented packets-per-batch histograms per stage."""
-        if not self.batch_sizes:
-            return "(no batches recorded)"
-        lines = []
-        for stage in sorted(self.batch_sizes):
-            hist = self.batch_sizes[stage]
-            batches = sum(hist.values())
-            pkts = sum(size * n for size, n in hist.items())
-            mean = pkts / batches if batches else 0.0
-            dist = " ".join(f"{size}:{hist[size]}" for size in sorted(hist))
-            lines.append(f"{stage}: {batches} batches, "
-                         f"avg {mean:.2f} pkts/batch [{dist}]")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

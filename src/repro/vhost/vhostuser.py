@@ -72,6 +72,3 @@ class VhostUserPort:
             ctx.charge(costs.virtqueue_kick_ns, label="guest_kick")
         self.tx_packets += sent
         return sent
-
-    def pending_rx(self) -> int:
-        return len(self.guest_nic.tx_queue)

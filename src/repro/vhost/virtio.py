@@ -79,9 +79,6 @@ class VirtioNic(NetDevice):
         self.backend_polls = False
         self.carrier = True
 
-    def negotiated_gso(self) -> bool:
-        return self.tso
-
     def _transmit(self, pkt: Packet, ctx: ExecContext) -> bool:
         costs = DEFAULT_COSTS
         if not self.csum_offload and pkt.meta.csum_partial:

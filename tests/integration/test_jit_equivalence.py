@@ -2,19 +2,34 @@
 default must be invisible to every observable.
 
 For each experiment (fig2, fig9, table2, table5) the default run — eBPF
-compiled, every memo on, no telemetry session, one process — is compared
-with the same run under one changed axis:
+compiled, every memo on, no telemetry session or fault plan, profiled,
+one process — is observed once per session.  Each row of :data:`AXES`
+runs the same experiment one other way and byte-diffs the trace ledger,
+the counter map and the collapsed-stack flamegraph against it through
+one helper, :func:`diff`:
 
-* every eBPF run on the step-by-step reference VM
-  (``tests/reference/ebpf_vm.py``, monkeypatched over ``EbpfVm.run``);
-* reference mode (no wall-clock memos);
-* an inert ``Telemetry()`` session installed (sampler and exporter off).
+* ``reference-vm`` — every eBPF run on the step-by-step reference VM
+  (``tests/reference/ebpf_vm.py``);
+* ``reference-mode`` — every wall-clock memo bypassed
+  (``tests/reference/memos.py``);
+* ``inert-telemetry`` — a ``Telemetry()`` session installed with its
+  sampler and exporter off;
+* ``inert-faults`` — a fault plan with every ``FAULT_POINTS`` rule at
+  rate 0: no stray RNG draw, charge or counter;
+* ``trace-only`` — no profiler attached (ledger and counters);
+* ``second-run`` — the same run again in the same process;
+* ``after-matrix`` — the run after a perf-matrix sweep: no cache, RNG or
+  cost table leaks from the matrix into the experiments;
+* ``planes-composed`` — the four invisible planes above at once.
 
-Each comparison byte-diffs the trace ledger, the counter map and the
-collapsed-stack flamegraph through one helper, :func:`observe`.  Every
-axis also proves the comparison can fail: the default run must have
-executed eBPF programs and, where a userspace datapath runs, received
-packets into it, and 1/1 sampling must diverge from it.
+Two rows stand outside the table.  The full reference stack — both
+test-side oracles at once, the reference VM and reference mode — must
+equal the default too, and the default observation itself must balance:
+its span ledger against the CPU-side tally (the profiler's root against
+both is ``test_profiling.py``'s).  Every axis can also fail: the default run executed eBPF programs and, where a
+userspace datapath runs, received packets into it; the reference VM
+and reference mode really replace what they claim to; 1/1 sampling and
+a different packet count both diverge from the default.
 
 The shard axis compares results, not ledgers: no trace crosses a
 process boundary (DESIGN §17), so fig9's cells at 1, 2 and 4 worker
@@ -28,53 +43,59 @@ import pytest
 
 from repro import telemetry
 from repro.ebpf import jit
-from repro.ebpf.vm import EbpfVm
+from repro.experiments.fig2_single_flow import run_fig2
 from repro.experiments.fig9_forwarding import run_fig9
-from repro.sim import profile
+from repro.experiments.table2_optimizations import run_table2
+from repro.experiments.table5_xdp_cost import run_table5
+from repro.net import flow
+from repro.perfmatrix.matrix import MatrixGrid, run_matrix
+from repro.sim import faults, profile, trace
+from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.profile import collapse
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
 from repro.telemetry.sflow import SAMPLE_POINTS
-from tests.conftest import reference_mode
-from tests.reference.ebpf_vm import ReferenceVm
+from tests.reference.ebpf_vm import ReferenceVm, substituted
+from tests.reference.memos import reference_mode
 
 PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
 EXPERIMENTS = sorted(PACKETS)
 #: table5 is pure XDP: no DpifNetdev receives a packet there.
 DP_EXPERIMENTS = ["fig2", "fig9", "table2"]
 
-
-def _run_experiment(experiment: str) -> None:
-    packets = PACKETS[experiment]
-    if experiment == "fig2":
-        from repro.experiments.fig2_single_flow import run_fig2
-
-        run_fig2(packets=packets)
-    elif experiment == "fig9":
-        run_fig9(packets=packets, scenarios=("P2P",))
-    elif experiment == "table2":
-        from repro.experiments.table2_optimizations import run_table2
-
-        run_table2(packets=packets)
-    else:
-        from repro.experiments.table5_xdp_cost import run_table5
-
-        run_table5(packets=packets)
+_RUNNERS = {
+    "fig2": run_fig2,
+    "fig9": lambda packets: run_fig9(packets=packets, scenarios=("P2P",)),
+    "table2": run_table2,
+    "table5": run_table5,
+}
 
 
-def observe(experiment: str, *contexts):
-    """One profiled run inside ``contexts`` -> (ledger, counters,
-    collapsed flamegraph)."""
+def record(experiment: str, *contexts, profiled: bool = True,
+           packets: int = 0):
+    """Run ``experiment`` (at ``PACKETS`` unless ``packets`` is given)
+    inside ``contexts`` under a fresh recorder; returns the recorder."""
     with contextlib.ExitStack() as stack:
         for context in contexts:
             stack.enter_context(context)
-        rec = stack.enter_context(profile.profiling())
-        _run_experiment(experiment)
-    return rec.ledger(), dict(rec.counters), collapse(rec.profiler.root)
+        rec = stack.enter_context(
+            profile.profiling() if profiled else trace.recording())
+        _RUNNERS[experiment](packets=packets or PACKETS[experiment])
+    return rec
+
+
+def observation(rec):
+    """(ledger, counters, collapsed flamegraph or ``None`` unprofiled)."""
+    flame = collapse(rec.profiler.root) if rec.profiler else None
+    return rec.ledger(), dict(rec.counters), flame
+
+
+def observe(experiment: str, *contexts, profiled: bool = True):
+    return observation(record(experiment, *contexts, profiled=profiled))
 
 
 def diff(a, b):
     """``None`` when two observations are byte-identical, else what
-    differs."""
+    differs.  Flamegraphs are compared when both runs were profiled."""
     (led_a, counters_a, flame_a), (led_b, counters_b, flame_b) = a, b
     if led_a != led_b:
         return "trace ledger differs"
@@ -83,54 +104,82 @@ def diff(a, b):
             k: (counters_a.get(k), counters_b.get(k))
             for k in set(counters_a) | set(counters_b)
             if counters_a.get(k) != counters_b.get(k)}
-    if flame_a != flame_b:
+    if None not in (flame_a, flame_b) and flame_a != flame_b:
         return "collapsed-stack flamegraph differs"
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def _default(experiment: str):
-    """The default run every axis is compared with, observed once."""
-    observed = observe(experiment)
-    # The comparisons below are not vacuous: something was recorded,
-    # eBPF programs ran, the userspace datapath classified packets.
-    ledger, counters, flame = observed
-    assert ledger and flame
-    assert counters.get("ebpf.runs", 0) > 0
+def default_recorder(experiment: str):
+    """The default run every axis is compared with, recorded once."""
+    rec = record(experiment)
+    # The comparisons are not vacuous: something was recorded, eBPF
+    # programs ran, the userspace datapath classified packets.
+    assert rec.total_ns > 0 and rec.ledger() and collapse(rec.profiler.root)
+    assert rec.counters.get("ebpf.runs", 0) > 0
     if experiment in DP_EXPERIMENTS:
-        assert counters.get("dp.rx_packets", 0) > 0
-    return observed
+        assert rec.counters.get("dp.rx_packets", 0) > 0
+    return rec
 
 
-def _assert_identical(experiment: str, *contexts) -> None:
-    assert diff(_default(experiment), observe(experiment, *contexts)) is None
+def _default(experiment: str):
+    return observation(default_recorder(experiment))
+
+
+def _inert_plan() -> FaultPlan:
+    return FaultPlan(seed=9, rules=[
+        FaultRule(point, rate=0.0) for point in faults.FAULT_POINTS])
+
+
+@contextlib.contextmanager
+def _after_a_matrix_sweep():
+    run_matrix(MatrixGrid(label="after", frame_lens=(64,),
+                          flow_counts=(1, 1000),
+                          datapaths=("kernel", "afxdp_zc", "dpdk"),
+                          topologies=("PVP",), packets=200))
+    yield
+
+
+def _full_reference():
+    """Both test-side oracles: the reference VM and reference mode."""
+    return substituted(), reference_mode()
+
+
+#: axis -> how one experiment is observed under it.
+AXES = {
+    "reference-vm": lambda e: observe(e, substituted()),
+    "reference-mode": lambda e: observe(e, reference_mode()),
+    "inert-telemetry": lambda e: observe(
+        e, telemetry.monitoring(Telemetry())),
+    "inert-faults": lambda e: observe(e, faults.injecting(_inert_plan())),
+    "trace-only": lambda e: observe(e, profiled=False),
+    "second-run": observe,
+    "after-matrix": lambda e: observe(e, _after_a_matrix_sweep()),
+    "planes-composed": lambda e: observe(
+        e, *_full_reference(),
+        telemetry.monitoring(Telemetry()), faults.injecting(_inert_plan())),
+}
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_jit_run_is_byte_identical_to_interpreter_run(experiment,
-                                                      monkeypatch):
-    default = _default(experiment)  # observed before the substitution
-    monkeypatch.setattr(EbpfVm, "run", ReferenceVm.run)
-    assert diff(default, observe(experiment)) is None
+@pytest.mark.parametrize("axis", AXES)
+def test_axis_is_invisible(axis, experiment):
+    default = _default(experiment)  # observed before the axis applies
+    assert diff(default, AXES[axis](experiment)) is None
 
 
-@pytest.mark.parametrize("experiment", DP_EXPERIMENTS)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_matches_full_reference_mode(experiment):
-    _assert_identical(experiment, reference_mode())
-
-
-def test_table5_jit_matches_full_reference_mode():
-    """table5 — the all-XDP workload, where virtually every charged
-    nanosecond flows through eBPF and, with the memos off, every frame
-    runs the compiled program."""
-    _assert_identical("table5", reference_mode())
+    default = _default(experiment)
+    assert diff(default, observe(experiment, *_full_reference())) is None
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_inert_telemetry_session_is_invisible(experiment):
-    """Installed but disabled must equal not installed: no hot path may
-    charge, count or draw randomness when monitoring is off."""
-    _assert_identical(experiment, telemetry.monitoring(Telemetry()))
+def test_experiment_runs_conserve_cost(experiment):
+    rec = default_recorder(experiment)
+    assert rec.conserved(), (
+        f"{experiment}: spans {rec.total_ns!r} ns != "
+        f"cpu {rec.cpu_charged_ns!r} ns")
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,21 +197,36 @@ def test_sharded_run_is_byte_identical_to_serial(shards):
 # ----------------------------------------------------------------------
 # Proof of teeth: each axis can make the comparison fail.
 # ----------------------------------------------------------------------
-def test_jit_actually_ran_the_experiments(monkeypatch):
+def test_jit_actually_ran_the_experiments():
     """table5's four programs execute as compiled code by default, and
     the reference-VM axis really replaces every one of those runs."""
     jit.reset_stats()
-    _run_experiment("table5")
+    record("table5", profiled=False)
     compiled_runs = {name: st.jit_runs for name, st in jit.stats().items()}
     assert sum(1 for runs in compiled_runs.values() if runs) >= 4, \
         compiled_runs
 
     jit.reset_stats()
     before = ReferenceVm.runs
-    monkeypatch.setattr(EbpfVm, "run", ReferenceVm.run)
-    _run_experiment("table5")
+    record("table5", substituted(), profiled=False)
     assert ReferenceVm.runs - before == sum(compiled_runs.values())
     assert not any(st.jit_runs for st in jit.stats().values())
+
+
+def test_reference_mode_bypasses_both_memos():
+    """Under reference mode the XDP verdict memo replays nothing (more
+    frames run compiled) and no rxhash is read from its memo."""
+    def memo_use(*contexts):
+        jit.reset_stats()
+        flow._RXHASH_MEMO.clear()
+        record("fig9", *contexts, profiled=False)
+        return (sum(st.jit_runs for st in jit.stats().values()),
+                len(flow._RXHASH_MEMO))
+
+    compiled, hashed = memo_use()
+    compiled_ref, hashed_ref = memo_use(reference_mode())
+    assert hashed > 0 and hashed_ref == 0
+    assert compiled_ref > compiled
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -174,3 +238,8 @@ def test_full_sampling_diverges(experiment):
     full = observe(experiment, telemetry.monitoring(session))
     assert diff(_default(experiment), full) is not None
 
+
+def test_a_different_packet_count_changes_the_ledger():
+    """The ledger is neither empty nor constant across runs."""
+    longer = record("fig9", profiled=False, packets=PACKETS["fig9"] + 100)
+    assert longer.ledger() != _default("fig9")[0]

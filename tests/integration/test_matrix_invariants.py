@@ -4,7 +4,7 @@ Asserted over the record's ``matrix-quick`` entry, which
 ``tests/test_record.py`` compares with a fresh sweep exactly; the
 paper's orderings over it are rows of ``tests/test_claims.py``.  Here:
 
-* the document is schema-valid and covers the advertised grid;
+* the document covers the advertised grid;
 * each cell's rate is its world's own measurement: ``run_cell`` reports
   exactly what ``World.drive`` measured for the same stream, with no
   search or second formula in between.
@@ -15,7 +15,6 @@ import pytest
 from repro.experiments.world import build_world
 from repro.perfmatrix.cells import CellSpec, run_cell
 from repro.perfmatrix.matrix import QUICK_GRID
-from repro.perfmatrix.schema import validate_matrix
 from repro.traffic.trex import FlowSpec, TrexStream
 from tests.record import load
 
@@ -24,10 +23,6 @@ from tests.record import load
 def doc():
     """The recorded document, cells keyed by ``id``."""
     return load()["matrix-quick"]["result"]
-
-
-def test_schema_valid(doc):
-    assert validate_matrix({**doc, "cells": list(doc["cells"].values())}) == []
 
 
 def test_grid_coverage(doc):

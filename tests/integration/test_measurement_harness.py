@@ -74,6 +74,16 @@ class TestReduceRun:
         assert m.cpu_util["user"] == pytest.approx(1.0)
         assert m.cpu_util["total"] == pytest.approx(2.0)
 
+    def test_poll_idle_is_reported_as_user(self):
+        cpu = CpuModel(1)
+        before = CpuSnapshot.take(cpu)
+        ExecContext(cpu, 0, CpuCategory.USER).charge(300)
+        ExecContext(cpu, 0, CpuCategory.POLL_IDLE).charge(700)
+        m = reduce_run(cpu, before, 1)
+        assert m.cpu_util["user"] == pytest.approx(1.0)
+        assert m.cpu_util["total"] == pytest.approx(1.0)
+        assert "poll_idle" not in m.cpu_util
+
     def test_requires_work(self):
         cpu = CpuModel(1)
         before = CpuSnapshot.take(cpu)

@@ -1,44 +1,16 @@
-"""Profiling acceptance gates at full-experiment scale.
+"""What a profile of a real experiment says.
 
-Three contracts:
-
-* **Conservation** — the call tree's root inclusive time equals both the
-  span ledger total and the CPU-side ``cpu_charged_ns`` on real runs.
-* **Zero overhead off** — attaching a profiler (or nothing) never
-  changes a single byte of the trace ledger existing gates compare.
-* **Determinism** — the collapsed-stack flamegraph of two identical runs
-  is byte-identical.
+These tests read the identity gate's cached default observations
+(``test_jit_equivalence.py``): the profiler's root balances against the
+span ledger and the CPU-side tally, and the tree narrates the run.  Its
+invisibility to the ledger and the determinism of its flamegraph are
+that gate's ``trace-only`` and ``second-run`` rows.
 """
 
 import pytest
 
-from repro.sim import profile, trace
-from repro.sim.profile import collapse
-
-
-def _run_experiment(experiment: str, packets: int) -> None:
-    if experiment == "fig2":
-        from repro.experiments.fig2_single_flow import run_fig2
-
-        run_fig2(packets=packets)
-    elif experiment == "fig9":
-        from repro.experiments.fig9_forwarding import run_fig9
-
-        run_fig9(packets=packets, scenarios=("P2P",))
-    elif experiment == "table2":
-        from repro.experiments.table2_optimizations import run_table2
-
-        run_table2(packets=packets)
-    else:
-        from repro.experiments.table5_xdp_cost import run_table5
-
-        run_table5(packets=packets)
-
-
-def _profiled(experiment: str, packets: int):
-    with profile.profiling() as rec:
-        _run_experiment(experiment, packets)
-    return rec
+from tests.integration.test_jit_equivalence import (EXPERIMENTS,
+                                                    default_recorder)
 
 
 def _walk(node):
@@ -47,12 +19,9 @@ def _walk(node):
         yield from _walk(child)
 
 
-PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
-
-
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_profile_conserves_against_ledger(experiment):
-    rec = _profiled(experiment, PACKETS[experiment])
+    rec = default_recorder(experiment)
     root_ns = rec.profiler.root.inclusive_ns()
     assert root_ns > 0
     assert root_ns == pytest.approx(rec.total_ns, rel=1e-9)
@@ -63,7 +32,7 @@ def test_table5_breakdown_covers_all_four_programs():
     """Table 5's A-D cost split, measured: each task's eBPF time shows
     up under its own ``xdp:<program>`` frame, and the per-program times
     sum exactly to the ledger's ``ebpf`` stage total."""
-    rec = _profiled("table5", PACKETS["table5"])
+    rec = default_recorder("table5")
     programs = {
         "A": "xdp:xdp_drop_all",
         "B": "xdp:xdp_parse_drop",
@@ -95,30 +64,11 @@ def test_table5_breakdown_covers_all_four_programs():
         rec.spans["ebpf"][1], rel=1e-9)
 
 
-@pytest.mark.parametrize("experiment", ["fig2", "fig9", "table2"])
-def test_profiler_leaves_ledger_byte_identical(experiment):
-    """The zero-overhead-off gate, inverted: even profiling *on* must
-    not perturb the span ledger — profiler-only frames live outside it
-    and leaf attribution uses the identical float-addition order."""
-    packets = PACKETS[experiment]
-    with trace.recording() as rec_plain:
-        _run_experiment(experiment, packets)
-    rec_prof = _profiled(experiment, packets)
-    assert rec_prof.ledger() == rec_plain.ledger()
-
-
-def test_flamegraph_is_byte_identical_across_runs():
-    a = collapse(_profiled("fig2", 400).profiler.root)
-    b = collapse(_profiled("fig2", 400).profiler.root)
-    assert a == b
-    assert a  # non-trivial: at least one stack line
-
-
 def test_fig2_tree_contains_expected_frames():
     """The call tree narrates the fig2 pipeline: kernel NIC servicing
     with its eBPF programs, and the PMD poll loop with the datapath
     input frame nested inside."""
-    rec = _profiled("fig2", 400)
+    rec = default_recorder("fig2")
     labels = {node.label for node in _walk(rec.profiler.root)}
     assert "kernel.service_nic" in labels
     assert "dp.input" in labels

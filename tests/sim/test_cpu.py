@@ -25,24 +25,6 @@ def test_negative_charge_rejected():
         cpu.charge(0, CpuCategory.USER, -1)
 
 
-def test_utilisation_in_cpu_units():
-    cpu = CpuModel(2)
-    cpu.charge(0, CpuCategory.USER, 1_000)
-    cpu.charge(1, CpuCategory.SOFTIRQ, 500)
-    assert cpu.utilisation(wall_ns=1_000) == pytest.approx(1.5)
-    assert cpu.utilisation(1_000, CpuCategory.USER) == pytest.approx(1.0)
-
-
-def test_utilisation_by_category_folds_poll_idle_into_user():
-    cpu = CpuModel(1)
-    cpu.charge(0, CpuCategory.USER, 300)
-    cpu.charge(0, CpuCategory.POLL_IDLE, 700)
-    out = cpu.utilisation_by_category(wall_ns=1_000)
-    assert out["user"] == pytest.approx(1.0)
-    assert out["total"] == pytest.approx(1.0)
-    assert "poll_idle" not in out
-
-
 def test_exec_context_charges_its_category():
     cpu = CpuModel(2)
     ctx = ExecContext(cpu, cpu=1, category=CpuCategory.SOFTIRQ)

@@ -55,7 +55,6 @@ def unit_trace(seed: int, n: int = 40) -> float:
         trace.count("unit.events")
         with rec.span("outer"):
             rec.record("inner", v * 0.5)
-        rec.note_batch("rx", 1 + (i % 4))
     return total
 
 
