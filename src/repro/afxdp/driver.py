@@ -184,10 +184,23 @@ class AfxdpDriver:
         r.counter for r in XSK_RX_REASONS + XSK_TX_REASONS)
 
     def _retire_socket_counters(self) -> None:
-        for sock in self.sockets.values():
-            for name in self._RETIRED_COUNTERS:
-                self.retired[name] = (self.retired.get(name, 0)
-                                      + getattr(sock, name))
+        for name in self._RETIRED_COUNTERS:
+            self.retired[name] = self._count(name)
+
+    def _count(self, counter: str) -> int:
+        """Socket counter ``counter`` over the live and retired sockets."""
+        return self.retired.get(counter, 0) + sum(
+            getattr(sock, counter) for sock in self.sockets.values())
+
+    @property
+    def tx_sent(self) -> int:
+        """Frames this driver's XSKs put on the wire, across restarts."""
+        return self._count("tx_sent")
+
+    def sinks(self) -> Dict[DropReason, int]:
+        """The XSK rx and tx drops of every socket, live or retired."""
+        return {reason: self._count(reason.counter)
+                for reason in XSK_RX_REASONS + XSK_TX_REASONS}
 
     def drop_sockets_on_crash(self) -> "Dict[str, int]":
         """The process died: the kernel closes every XSK fd, which

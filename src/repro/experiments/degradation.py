@@ -120,8 +120,7 @@ def _run_point(
             nic_in.host_receive(pkt)
             world.pump()
         before = CpuSnapshot.take(host.cpu)
-        delivered_before = sum(
-            s.tx_sent for s in driver_out.sockets.values())
+        delivered_before = driver_out.tx_sent
         sent = 0
         while sent < packets:
             chunk = min(BURST, packets - sent)
@@ -146,13 +145,9 @@ def _run_point(
             link_gbps=link_gbps, frame_len=stream.frame_len,
             pmd_cpus=world.pmd_cpus,
         )
-        # Sockets retired by a supervised restart carry the pre-crash
-        # transmissions; count them or a crash under-reports delivery.
-        delivered = (
-            sum(s.tx_sent for s in driver_out.sockets.values())
-            + driver_out.retired.get("tx_sent", 0)
-            - delivered_before
-        )
+        # ``tx_sent`` counts the sockets a supervised restart retired
+        # too, so a crash does not under-report delivery.
+        delivered = driver_out.tx_sent - delivered_before
         ledger = world.ledger(warmup + packets, supervisor.crash_sinks)
         backoff_entry = rec.waits.get("tx_kick_backoff")
         backoff_wait_ns = backoff_entry[1] if backoff_entry else 0.0

@@ -19,14 +19,12 @@ configuration outright.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import Any, Dict, List
 
 from repro.sim import faults
 from repro.sim.faults import FaultPlan, FaultRule
+from repro.tools.conservation import PacketLedger
 from repro.traffic.trex import FlowSpec, TrexStream
-
-if TYPE_CHECKING:
-    from repro.tools.conservation import PacketLedger
 
 LINK_GBPS = 10.0
 
@@ -77,10 +75,10 @@ def merged_fault_ledger(n_ports: int, seed: int, shards: int = 1,
                         packets: int = 240) -> Dict:
     """Run the port set on ``shards`` workers and merge the ledgers; the
     property suite compares these dicts."""
-    from repro.sim.shard import merge_ledgers, run_units
+    from repro.sim.shard import run_units
 
     units = fault_units(n_ports, seed, packets=packets)
-    merged = merge_ledgers(run_units(units, shards=shards))
+    merged = PacketLedger.merge(run_units(units, shards=shards))
     return {"offered": merged.offered, "forwarded": merged.forwarded,
             "sinks": dict(sorted(merged.sinks.items()))}
 

@@ -59,8 +59,7 @@ from repro.ovs.pmd import PmdThread
 from repro.ovs.vswitchd import VSwitchd
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, ExecContext
-from repro.telemetry.drops import DropReason
-from repro.tools.conservation import PacketLedger, afxdp_packet_ledger
+from repro.tools.conservation import PacketLedger
 from repro.traffic.trex import TrexStream
 
 DATAPATHS: Tuple[str, ...] = (
@@ -235,11 +234,6 @@ def _prime_neighbors(a: VirtualMachine, b: VirtualMachine) -> None:
         ip_to_int(a.ip), a.nic.mac, b.nic.ifindex, permanent=True)
 
 
-def _sink(sinks: Dict[str, int], name: str, n: int) -> None:
-    if n:
-        sinks[name] = sinks.get(name, 0) + n
-
-
 @dataclass
 class World:
     """One built row of the table."""
@@ -305,34 +299,19 @@ class World:
 
     def ledger(self, offered: int,
                extra_sinks: Optional[Dict[str, int]] = None) -> PacketLedger:
-        """The P2P conservation ledger once the queues have drained:
-        ``offered`` frames either reached ``trex-rx`` or sit in a named
-        sink.  ``extra_sinks`` adds outcomes the datapath cannot see,
-        such as a supervisor's crash casualties."""
-        if self.topology != "P2P":
+        """The conservation ledger once the queues have drained:
+        ``offered`` frames either reached ``trex-rx``, where TRex counts
+        them, or sit in a sink of ens1 or the switch.  ``extra_sinks``
+        adds outcomes no layer can see, such as a supervisor's crash
+        casualties.  An endpoint world has no TRex ends, so no ledger."""
+        if self.ends:
             raise ValueError(f"{self.name} has no conservation ledger")
-        if self.datapath in ("afxdp_copy", "afxdp_zc"):
-            dpif = self.vs.dpif_netdev
-            return afxdp_packet_ledger(
-                offered, self.nic_in,
-                dpif.ports[dpif.port_no("ens1")].adapter.driver,
-                dpif.ports[dpif.port_no("ens2")].adapter.driver,
-                dpif, extra_sinks=extra_sinks)
-        sinks = dict(extra_sinks or {})
-        _sink(sinks, "nic.rx_missed", self.nic_in.rx_missed)
-        if self.datapath == "kernel":
-            dpif = self.vs.dpif_netlink
-            _sink(sinks, "dp.lost_upcalls", dpif.dp.n_lost)
-            _sink(sinks, DropReason.KERNEL_UPCALL_FAILED.value,
-                  dpif.n_failed_upcalls)
-        elif self.datapath == "ebpf":
-            _sink(sinks, "nic.xdp_drops", self.nic_in.xdp_drops)
-            _sink(sinks, "nic.xdp_passes_to_stack", self.nic_in.xdp_passes)
-        else:
-            _sink(sinks, "dp.dropped", self.vs.dpif_netdev.stats.dropped)
-        return PacketLedger(offered=offered,
-                            forwarded=self.nic_out.wire_peer.stats.rx_packets,
-                            sinks=sinks)
+        layers = [self.nic_in]
+        if self.vs is not None:
+            layers += self.vs.ledger_layers()
+        trex_rx = self.nic_out.wire_peer
+        return PacketLedger.of(offered, trex_rx.stats.rx_packets, layers,
+                               extra_sinks)
 
 
 def base_host(n_queues: int, link_gbps: float,

@@ -232,6 +232,14 @@ class PhysicalNic(NetDevice):
                 self._dispatch_xdp(pkt, verdict, queue, ctx)
         return processed
 
+    def sinks(self) -> Dict[DropReason, int]:
+        """Frames this NIC took off the forwarding path: ring-full
+        misses and the XDP verdicts that dropped or diverted them."""
+        return {DropReason.NIC_RX_MISSED: self.rx_missed,
+                DropReason.NIC_XDP_DROP: self.xdp_drops,
+                DropReason.NIC_XDP_PASS_TO_STACK: self.xdp_passes,
+                DropReason.NIC_XDP_REDIRECT_FAILED: self.xdp_redirect_failed}
+
     def pending(self, queue: Optional[int] = None) -> int:
         if queue is not None:
             return len(self.rx_rings[queue])

@@ -29,12 +29,6 @@ class UserspaceConntrack:
     def __len__(self) -> int:
         return len(self._table)
 
-    def set_zone_limit(self, zone: int, limit: int) -> None:
-        self._table.set_zone_limit(zone, limit)
-
-    def zone_count(self, zone: int) -> int:
-        return self._table.zone_count(zone)
-
     def process(
         self,
         five_tuple: FiveTuple,
@@ -66,34 +60,10 @@ class UserspaceConntrack:
         the ``ofproto/trace`` verdict: what *would* ct() say right now."""
         return self._table.lookup(five_tuple, zone, self._now_ns_fn())
 
-    def expire(self) -> int:
-        return self._table.expire(self._now_ns_fn())
-
     def flush(self) -> None:
         """An OVS restart: all connection state is gone (unlike the kernel
         datapath, where netfilter state survives a vswitchd restart)."""
         self._table.flush()
-
-    def restart(self, ctx: ExecContext) -> int:
-        """A *charged* restart of the conntrack subsystem.
-
-        A graceful hot-upgrade tears down each tracked connection
-        (timers, hash unlink) before the new process allocates its empty
-        table; a crash skips the per-connection part — the state simply
-        vanishes with the process — but the new daemon still pays the
-        table allocation (call with ``len(ct) == 0`` after a flush, or
-        charge :data:`~repro.sim.costs.CostModel.conntrack_init_ns`
-        directly).  Returns the number of connections destroyed.
-        """
-        costs = DEFAULT_COSTS
-        n = len(self._table)
-        ctx.charge(
-            costs.conntrack_init_ns
-            + n * costs.conntrack_destroy_per_conn_ns,
-            label="ct_restart",
-        )
-        self._table.flush()
-        return n
 
     def connections(self):
         return self._table.connections()

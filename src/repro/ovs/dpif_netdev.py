@@ -183,6 +183,16 @@ class DpifNetdev:
         port = self.ports.get(port_no)
         return port.device if port else None
 
+    def afxdp_drivers(self) -> list:
+        """The AF_XDP driver behind each port that has one, in port
+        order."""
+        return [port.adapter.driver for port in self.ports.values()
+                if getattr(port.adapter, "driver", None) is not None]
+
+    def sinks(self) -> Dict[DropReason, int]:
+        """Every datapath drop, whatever its fine-grained reason."""
+        return {DropReason.DP_DROPPED: self.stats.dropped}
+
     def flow_flush(self) -> None:
         self.megaflows.flush()
 

@@ -7,7 +7,7 @@ and the resulting megaflow is installed back into the kernel — Figure 7a.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.netdev import NetDevice
@@ -33,6 +33,12 @@ class DpifNetlink:
         self.n_installed_flows = 0
         #: Upcalls whose translation failed; the packet was dropped.
         self.n_failed_upcalls = 0
+
+    def sinks(self) -> Dict[DropReason, int]:
+        """Misses that died on the way up (``dp.n_lost``) or in a failed
+        translation."""
+        return {DropReason.KERNEL_UPCALL_LOST: self.dp.n_lost,
+                DropReason.KERNEL_UPCALL_FAILED: self.n_failed_upcalls}
 
     # -- ports ------------------------------------------------------------
     def add_port(self, device: NetDevice) -> int:

@@ -56,15 +56,6 @@ class MeterTable:
         self._meters[meter_id] = meter
         return meter
 
-    def get(self, meter_id: int) -> Meter:
-        meter = self._meters.get(meter_id)
-        if meter is None:
-            raise KeyError(f"no meter {meter_id}")
-        return meter
-
-    def remove(self, meter_id: int) -> None:
-        del self._meters[meter_id]
-
     def admit(self, meter_id: int, nbytes: int, now_ns: int) -> bool:
         meter = self._meters.get(meter_id)
         if meter is None:

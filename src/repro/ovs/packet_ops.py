@@ -77,11 +77,3 @@ def do_push_vlan(data: bytes, vid: int, pcp: int = 0) -> bytes:
 def do_pop_vlan(data: bytes) -> bytes:
     stripped, _tag = pop_vlan(data)
     return stripped
-
-
-def decrement_ttl(data: bytes) -> bytes:
-    l3 = _l3_offset(data)
-    ttl = data[l3 + 8]
-    if ttl <= 1:
-        raise ValueError("TTL expired")
-    return set_field(data, "nw_ttl", ttl - 1)

@@ -73,6 +73,13 @@ class VSwitchd:
             self.ofproto.dp_port_device = self.dpif_netdev.port_device
         self._next_mac = 0x060000
 
+    def ledger_layers(self) -> list:
+        """What of this switch can lose a frame, each reporting
+        ``sinks()``: its datapath and every AF_XDP driver behind it."""
+        if self.dpif_netlink is not None:
+            return [self.dpif_netlink]
+        return [self.dpif_netdev, *self.dpif_netdev.afxdp_drivers()]
+
     # ------------------------------------------------------------------
     def _upcall(self, key, ctx: Optional[ExecContext]):
         result = self.ofproto.translate(key, ctx)

@@ -250,8 +250,6 @@ class CostModel:
     netlink_port_dump_ns: float = 30_000.0
     #: Allocating a fresh userspace conntrack table (hash array, locks).
     conntrack_init_ns: float = 2_000_000.0
-    #: Tearing down one tracked connection on a graceful restart.
-    conntrack_destroy_per_conn_ns: float = 150.0
     #: Re-installing one OpenFlow rule during NSX desired-state re-sync
     #: (bundled flow_mods, ~100k rules/s — the rate §4's agent sustains).
     nsx_resync_per_rule_ns: float = 10_000.0

@@ -211,24 +211,3 @@ def run_units(
             raise ShardError(f"the worker pool broke: "
                              f"{_dead_worker(units, running, exits)}"
                              ) from exc
-
-
-# ----------------------------------------------------------------------
-# Conservation-ledger merge.
-# ----------------------------------------------------------------------
-def merge_ledgers(ledgers: Sequence) -> "Any":
-    """Merge per-unit :class:`~repro.tools.conservation.PacketLedger`s.
-
-    All counts are integers, so the sum is exact in any order; the
-    merged ledger balances iff every unit's does.
-    """
-    from repro.tools.conservation import PacketLedger
-
-    offered = forwarded = 0
-    sinks: Dict[str, int] = {}
-    for ledger in ledgers:
-        offered += ledger.offered
-        forwarded += ledger.forwarded
-        for name, n in ledger.sinks.items():
-            sinks[name] = sinks.get(name, 0) + n
-    return PacketLedger(offered=offered, forwarded=forwarded, sinks=sinks)

@@ -159,9 +159,7 @@ class Supervisor:
     def _afxdp_drivers(self) -> list:
         if self.vs is None or self.vs.dpif_netdev is None:
             return []
-        return [port.adapter.driver
-                for port in self.vs.dpif_netdev.ports.values()
-                if getattr(port.adapter, "driver", None) is not None]
+        return self.vs.dpif_netdev.afxdp_drivers()
 
     def _dpdk_ethdevs(self) -> list:
         if self.vs is None or self.vs.dpif_netdev is None:

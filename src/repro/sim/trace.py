@@ -239,10 +239,6 @@ class TraceRecorder:
 ACTIVE: Optional[TraceRecorder] = None
 
 
-def active() -> Optional[TraceRecorder]:
-    return ACTIVE
-
-
 def attach(recorder: TraceRecorder) -> TraceRecorder:
     """Make ``recorder`` the active ledger.  Nesting is not supported:
     attach over an existing recorder is an error (a silently swallowed

@@ -160,7 +160,7 @@ class Telemetry:
             problems.append("drop packets: exported != tallied")
         by_sink: Dict[str, int] = {}
         for reason, n in exporter.drop_packets.items():
-            if reason.ledger_sink is not None and n:
+            if n:
                 by_sink[reason.ledger_sink] = \
                     by_sink.get(reason.ledger_sink, 0) + n
         ledger_sinks = {name: n for name, n in ledger.sinks.items() if n}

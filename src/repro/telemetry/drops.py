@@ -17,11 +17,10 @@ Each member carries:
   ``DATAPATH``/``POST_DATAPATH`` losses did (so flow totals include
   them).  This is what makes the reconciliation invariant of
   :meth:`repro.telemetry.Telemetry.reconcile` exact.
-* ``ledger_sink`` — the coarse conservation-ledger sink this reason
-  folds into, or ``None`` for reasons the ledgers do not account (the
-  kernel datapath's internal drops).  Several fine-grained datapath
-  reasons share the coarse ``dp.dropped`` sink, exactly as many
-  ``skb_drop_reason``s share one interface counter.
+* ``ledger_sink`` — the conservation-ledger sink this reason counts
+  in, by one rule: the fine-grained ``dp.*`` reasons share the coarse
+  ``dp.dropped`` sink, exactly as many ``skb_drop_reason``s share one
+  interface counter, and every other reason is its own sink.
 * ``counter`` — for XSK reasons, the bare per-socket attribute name
   (``XskSocket.rx_dropped_no_fill`` etc.) the sink value is read from.
 
@@ -56,92 +55,83 @@ class DropReason(enum.Enum):
     """
 
     def __new__(cls, value: str, stage: "DropStage",
-                ledger_sink: Optional[str],
                 counter: Optional[str] = None) -> "DropReason":
         obj = object.__new__(cls)
         obj._value_ = value
         obj.stage = stage
-        obj.ledger_sink = ledger_sink
         obj.counter = counter
         return obj
 
+    @property
+    def ledger_sink(self) -> str:
+        """The conservation-ledger sink this reason counts in: the
+        fine-grained ``dp.*`` reasons share ``DpifNetdev.stats.dropped``,
+        so they fold into ``dp.dropped``; every other reason is its own
+        sink."""
+        if self.value.startswith("dp."):
+            return DropReason.DP_DROPPED.value
+        return self.value
+
     # -- NIC / XDP layer (before any datapath saw the packet) ----------
     #: Hardware rx ring full; the frame was never DMAed.
-    NIC_RX_MISSED = ("nic.rx_missed", DropStage.PRE_DATAPATH,
-                     "nic.rx_missed")
+    NIC_RX_MISSED = ("nic.rx_missed", DropStage.PRE_DATAPATH)
     #: The attached XDP program returned DROP (or ABORTED).
-    NIC_XDP_DROP = ("nic.xdp_drops", DropStage.PRE_DATAPATH,
-                    "nic.xdp_drops")
+    NIC_XDP_DROP = ("nic.xdp_drops", DropStage.PRE_DATAPATH)
     #: XDP_PASS diverted the frame into the kernel stack — not a loss,
-    #: but a leg the AF_XDP ledger must account for.
+    #: but a leg the ledger must account for.
     NIC_XDP_PASS_TO_STACK = ("nic.xdp_passes_to_stack",
-                             DropStage.PRE_DATAPATH,
-                             "nic.xdp_passes_to_stack")
+                             DropStage.PRE_DATAPATH)
     #: XDP_REDIRECT had no live socket/device to land on.
     NIC_XDP_REDIRECT_FAILED = ("nic.xdp_redirect_failed",
-                               DropStage.PRE_DATAPATH,
-                               "nic.xdp_redirect_failed")
+                               DropStage.PRE_DATAPATH)
 
     # -- AF_XDP socket rx (before the PMD polled the frame) ------------
     XSK_RX_NO_FILL = ("xsk.rx_dropped_no_fill", DropStage.PRE_DATAPATH,
-                      "xsk.rx_dropped_no_fill", "rx_dropped_no_fill")
+                      "rx_dropped_no_fill")
     XSK_RX_OVERRUN = ("xsk.rx_dropped_overrun", DropStage.PRE_DATAPATH,
-                      "xsk.rx_dropped_overrun", "rx_dropped_overrun")
+                      "rx_dropped_overrun")
 
     # -- Userspace datapath (DpifNetdev) -------------------------------
     #: The coarse ledger sink every fine-grained dp.* reason folds into
     #: (``DpifNetdev.stats.dropped``); never emitted as an event itself.
-    DP_DROPPED = ("dp.dropped", DropStage.DATAPATH, "dp.dropped")
-    DP_UPCALL_LOST = ("dp.upcall_lost", DropStage.DATAPATH, "dp.dropped")
-    DP_UPCALL_FAILED = ("dp.upcall_failed", DropStage.DATAPATH,
-                        "dp.dropped")
-    DP_RECIRC_LIMIT = ("dp.recirc_limit", DropStage.DATAPATH,
-                       "dp.dropped")
-    DP_EMPTY_ACTIONS = ("dp.empty_actions", DropStage.DATAPATH,
-                        "dp.dropped")
-    DP_METER_DROP = ("dp.meter_drop", DropStage.DATAPATH, "dp.dropped")
-    DP_TUNNEL_DECAP_FAILED = ("dp.tunnel_decap_failed",
-                              DropStage.DATAPATH, "dp.dropped")
-    DP_TX_NO_PORT = ("dp.tx_no_port", DropStage.DATAPATH, "dp.dropped")
+    DP_DROPPED = ("dp.dropped", DropStage.DATAPATH)
+    DP_UPCALL_LOST = ("dp.upcall_lost", DropStage.DATAPATH)
+    DP_UPCALL_FAILED = ("dp.upcall_failed", DropStage.DATAPATH)
+    DP_RECIRC_LIMIT = ("dp.recirc_limit", DropStage.DATAPATH)
+    DP_EMPTY_ACTIONS = ("dp.empty_actions", DropStage.DATAPATH)
+    DP_METER_DROP = ("dp.meter_drop", DropStage.DATAPATH)
+    DP_TUNNEL_DECAP_FAILED = ("dp.tunnel_decap_failed", DropStage.DATAPATH)
+    DP_TX_NO_PORT = ("dp.tx_no_port", DropStage.DATAPATH)
 
     # -- Kernel datapath (openvswitch.ko analog) -----------------------
-    # The kernel worlds' ledgers have no dp sink (conservation there is
-    # nic-level), so these carry no ledger_sink.
-    KERNEL_RX_NO_PORT = ("kernel.rx_no_port", DropStage.PRE_DATAPATH,
-                         None)
-    KERNEL_UPCALL_LOST = ("kernel.upcall_lost", DropStage.DATAPATH, None)
+    KERNEL_RX_NO_PORT = ("kernel.rx_no_port", DropStage.PRE_DATAPATH)
+    #: ``dp.n_lost``: the upcall never reached a handler.
+    KERNEL_UPCALL_LOST = ("kernel.upcall_lost", DropStage.DATAPATH)
     #: The upcall reached userspace but translation failed.
-    KERNEL_UPCALL_FAILED = ("kernel.upcall_failed", DropStage.DATAPATH,
-                            None)
-    KERNEL_RECIRC_LIMIT = ("kernel.recirc_limit", DropStage.DATAPATH,
-                           None)
+    KERNEL_UPCALL_FAILED = ("kernel.upcall_failed", DropStage.DATAPATH)
+    KERNEL_RECIRC_LIMIT = ("kernel.recirc_limit", DropStage.DATAPATH)
     KERNEL_TUNNEL_DECAP_FAILED = ("kernel.tunnel_decap_failed",
-                                  DropStage.DATAPATH, None)
-    KERNEL_OUTPUT_NO_PORT = ("kernel.output_no_port", DropStage.DATAPATH,
-                             None)
+                                  DropStage.DATAPATH)
+    KERNEL_OUTPUT_NO_PORT = ("kernel.output_no_port", DropStage.DATAPATH)
 
     # -- AF_XDP socket tx (after the datapath forwarded the frame) -----
     XSK_TX_NO_UMEM = ("xsk.tx_dropped_no_umem", DropStage.POST_DATAPATH,
-                      "xsk.tx_dropped_no_umem", "tx_dropped_no_umem")
+                      "tx_dropped_no_umem")
     XSK_TX_RING_FULL = ("xsk.tx_dropped_ring_full",
-                        DropStage.POST_DATAPATH,
-                        "xsk.tx_dropped_ring_full", "tx_dropped_ring_full")
+                        DropStage.POST_DATAPATH, "tx_dropped_ring_full")
     XSK_TX_KICK = ("xsk.tx_dropped_kick", DropStage.POST_DATAPATH,
-                   "xsk.tx_dropped_kick", "tx_dropped_kick")
+                   "tx_dropped_kick")
 
     # -- Supervised crash recovery --------------------------------------
     #: Frames sitting in XSK rx rings when the daemon died.
     CRASH_XSK_RX_INFLIGHT = ("crash.xsk_rx_inflight",
-                             DropStage.PRE_DATAPATH,
-                             "crash.xsk_rx_inflight")
+                             DropStage.PRE_DATAPATH)
     #: Frames sitting in XSK tx rings when the daemon died.
     CRASH_XSK_TX_INFLIGHT = ("crash.xsk_tx_inflight",
-                             DropStage.POST_DATAPATH,
-                             "crash.xsk_tx_inflight")
+                             DropStage.POST_DATAPATH)
     #: Frames stranded in DPDK hardware rings across a rebind.
     CRASH_DPDK_RING_RESET = ("crash.dpdk_ring_reset",
-                             DropStage.PRE_DATAPATH,
-                             "crash.dpdk_ring_reset")
+                             DropStage.PRE_DATAPATH)
 
 
 #: XSK per-socket rx counters, in the order the driver retires them.

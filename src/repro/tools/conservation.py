@@ -1,4 +1,4 @@
-"""Packet-conservation audit for the AF_XDP forwarding pipeline.
+"""Packet conservation: the forwarding worlds' audit.
 
 The trace layer's invariant is ``spans == cpu_charged_ns``; this is the
 packet-side analogue: every frame offered to the ingress NIC must be
@@ -8,26 +8,24 @@ of silent loss the fault-injection layer exists to expose, so the
 degradation experiment and the Hypothesis property suite both assert
 :meth:`PacketLedger.conserved` at every sweep point.
 
-Layer map (ingress to egress)::
+Each layer that can lose a frame owns its sinks and reports them as
+``sinks() -> Dict[DropReason, int]`` (ingress to egress)::
 
-    NIC hw ring      nic.rx_missed
-    XDP dispatch     nic.xdp_drops / xdp_passes / xdp_redirect_failed
-    XSK rx           sock.rx_dropped_no_fill / rx_dropped_overrun
-    dpif-netdev      stats.dropped  (lost upcalls, action drops, ...)
-    XSK tx           sock.tx_dropped_no_umem / _ring_full / _kick
-    wire             sock.tx_sent
+    PhysicalNic    nic.rx_missed, nic.xdp_drops, nic.xdp_passes_to_stack,
+                   nic.xdp_redirect_failed
+    AfxdpDriver    xsk.rx_dropped_* and xsk.tx_dropped_*, live + retired
+    DpifNetdev     dp.dropped  (lost upcalls, action drops, ...)
+    DpifNetlink    kernel.upcall_lost, kernel.upcall_failed
+
+:meth:`PacketLedger.of` sums them, so a ledger's sink names are the
+taxonomy's values and nothing else.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
-
-from repro.telemetry.drops import (
-    DropReason,
-    XSK_RX_REASONS,
-    XSK_TX_REASONS,
-)
+from typing import Dict, Iterable, Optional
 
 
 @dataclass
@@ -41,6 +39,32 @@ class PacketLedger:
     offered: int
     forwarded: int
     sinks: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, offered: int, forwarded: int, layers: Iterable,
+           extra_sinks: Optional[Dict[str, int]] = None) -> "PacketLedger":
+        """The ledger of ``layers``, each reporting ``sinks()``, plus
+        ``extra_sinks``: outcomes no layer can see itself, such as a
+        supervisor's crash casualties.  Zero counts are left out."""
+        total = Counter(extra_sinks or {})
+        for layer in layers:
+            for reason, n in layer.sinks().items():
+                total[reason.value] += n
+        return cls(offered, forwarded,
+                   {name: n for name, n in total.items() if n})
+
+    @classmethod
+    def merge(cls, ledgers: Iterable["PacketLedger"]) -> "PacketLedger":
+        """The sum of per-unit ledgers.  All counts are integers, so the
+        sum is exact in any order; the merged ledger balances iff every
+        unit's does."""
+        offered = forwarded = 0
+        sinks: Counter = Counter()
+        for ledger in ledgers:
+            offered += ledger.offered
+            forwarded += ledger.forwarded
+            sinks.update(ledger.sinks)
+        return cls(offered, forwarded, dict(sinks))
 
     @property
     def total_dropped(self) -> int:
@@ -73,54 +97,11 @@ def afxdp_packet_ledger(
     dpif,
     extra_sinks: "Dict[str, int] | None" = None,
 ) -> PacketLedger:
-    """Audit an AF_XDP P2P world after its queues have drained.
-
-    ``driver_in``/``driver_out`` are the :class:`~repro.afxdp.driver.
-    AfxdpDriver` instances on the ingress and egress NICs; ``offered``
-    is the number of frames the traffic generator put on the wire
-    toward ``nic_in``.  ``extra_sinks`` merges additional named
-    outcomes the drivers cannot see themselves — e.g. the supervisor's
-    ``crash.xsk_rx_inflight`` count of frames that died in a crashed
-    process's rings.
-    """
-    sinks: Dict[str, int] = {}
-
-    def sink(name: str, n: int) -> None:
-        if n:
-            sinks[name] = sinks.get(name, 0) + n
-
-    for name, n in (extra_sinks or {}).items():
-        sink(name, n)
-
-    # Every sink name comes from the drop-reason taxonomy, so the
-    # ledger's vocabulary and the telemetry layer's can never drift:
-    # reconciliation matches them string-for-string.
-    sink(DropReason.NIC_RX_MISSED.value, nic_in.rx_missed)
-    sink(DropReason.NIC_XDP_DROP.value, nic_in.xdp_drops)
-    # PASS verdicts leave the AF_XDP pipeline for the kernel stack; in
-    # a P2P bench nothing consumes them, but they are *diverted*, not
-    # lost: the dispatch accounted for them.
-    sink(DropReason.NIC_XDP_PASS_TO_STACK.value, nic_in.xdp_passes)
-    sink(DropReason.NIC_XDP_REDIRECT_FAILED.value,
-         nic_in.xdp_redirect_failed)
-    forwarded = 0
-    for sock in driver_in.sockets.values():
-        for reason in XSK_RX_REASONS:
-            sink(reason.value, getattr(sock, reason.counter))
-    for reason in XSK_RX_REASONS:
-        sink(reason.value, driver_in.retired.get(reason.counter, 0))
-    sink(DropReason.DP_DROPPED.value, dpif.stats.dropped)
-    # Tx-side outcomes on every distinct driver (a hairpin config reuses
-    # the ingress NIC for output; don't double-count it).  Counters of
-    # sockets retired by a supervised restart live in ``driver.retired``.
-    drivers = ([driver_in] if driver_in is driver_out
-               else [driver_in, driver_out])
-    for driver in drivers:
-        for sock in driver.sockets.values():
-            for reason in XSK_TX_REASONS:
-                sink(reason.value, getattr(sock, reason.counter))
-            forwarded += sock.tx_sent
-        for reason in XSK_TX_REASONS:
-            sink(reason.value, driver.retired.get(reason.counter, 0))
-        forwarded += driver.retired.get("tx_sent", 0)
-    return PacketLedger(offered=offered, forwarded=forwarded, sinks=sinks)
+    """Audit an AF_XDP P2P world after its queues have drained, counting
+    as forwarded what the XSKs of ``driver_in``/``driver_out`` (one
+    driver when a hairpin reuses the ingress NIC) put on the wire.
+    :meth:`repro.experiments.world.World.ledger` is the same sum over a
+    built world, counted at its TRex sink."""
+    drivers = list(dict.fromkeys((driver_in, driver_out)))
+    return PacketLedger.of(offered, sum(d.tx_sent for d in drivers),
+                           [nic_in, dpif, *drivers], extra_sinks)

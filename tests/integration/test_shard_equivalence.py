@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.fault_cells import fault_units, merged_fault_ledger
 from repro.experiments.fig9_forwarding import cell_units, run_fig9
-from repro.sim.shard import merge_ledgers, run_one_unit, run_units
+from repro.sim.shard import run_one_unit, run_units
 from repro.tools.conservation import PacketLedger
 
 N_PORTS = 4
@@ -50,14 +50,14 @@ _UNITS = fault_units(N_PORTS, _PLAN_SEED, packets=120)
 def _serial_ledger() -> PacketLedger:
     # Computed once; every example compares against the same ledger.
     if not hasattr(_serial_ledger, "value"):
-        _serial_ledger.value = merge_ledgers(run_units(_UNITS))
+        _serial_ledger.value = PacketLedger.merge(run_units(_UNITS))
     return _serial_ledger.value
 
 
 @settings(max_examples=12, deadline=None)
 @given(order=st.permutations(range(N_PORTS)))
 def _inline_in_any_order_merges_to(serial, order):
-    assert merge_ledgers(run_one_unit(_UNITS[i]) for i in order) == serial
+    assert PacketLedger.merge(run_one_unit(_UNITS[i]) for i in order) == serial
 
 
 def test_any_execution_order_merges_to_the_serial_fault_ledger():
@@ -67,9 +67,9 @@ def test_any_execution_order_merges_to_the_serial_fault_ledger():
     _inline_in_any_order_merges_to(serial)
     # The pool's own orders; spawn proves each unit's plan rebuilds in a
     # fresh interpreter.
-    assert merge_ledgers(run_units(_UNITS, shards=2)) == serial
-    assert merge_ledgers(run_units(_UNITS, shards=3,
-                                   start_method="spawn")) == serial
+    assert PacketLedger.merge(run_units(_UNITS, shards=2)) == serial
+    assert PacketLedger.merge(run_units(_UNITS, shards=3,
+                                        start_method="spawn")) == serial
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -87,7 +87,7 @@ def test_fault_world_run_twice_determinism(workers):
 
 
 def test_merge_ledgers_sums_integer_sinks_exactly():
-    merged = merge_ledgers([
+    merged = PacketLedger.merge([
         PacketLedger(offered=10, forwarded=8, sinks={"a": 2}),
         PacketLedger(offered=5, forwarded=4, sinks={"a": 1, "b": 0}),
     ])

@@ -75,7 +75,6 @@ from repro.perfmatrix.matrix import QUICK_GRID, run_matrix
 from repro.sim import costs, faults, trace
 from repro.sim.cpu import CpuCategory, ExecContext
 from repro.sim.faults import FaultPlan, FaultRule
-from repro.tools.conservation import afxdp_packet_ledger
 from repro.traffic.trex import FlowSpec, TrexStream
 
 from tests.integration.test_experiments_smoke import TINY
@@ -275,8 +274,7 @@ def afxdp_counters(bench, plan):
     if plan is not None:
         out["faults"] = {"events": dict(plan.events),
                          "fired": dict(plan.fired)}
-    out["packet_ledger"] = dataclasses.asdict(afxdp_packet_ledger(
-        AFXDP_OFFERED, bench.nic_in, *drivers.values(), dpif))
+    out["packet_ledger"] = dataclasses.asdict(bench.ledger(AFXDP_OFFERED))
     return out
 
 

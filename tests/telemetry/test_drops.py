@@ -32,14 +32,12 @@ def test_sink_strings_are_unique_and_every_reason_has_a_stage():
         assert isinstance(reason.stage, DropStage)
 
 
-def test_kernel_reasons_carry_no_ledger_sink():
-    # The kernel worlds' conservation is nic-level; everything else must
-    # name the ledger leg it folds into.
+def test_every_other_reason_is_its_own_ledger_sink():
+    # No reason lacks a sink: beside the dp.* fold below, each reason
+    # (the kernel datapath's included) counts in its own.
     for reason in DropReason:
-        if reason.value.startswith("kernel."):
-            assert reason.ledger_sink is None
-        else:
-            assert reason.ledger_sink is not None
+        if not reason.value.startswith("dp."):
+            assert reason.ledger_sink == reason.value
 
 
 def test_fine_grained_dp_reasons_fold_into_the_coarse_sink():

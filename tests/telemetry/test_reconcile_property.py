@@ -18,6 +18,7 @@ from repro.sim import faults, trace
 from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.supervisor import Supervisor
 from repro.telemetry import IpfixConfig, SflowConfig, Telemetry
+from repro.telemetry.drops import DropReason, reason_for_sink
 from repro.traffic.trex import FlowSpec, TrexStream
 
 #: Longer than any virtual run here: one deterministic flush at the end.
@@ -98,6 +99,28 @@ def test_same_seed_yields_a_byte_identical_export_stream():
     stream = s1.collector.stream_bytes()
     assert stream == s2.collector.stream_bytes()
     assert stream  # non-vacuous: something survived to the collector
+
+
+def test_a_kernel_world_that_loses_upcalls_reconciles():
+    """The kernel datapath's lost upcalls are a ledger sink the taxonomy
+    names, so IPFIX at the kernel hook and the ledger agree on them."""
+    plan = FaultPlan(seed=3, rules=[
+        FaultRule("kernel.upcall_overload", rate=0.5)])
+    with faults.injecting(plan):
+        world = build_world("kernel", "P2P")
+        stream = TrexStream(FlowSpec(n_flows=200))
+        session = Telemetry(
+            ipfix=IpfixConfig(point="kernel", active_timeout_ns=_TIMEOUT_NS,
+                              idle_timeout_ns=_TIMEOUT_NS),
+            now_ns_fn=lambda: world.host.clock.now)
+        with telemetry.monitoring(session):
+            world.drive(stream, 400)
+            session.flush_all()
+        ledger = world.ledger(warmup_count(stream) + 400)
+    assert ledger.conserved(), ledger.render()
+    assert ledger.sinks == {DropReason.KERNEL_UPCALL_LOST.value: 2}
+    assert all(reason_for_sink(name) for name in ledger.sinks)
+    assert session.reconcile(ledger) == []
 
 
 _POINTS = (
