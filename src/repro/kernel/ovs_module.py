@@ -10,6 +10,7 @@ high load (§5.2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
@@ -156,6 +157,8 @@ class KernelDatapath:
         #: Upcalls the kernel could not deliver to userspace (socket
         #: buffer overrun, no handler) — dpctl/show's ``lost:`` column.
         self.n_lost = 0
+        #: Every other packet the module drops, by reason.
+        self.dropped: Counter = Counter()
         self.now_ns_fn: Callable[[], int] = lambda: 0
 
     # ------------------------------------------------------------------
@@ -212,14 +215,17 @@ class KernelDatapath:
     def flow_flush(self) -> None:
         self.flows.flush()
 
+    def _drop(self, reason: DropReason, octets: int) -> None:
+        self.dropped[reason] += 1
+        telemetry.drop_event(reason, octets=octets)
+
     # ------------------------------------------------------------------
     # The receive fast path.
     # ------------------------------------------------------------------
     def receive(self, port_no: int, pkt: Packet, ctx: ExecContext) -> None:
         port = self.ports.get(port_no)
         if port is None:
-            telemetry.drop_event(DropReason.KERNEL_RX_NO_PORT,
-                                 octets=len(pkt.data))
+            self._drop(DropReason.KERNEL_RX_NO_PORT, len(pkt.data))
             return
         port.stats_rx += 1
         pkt.meta.in_port = port_no
@@ -235,8 +241,7 @@ class KernelDatapath:
     def _lookup_and_execute(self, pkt: Packet, ctx: ExecContext, depth: int) -> None:
         costs = DEFAULT_COSTS
         if depth > MAX_RECIRC_DEPTH:
-            telemetry.drop_event(DropReason.KERNEL_RECIRC_LIMIT,
-                                 octets=len(pkt.data))
+            self._drop(DropReason.KERNEL_RECIRC_LIMIT, len(pkt.data))
             return  # loop mitigation, as the real module does
         ctx.charge(costs.flow_extract_ns, label="flow_extract")
         meta = pkt.meta
@@ -318,9 +323,8 @@ class KernelDatapath:
                 try:
                     ttype, vni, src, dst, inner = decapsulate(data)
                 except ValueError:
-                    telemetry.drop_event(
-                        DropReason.KERNEL_TUNNEL_DECAP_FAILED,
-                        octets=len(data))
+                    self._drop(DropReason.KERNEL_TUNNEL_DECAP_FAILED,
+                               len(data))
                     return  # not a tunnel packet after all: drop
                 out = Packet(inner)
                 out.meta.in_port = act.vport
@@ -368,8 +372,7 @@ class KernelDatapath:
     def _output(self, pkt: Packet, port_no: int, ctx: ExecContext) -> None:
         port = self.ports.get(port_no)
         if port is None or port.device is None:
-            telemetry.drop_event(DropReason.KERNEL_OUTPUT_NO_PORT,
-                                 octets=len(pkt.data))
+            self._drop(DropReason.KERNEL_OUTPUT_NO_PORT, len(pkt.data))
             return
         port.stats_tx += 1
         if port.kind == "internal":

@@ -42,6 +42,7 @@ from repro.ovs.ofactions import (
     SetFieldAction,
 )
 from repro.ovs.ofproto import Bridge
+from repro.ovs.oftable import Rule
 from repro.ovs.openflow import OpenFlowConnection
 from repro.nsx.topology import LogicalTopology
 from repro.sim.rng import make_rng
@@ -330,20 +331,38 @@ def install_ruleset(
     net_10 = ip_to_int("10.0.0.0")
     # Plain ints, so the GC can untrack each all-int match key.
     tcp, udp = int(IPProto.TCP), int(IPProto.UDP)
+    acl = Match.maker(metadata=-1, eth_type=-1, nw_proto=-1,
+                      nw_src=0xFFFFFF00, nw_dst=0xFFFFFF00, tp_dst=-1)
+    # Rule i goes to section i % n_switches; each section keeps its
+    # rules in draw order and is installed as one batch, which leaves
+    # every table as rule-at-a-time adds in draw order would.
+    sections = [[] for _ in range(n_switches)]
+    random, getrandbits = rng.random, rng.getrandbits
     for i in range(remaining):
         ls = i % n_switches
-        proto = tcp if rng.random() < 0.7 else udp
-        src_net = net_10 | rng.randrange(256) << 16 | rng.randrange(256) << 8
-        dst_net = net_10 | rng.randrange(256) << 16 | rng.randrange(256) << 8
-        port = rng.randrange(1024, 65535)
-        allow = rng.random() < 0.5
-        add(T_DFW_BASE + ls, 300,
-            Match(metadata=ls, eth_type=0x0800, nw_proto=proto,
-                  nw_src=(src_net, 0xFFFFFF00),
-                  nw_dst=(dst_net, 0xFFFFFF00),
-                  tp_dst=port),
-            allow_actions[ls] if allow else ())
-    return self_count
+        proto = tcp if random() < 0.7 else udp
+        # Four randrange(256) and one randrange(1024, 65535), written as
+        # CPython's own rejection loop over getrandbits (Random.
+        # _randbelow_with_getrandbits): the same draws, minus two Python
+        # frames each.
+        octets = []
+        while len(octets) < 4:
+            r = getrandbits(9)
+            if r < 256:
+                octets.append(r)
+        port = getrandbits(16)
+        while port >= 64511:
+            port = getrandbits(16)
+        sections[ls].append(Rule(
+            300,
+            acl(ls, 0x0800, proto,
+                net_10 | octets[0] << 16 | octets[1] << 8,
+                net_10 | octets[2] << 16 | octets[3] << 8,
+                1024 + port),
+            allow_actions[ls] if random() < 0.5 else ()))
+    for ls, rules in enumerate(sections):
+        of.add_flows(T_DFW_BASE + ls, rules)
+    return self_count + remaining
 
 
 def collect_stats(bridge: Bridge, topo: LogicalTopology) -> RulesetStats:
@@ -357,8 +376,8 @@ def collect_stats(bridge: Bridge, topo: LogicalTopology) -> RulesetStats:
             continue
         tables_used += 1
         n_rules += len(rules)
-        for rule in rules:
-            fields.update(rule.match.field_names())
+        for shape in {rule.match.shape for rule in rules}:
+            fields.update(shape.names)
     return RulesetStats(
         n_rules=n_rules,
         n_tables=tables_used,

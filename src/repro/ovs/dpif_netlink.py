@@ -36,9 +36,10 @@ class DpifNetlink:
 
     def sinks(self) -> Dict[DropReason, int]:
         """Misses that died on the way up (``dp.n_lost``) or in a failed
-        translation."""
+        translation, and every drop inside the module itself."""
         return {DropReason.KERNEL_UPCALL_LOST: self.dp.n_lost,
-                DropReason.KERNEL_UPCALL_FAILED: self.n_failed_upcalls}
+                DropReason.KERNEL_UPCALL_FAILED: self.n_failed_upcalls,
+                **self.dp.dropped}
 
     # -- ports ------------------------------------------------------------
     def add_port(self, device: NetDevice) -> int:

@@ -10,7 +10,8 @@ rules: 31".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from operator import and_, itemgetter
+from typing import Callable, Dict, Tuple
 
 from repro.net.flow import FlowKey, FlowMask, MaskSpec, N_FLOW_FIELDS
 
@@ -71,9 +72,10 @@ class _Shape(MaskSpec):
 #: The intern tables: pure caches, no behaviour depends on what they
 #: hold.  ``_SHAPES`` is keyed canonically, ``_SIGNATURES`` by the
 #: constraints as a call site wrote them (names in keyword order, raw
-#: masks, -1 for "exact").
+#: masks, -1 for "exact") and holds that signature's compiled
+#: constructor.
 _SHAPES: Dict[Tuple[Tuple[str, ...], FlowMask], _Shape] = {}
-_SIGNATURES: Dict[tuple, Tuple[_Shape, Tuple[int, ...], Tuple[int, ...]]] = {}
+_SIGNATURES: Dict[tuple, Callable[..., "Match"]] = {}
 
 
 def _intern(names: Tuple[str, ...], mask: FlowMask) -> _Shape:
@@ -83,8 +85,22 @@ def _intern(names: Tuple[str, ...], mask: FlowMask) -> _Shape:
     return shape
 
 
+def _maker(names: Tuple[str, ...], raw_masks: Tuple[int, ...]):
+    make = _SIGNATURES.get((names, raw_masks))
+    if make is None:
+        make = _SIGNATURES[names, raw_masks] = _compile(names, raw_masks)
+    return make
+
+
 def _compile(names: Tuple[str, ...], raw_masks: Tuple[int, ...]):
-    """``(shape, normalised masks as written, where the key's values sit)``."""
+    """The positional constructor of every match with this signature.
+
+    Validation is ``any(map(and_, values, inverted))`` and the key an
+    ``itemgetter`` over the non-zero-mask values in :class:`FlowKey`
+    order, both in C; only a refused call runs Python to name the field.
+    ``itemgetter`` returns a bare value for one index and has no
+    zero-index form, so those take a one-slice instead.
+    """
     masks = []
     dense = [0] * N_FLOW_FIELDS
     for name, mask in zip(names, raw_masks):
@@ -95,7 +111,33 @@ def _compile(names: Tuple[str, ...], raw_masks: Tuple[int, ...]):
         dense[_FIELD_INDEX[name]] = mask
     order = sorted(range(len(names)), key=lambda i: _FIELD_INDEX[names[i]])
     shape = _intern(tuple(names[i] for i in order), tuple(dense))
-    return shape, tuple(masks), tuple(i for i in order if masks[i])
+    order = [i for i in order if masks[i]]
+    project = (itemgetter(*order) if len(order) > 1 else
+               itemgetter(slice(order[0], order[0] + 1)) if order else
+               itemgetter(slice(0, 0)))
+    inverted = tuple(~mask for mask in masks)
+    n_fields = len(names)
+    new = object.__new__
+
+    def reject(values: tuple) -> None:
+        if len(values) != n_fields:
+            raise TypeError(
+                f"{names}: expected {n_fields} values, got {len(values)}")
+        for name, value, mask in zip(names, values, masks):
+            if value & ~mask:
+                raise ValueError(
+                    f"{name}: value {value:#x} has bits outside mask {mask:#x}"
+                )
+
+    def make(*values: int) -> Match:
+        if len(values) != n_fields or any(map(and_, values, inverted)):
+            reject(values)
+        match = new(Match)
+        match.shape = shape
+        match.key = project(values)
+        return match
+
+    return make
 
 
 class Match:
@@ -104,12 +146,14 @@ class Match:
     Stored sparsely: an interned :class:`_Shape` plus ``key``, the values
     of the shape's non-zero-mask fields in :class:`FlowKey` order —
     exactly what a packet key projects to when it matches, so ``key`` is
-    the classifier's bucket key as is.
+    the classifier's bucket key as is.  Every match is built by its
+    signature's compiled constructor (:meth:`maker`), so there is one
+    validation rule and one key layout.
     """
 
     __slots__ = ("shape", "key")
 
-    def __init__(self, **constraints: "int | Tuple[int, int]") -> None:
+    def __new__(cls, **constraints: "int | Tuple[int, int]") -> "Match":
         values, raw_masks = [], []
         for spec in constraints.values():
             if isinstance(spec, tuple):
@@ -118,17 +162,18 @@ class Match:
             else:
                 values.append(spec)
                 raw_masks.append(-1)
-        signature = (tuple(constraints), tuple(raw_masks))
-        compiled = _SIGNATURES.get(signature)
-        if compiled is None:
-            compiled = _SIGNATURES[signature] = _compile(*signature)
-        self.shape, masks, order = compiled
-        for name, value, mask in zip(constraints, values, masks):
-            if value & ~mask:
-                raise ValueError(
-                    f"{name}: value {value:#x} has bits outside mask {mask:#x}"
-                )
-        self.key: Tuple[int, ...] = tuple([values[i] for i in order])
+        return _maker(tuple(constraints), tuple(raw_masks))(*values)
+
+    @staticmethod
+    def maker(**masks: int) -> Callable[..., "Match"]:
+        """A positional constructor for many matches of one signature.
+
+        ``Match.maker(nw_proto=-1, nw_dst=0xFFFFFF00)(6, net)`` equals
+        ``Match(nw_proto=6, nw_dst=(net, 0xFFFFFF00))`` — same interned
+        shape, key and errors — without the keyword parse per match;
+        -1 means "exact", as a bare value does in ``Match(...)``.
+        """
+        return _maker(tuple(masks), tuple(masks.values()))
 
     @property
     def mask(self) -> FlowMask:
@@ -150,9 +195,6 @@ class Match:
             bits = mask[_FIELD_INDEX[name]]
             out[name] = (next(values) if bits else 0, bits)
         return out
-
-    def field_names(self) -> Iterable[str]:
-        return self.shape.names
 
     def matches(self, key: FlowKey) -> bool:
         return self.shape.project(key) == self.key

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.netlink import NetlinkMonitor
 from repro.net.flow import FlowKey, FlowMask, mask_from_fields
@@ -139,15 +139,24 @@ class Bridge:
         return self.tables[table_id]
 
     def add_flow(self, table_id: int, rule: Rule) -> None:
-        self._validate_rule(rule)
-        self.table(table_id).add_rule(rule)
+        self.add_flows(table_id, (rule,))
+
+    def add_flows(self, table_id: int, rules: Sequence[Rule]) -> None:
+        """Install ``rules`` into one table, all or none: every action
+        list is checked before the first insert.  Action tuples are
+        immutable, so one check covers every rule sharing the tuple."""
+        checked = set()
+        for rule in rules:
+            if id(rule.actions) not in checked:
+                self._validate_actions(rule.actions)
+                checked.add(id(rule.actions))
+        self.table(table_id).add_rules(rules)
 
     def n_flows(self) -> int:
         return sum(len(t) for t in self.tables.values())
 
     @staticmethod
-    def _validate_rule(rule: Rule) -> None:
-        acts = rule.actions
+    def _validate_actions(acts: Tuple[ofp.OfAction, ...]) -> None:
         for i, act in enumerate(acts):
             if isinstance(act, ofp.CtAction) and act.table is not None:
                 if i != len(acts) - 1:
@@ -319,7 +328,7 @@ class Ofproto:
             # frequent (the NSX pipeline's) first.
             kind = type(act)
             if kind is ofp.SetFieldAction:
-                # A known field: Bridge._validate_rule checked at install.
+                # A known field: Bridge._validate_actions checked at install.
                 index = _FIELD_INDEX[act.field]
                 # Registers/metadata are translation-local: update the
                 # working key, emit nothing to the datapath.

@@ -11,7 +11,7 @@ makes the 1000-random-flow upcall storm of §5.2 expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.flow import FlowKey, FlowMask, MaskSpec
 from repro.ovs.match import Match
@@ -97,7 +97,7 @@ class FlowTable:
         self.table_id = table_id
         self._subtables: Dict[FlowMask, _Subtable] = {}
         #: The probe order: ``_subtables`` stably sorted by descending
-        #: ``max_priority``.  Only ``add_rule`` and ``remove_rule`` change
+        #: ``max_priority``.  Only ``add_rules`` and ``remove_rule`` change
         #: a ``max_priority`` or the set of subtables; each drops the
         #: order and the next lookup sorts again, so an install of many
         #: rules sorts once.
@@ -113,13 +113,30 @@ class FlowTable:
         return len(self._subtables)
 
     def add_rule(self, rule: Rule) -> Optional[Rule]:
-        rule.table_id = self.table_id
+        """Insert one rule; returns the rule it replaced, if any."""
+        replaced = self.add_rules((rule,))
+        return replaced[0] if replaced else None
+
+    def add_rules(self, rules: Iterable[Rule]) -> List[Rule]:
+        """Insert ``rules`` in order, as that many ``add_rule`` calls
+        would; returns the rules they replaced.  The probe order is
+        dropped once per batch, not once per rule."""
         self._ordered = None
-        shape = rule.match.shape
-        subtable = self._subtables.get(shape.mask)
-        if subtable is None:
-            subtable = self._subtables[shape.mask] = _Subtable(shape)
-        return subtable.insert(rule)
+        subtables = self._subtables
+        table_id = self.table_id
+        replaced = []
+        shape = subtable = None
+        for rule in rules:
+            rule.table_id = table_id
+            if rule.match.shape is not shape:
+                shape = rule.match.shape
+                subtable = subtables.get(shape.mask)
+                if subtable is None:
+                    subtable = subtables[shape.mask] = _Subtable(shape)
+            old = subtable.insert(rule)
+            if old is not None:
+                replaced.append(old)
+        return replaced
 
     def remove_rule(self, rule: Rule) -> bool:
         subtable = self._subtables.get(rule.match.mask)

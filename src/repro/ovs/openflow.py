@@ -52,10 +52,15 @@ class OpenFlowConnection:
         actions: Sequence[OfAction],
         cookie: int = 0,
     ) -> None:
-        self.n_flow_mods += 1
-        self.bridge.add_flow(
-            table_id, Rule(priority, match, tuple(actions), cookie)
+        self.add_flows(
+            table_id, (Rule(priority, match, tuple(actions), cookie),)
         )
+
+    def add_flows(self, table_id: int, rules: Sequence[Rule]) -> None:
+        """One flow_mod per rule, installed as one batch (an OpenFlow
+        bundle): see :meth:`Bridge.add_flows`."""
+        self.n_flow_mods += len(rules)
+        self.bridge.add_flows(table_id, rules)
 
     def delete_flows(self, table_id: Optional[int] = None,
                      cookie: Optional[int] = None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 SCHEMA: Dict[str, Dict[str, type]] = {
     "Open_vSwitch": {"bridges": list},
@@ -82,7 +82,11 @@ class Transaction:
                 real = mapping.get(uuid, uuid)
                 self.db._staged_row(staged, real)
                 staged[real] = None
-        rows = self.db._rows
+        rows, names = self.db._rows, self.db._names
+        for uuid in staged:
+            old = rows.get(uuid)
+            if old is not None and "name" in SCHEMA[old.table]:
+                names.pop((old.table, old.columns.get("name")), None)
         for uuid, row in staged.items():
             if row is None:
                 rows.pop(uuid, None)
@@ -94,6 +98,8 @@ class Transaction:
                 elif isinstance(value, str) and value in mapping:
                     row.columns[col] = mapping[value]
             rows[uuid] = row
+            if "name" in SCHEMA[row.table]:
+                names[row.table, row.columns.get("name")] = uuid
         self.committed = True
         self.db._notify()
         return mapping
@@ -104,6 +110,10 @@ class OvsdbServer:
         self._rows: Dict[str, Row] = {}
         self._uuid_counter = itertools.count(1)
         self._watchers: List[Callable[[], None]] = []
+        #: ``(table, name) -> uuid`` over the committed rows of every
+        #: table with a ``name`` column, where names are unique: an
+        #: insert or a rename checks one key, not every row.
+        self._names: Dict[Tuple[str, object], str] = {}
         # The singleton root row.
         root = Row("ovs0", "Open_vSwitch", dict(_DEFAULTS["Open_vSwitch"]))
         root.columns["bridges"] = []
@@ -168,11 +178,7 @@ class OvsdbServer:
                     f"got {type(value).__name__}"
                 )
         if "name" in schema:
-            name = merged.get("name")
-            live = (r for u, r in self._rows.items() if u not in staged)
-            for row in itertools.chain(live, filter(None, staged.values())):
-                if row.table == table and row.columns.get("name") == name:
-                    raise OvsdbError(f"{table} {name!r} already exists")
+            self._check_name_free(staged, table, merged.get("name"))
         uuid = f"uuid{next(self._uuid_counter)}"
         staged[uuid] = Row(uuid, table, merged)
         return uuid
@@ -186,4 +192,18 @@ class OvsdbServer:
                 raise OvsdbError(f"{row.table} has no column {col!r}")
             if not isinstance(value, schema[col]):
                 raise OvsdbError(f"{row.table}.{col}: bad type")
+            if col == "name" and value != row.columns.get("name"):
+                self._check_name_free(staged, row.table, value, uuid)
             row.columns[col] = value
+
+    def _check_name_free(self, staged: Dict[str, Optional[Row]], table: str,
+                         name: object, uuid: Optional[str] = None) -> None:
+        """Refuse ``name`` if a committed row this transaction leaves
+        alone, or another row it writes, already holds it."""
+        owner = self._names.get((table, name))
+        if owner is not None and owner not in staged:
+            raise OvsdbError(f"{table} {name!r} already exists")
+        for other, row in staged.items():
+            if (row is not None and other != uuid and row.table == table
+                    and row.columns.get("name") == name):
+                raise OvsdbError(f"{table} {name!r} already exists")

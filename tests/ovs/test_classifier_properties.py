@@ -300,7 +300,7 @@ def test_match_api_is_the_dense_contract(data):
 
     assert (m.mask, m.masked_value) == (mask, value)
     assert m.fields() == constraints
-    assert set(m.field_names()) == set(constraints)
+    assert set(m.shape.names) == set(constraints)
     assert m.is_catchall() == (not constraints)
     # Stored sparsely: one value per field that constrains something.
     assert len(m.key) == sum(1 for _v, bits in constraints.values() if bits)
@@ -324,6 +324,112 @@ def test_match_api_is_the_dense_contract(data):
 
     other = data.draw(_constraints())
     assert (m == Match(**other)) == (constraints == other)
+
+
+def _positional(kwargs):
+    """``kwargs`` as ``Match.maker`` takes them: the masks by keyword
+    (-1 where a bare value meant "exact"), then the values in order."""
+    masks = {n: spec[1] if isinstance(spec, tuple) else -1
+             for n, spec in kwargs.items()}
+    values = [spec[0] if isinstance(spec, tuple) else spec
+              for spec in kwargs.values()]
+    return masks, values
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_compiled_signature_builds_the_match_keywords_build(data):
+    """``Match.maker(**masks)(*values)`` is ``Match(**kwargs)``: the same
+    interned shape, key, hash and repr - and, for a value with bits
+    outside its mask, the same ``ValueError``."""
+    constraints = data.draw(_constraints())
+    kwargs = data.draw(_as_written(constraints))
+    masks, values = _positional(kwargs)
+    made, built = Match.maker(**masks)(*values), Match(**kwargs)
+    assert made.shape is built.shape
+    assert (made.key, hash(made), repr(made)) == \
+        (built.key, hash(built), repr(built))
+    assert made == built and made.fields() == constraints
+
+    narrow = [n for n, (_v, m) in constraints.items() if m != _full(n)]
+    if narrow:
+        name = data.draw(st.sampled_from(narrow))
+        value, mask = constraints[name]
+        outside = _full(name) & ~mask
+        kwargs[name] = (value | (outside & -outside), mask)
+        masks, values = _positional(kwargs)
+        with pytest.raises(ValueError) as by_keyword:
+            Match(**kwargs)
+        with pytest.raises(ValueError) as by_position:
+            Match.maker(**masks)(*values)
+        assert str(by_position.value) == str(by_keyword.value)
+    with pytest.raises(TypeError):
+        Match.maker(**masks)(*values, 0)
+
+
+@st.composite
+def _batches(draw):
+    """Batches of rules over a small pool of constraints, so later rules
+    replace earlier ones (in one batch or across batches), plus the keys
+    probed after each batch."""
+    pool = draw(st.lists(_constraints(), min_size=1, max_size=5))
+    batches = []
+    for b in range(draw(st.integers(1, 4))):
+        rules = []
+        for i in range(draw(st.integers(0, 8))):
+            constraints = draw(st.sampled_from(pool))
+            rules.append((draw(st.integers(1, 3)), constraints,
+                          draw(_as_written(constraints)), f"b{b}r{i}"))
+        keys = [FlowKey(**{name: draw(st.sampled_from(_VALUES)) & _full(name)
+                           for name in _MASKS})
+                for _ in range(draw(st.integers(0, 3)))]
+        batches.append((rules, keys))
+    return batches
+
+
+@given(_batches())
+@settings(max_examples=80, deadline=None)
+def test_a_batch_insert_is_its_rules_added_one_at_a_time(batches):
+    """``add_rules(rs)`` leaves a table as ``add_rule`` over ``rs`` does:
+    the same ``rules()``, the same replaced rules, and after every batch
+    the dense oracle's winner and *sequence* of probed masks."""
+    singly, batched, oracle = FlowTable(), FlowTable(), _DenseOracle()
+    for specs, keys in batches:
+        rules = [Rule(priority, Match(**kwargs), (OutputAction(tag),))
+                 for priority, _constraints, kwargs, tag in specs]
+        one_by_one = [singly.add_rule(rule) for rule in rules]
+        assert batched.add_rules(rules) == [r for r in one_by_one if r]
+        for priority, constraints, _kwargs, tag in specs:
+            oracle.add(priority, constraints, tag)
+        assert [id(r) for r in batched.rules()] == \
+            [id(r) for r in singly.rules()]
+        assert [s.mask for s in batched._subtables.values()] == \
+            list(oracle.subtables)
+        for key in keys:
+            expected, expected_probed = oracle.lookup(key)
+            for table in (singly, batched):
+                probed = []
+                got = table.lookup(key, probed_masks=probed)
+                assert probed == expected_probed
+                assert (got and (got.priority, got.actions[0].port)) == \
+                    (expected and (expected[0], expected[3]))
+
+
+def test_a_bridge_batch_is_checked_before_any_insert(monkeypatch):
+    """One bad action list refuses the whole batch; a shared action
+    tuple is checked once and covers every rule that holds it."""
+    bridge = Bridge("br0")
+    of = OpenFlowConnection(bridge)
+    shared = (OutputAction("p1"),)
+    good = [Rule(5, Match(nw_proto=p), shared) for p in (6, 17)]
+    bad = Rule(5, Match(nw_proto=1), (SetFieldAction("frob", 1),))
+    with pytest.raises(ValueError, match="frob"):
+        of.add_flows(0, good + [bad])
+    assert bridge.n_flows() == 0
+    checked = []
+    monkeypatch.setattr(Bridge, "_validate_actions", checked.append)
+    of.add_flows(0, good)
+    assert bridge.n_flows() == 2 and checked == [shared]
 
 
 def test_match_still_rejects_bad_input_once_its_shape_is_interned():

@@ -45,6 +45,60 @@ class TestOvsdb:
         with pytest.raises(OvsdbError, match="already exists"):
             t2.commit()
 
+    def test_duplicate_name_in_one_transaction_rejected(self):
+        db = OvsdbServer()
+        txn = db.transact()
+        txn.insert("Port", name="p0")
+        txn.insert("Port", name="p0")
+        with pytest.raises(OvsdbError, match="already exists"):
+            txn.commit()
+        assert db.find("Port") == []
+
+    def test_rename_frees_the_old_name_and_takes_the_new(self):
+        db = OvsdbServer()
+        txn = db.transact()
+        p0 = txn.insert("Port", name="p0")
+        p0 = txn.commit()[p0]
+        txn = db.transact()
+        txn.update(p0, name="p1")
+        txn.commit()
+        txn = db.transact()
+        again = txn.insert("Port", name="p0")
+        again = txn.commit()[again]
+        assert [r.uuid for r in db.find("Port", name="p0")] == [again]
+        txn = db.transact()
+        txn.insert("Port", name="p1")
+        with pytest.raises(OvsdbError, match="already exists"):
+            txn.commit()
+        txn = db.transact()
+        txn.update(again, name="p1")  # a rename may not take a held name
+        with pytest.raises(OvsdbError, match="already exists"):
+            txn.commit()
+        assert db.get(again)["name"] == "p0"
+
+    def test_insert_never_scans_committed_rows(self):
+        """The duplicate-name check reads one index key: an insert into a
+        database of 300 ports touches none of their rows."""
+        db = OvsdbServer()
+        for i in range(300):
+            txn = db.transact()
+            txn.insert("Port", name=f"p{i}")
+            txn.commit()
+
+        class Unscannable(dict):
+            def _scan(self, *args):
+                raise AssertionError("scanned every committed row")
+            __iter__ = items = values = keys = _scan
+
+        db._rows = Unscannable(db._rows)
+        txn = db.transact()
+        txn.insert("Port", name="p300")
+        txn.commit()
+        txn = db.transact()
+        txn.insert("Port", name="p7")
+        with pytest.raises(OvsdbError, match="already exists"):
+            txn.commit()
+
     def test_type_validation(self):
         db = OvsdbServer()
         txn = db.transact()

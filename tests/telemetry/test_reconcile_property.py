@@ -123,6 +123,27 @@ def test_a_kernel_world_that_loses_upcalls_reconciles():
     assert session.reconcile(ledger) == []
 
 
+def test_a_kernel_world_that_loses_its_output_port_reconciles():
+    """Frames the kernel module drops itself (here: output to a port
+    deleted under live megaflows) are counted where they die, so the
+    ledger conserves and agrees with IPFIX at the kernel hook."""
+    world = build_world("kernel", "P2P")
+    stream = TrexStream(FlowSpec(n_flows=8))
+    session = Telemetry(
+        ipfix=IpfixConfig(point="kernel", active_timeout_ns=_TIMEOUT_NS,
+                          idle_timeout_ns=_TIMEOUT_NS),
+        now_ns_fn=lambda: world.host.clock.now)
+    with telemetry.monitoring(session):
+        world.drive(stream, 64)
+        world.vs.dpif_netlink.del_port("ens2")
+        world.drive(stream, 64)
+        session.flush_all()
+    ledger = world.ledger(2 * (warmup_count(stream) + 64))
+    assert ledger.conserved(), ledger.render()
+    assert ledger.sinks == {DropReason.KERNEL_OUTPUT_NO_PORT.value: 128}
+    assert session.reconcile(ledger) == []
+
+
 _POINTS = (
     "afxdp.tx_kick_eagain",
     "afxdp.fill_ring_overrun",
