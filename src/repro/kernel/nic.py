@@ -136,7 +136,10 @@ class PhysicalNic(NetDevice):
     # ------------------------------------------------------------------
     # Hardware receive: steer + DMA into the queue ring.
     # ------------------------------------------------------------------
-    def select_queue(self, pkt: Packet) -> int:
+    def select_queue(self, pkt: Packet,
+                     rxhash: Optional[int] = None) -> int:
+        """The first matching n-tuple rule's queue, else RSS over the
+        frame's hash (``rxhash``, when the caller has already read it)."""
         if self.ntuple_rules:
             key = extract_flow(pkt.data)
             for rule in self.ntuple_rules:
@@ -144,7 +147,9 @@ class PhysicalNic(NetDevice):
                     return rule.queue
         if self.n_queues == 1:
             return 0
-        return rxhash_of(pkt.data) % self.n_queues
+        if rxhash is None:
+            rxhash = rxhash_of(pkt.data)
+        return rxhash % self.n_queues
 
     def host_receive(self, pkt: Packet) -> bool:
         """A frame arrives from the wire; DMA it into a queue ring.
@@ -156,7 +161,11 @@ class PhysicalNic(NetDevice):
         if not self.up:
             self.stats.rx_dropped += 1
             return False
-        queue = self.select_queue(pkt)
+        features = self.features
+        # One hash per frame: RSS steering and the rx-hash offload read
+        # the same value.
+        rxhash = rxhash_of(pkt.data) if features.rx_hash else None
+        queue = self.select_queue(pkt, rxhash)
         ring = self.rx_rings[queue]
         if len(ring) >= self.ring_size:
             self.rx_missed += 1
@@ -165,10 +174,9 @@ class PhysicalNic(NetDevice):
             return False
         pkt = pkt.clone()
         meta = pkt.meta
-        features = self.features
         meta.in_port = self.ifindex
-        if features.rx_hash:
-            meta.rxhash = rxhash_of(pkt.data)
+        if rxhash is not None:
+            meta.rxhash = rxhash
         if features.rx_checksum:
             meta.csum_verified = True
         ring.append(pkt)

@@ -6,6 +6,13 @@ for misses, and an action executor with access to kernel facilities —
 conntrack, tunnels, and devices.  It runs in softirq context on whatever
 CPU received the packet, which with RSS means "almost 8 CPU cores" at
 high load (§5.2).
+
+Like the userspace datapath, the module replays lookups it has already
+made: a token of everything ``extract_flow`` reads keys a cell of the
+FlowKey, the flow table's version and the actions and probe count of a
+lookup that hit.  A replay issues exactly the charges and counters of
+that lookup, so it is a wall-clock shortcut only.  The cells follow
+the XDP verdict memo's bypass policy and the EMC flow cache's cap.
 """
 
 from __future__ import annotations
@@ -15,12 +22,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.ebpf.xdp import XdpContext
 from repro.kernel.netdev import NetDevice
 from repro.net.addresses import MacAddress
 from repro.net.flow import FlowKey, FlowMask, MaskSpec, extract_flow
 from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
+from repro.ovs.emc import FLOW_CACHE_MAX
 from repro.ovs.packet_ops import do_pop_vlan, do_push_vlan, set_field
 from repro import telemetry
 from repro.sim import faults, trace
@@ -29,6 +38,19 @@ from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
 
 MAX_RECIRC_DEPTH = 8
+
+#: The replay cells' bypass policy is the XDP verdict memo's: after
+#: MEMO_MISS_LIMIT consecutive misses they stand aside for a window that
+#: doubles while probes stay fruitless (up to MEMO_BYPASS_MAX) and
+#: resets on the first replay.  While it stands aside no token is built.
+#: A bypass entered at the full window also clears the cells: every
+#: probe over some 10,000 frames has missed, so what they hold is dead
+#: weight.  Below the full window the cells one probe stored stay for
+#: the next lap, which is how traffic that cycles more flows than one
+#: probe sees (1,000 against 256) comes to replay every packet.
+MEMO_MISS_LIMIT = XdpContext.MEMO_MISS_LIMIT
+MEMO_BYPASS_WINDOW = XdpContext.MEMO_BYPASS_WINDOW
+MEMO_BYPASS_MAX = XdpContext.MEMO_BYPASS_MAX
 
 
 @dataclass
@@ -89,6 +111,9 @@ class KernelFlowTable:
         #: Subtables probed over all lookups, misses included: the
         #: ``masks: hit:`` figure of ``ovs-dpctl show``.
         self.n_mask_hit = 0
+        #: Moves on every insert, remove and flush and on nothing else:
+        #: a lookup's outcome can change only when it moves.
+        self.version = 0
 
     def __len__(self) -> int:
         return sum(len(table) for _spec, table in self._tables.values())
@@ -106,6 +131,7 @@ class KernelFlowTable:
             entry = self._tables[mask] = (MaskSpec(mask), {})
         spec, table = entry
         table[spec.project(key)] = tuple(actions)
+        self.version += 1
 
     def remove(self, key: FlowKey, mask: FlowMask) -> None:
         entry = self._tables.get(mask)
@@ -115,9 +141,11 @@ class KernelFlowTable:
         del table[spec.project(key)]
         if not table:
             del self._tables[mask]
+        self.version += 1
 
     def flush(self) -> None:
         self._tables.clear()
+        self.version += 1
 
     def lookup(
         self, key: FlowKey, ctx: ExecContext
@@ -160,6 +188,14 @@ class KernelDatapath:
         #: Every other packet the module drops, by reason.
         self.dropped: Counter = Counter()
         self.now_ns_fn: Callable[[], int] = lambda: 0
+        #: Replay cells: token -> (FlowKey, flows.version, actions,
+        #: probed), stored only by lookups that hit.
+        self._cells: Dict[Tuple, Tuple] = {}
+        self._cell_misses = 0
+        self._cell_bypass = 0
+        self._cell_window = MEMO_BYPASS_WINDOW
+        #: Lookups replayed from a cell.
+        self.n_replays = 0
 
     # ------------------------------------------------------------------
     # Port management.
@@ -244,17 +280,59 @@ class KernelDatapath:
             self._drop(DropReason.KERNEL_RECIRC_LIMIT, len(pkt.data))
             return  # loop mitigation, as the real module does
         ctx.charge(costs.flow_extract_ns, label="flow_extract")
+        data = pkt.data
         meta = pkt.meta
         tunnel = meta.tunnel
-        key = extract_flow(
-            pkt.data, meta.in_port, meta.recirc_id, meta.ct_state,
+        flows = self.flows
+        token = cell = None
+        if self._cell_bypass:
+            self._cell_bypass -= 1
+        else:
+            # Everything extract_flow reads, so equal tokens imply equal
+            # FlowKeys.
+            token = (data, meta.in_port, meta.recirc_id, meta.ct_state,
+                     meta.ct_zone, meta.ct_mark,
+                     tunnel.vni, tunnel.remote_ip, tunnel.local_ip)
+            cell = self._cells.get(token)
+            if cell is not None and cell[1] == flows.version:
+                # The table has not moved since this lookup hit: issue
+                # its charge and counters without the walk.
+                self._cell_misses = 0
+                self._cell_window = MEMO_BYPASS_WINDOW
+                self.n_replays += 1
+                probed = cell[3]
+                ctx.charge(probed * costs.megaflow_subtable_ns,
+                           label="megaflow")
+                flows.n_hit += 1
+                flows.n_mask_hit += probed
+                self.execute_actions(pkt, cell[2], ctx, depth)
+                return
+            self._cell_misses += 1
+            if self._cell_misses >= MEMO_MISS_LIMIT:
+                self._cell_misses = 0
+                if self._cell_window == MEMO_BYPASS_MAX:
+                    self._cells.clear()
+                self._cell_bypass = self._cell_window
+                self._cell_window = min(self._cell_window * 2,
+                                        MEMO_BYPASS_MAX)
+                token = None
+        # A stale cell's key is still the frame's: only the outcome moved.
+        key = cell[0] if cell is not None else extract_flow(
+            data, meta.in_port, meta.recirc_id, meta.ct_state,
             meta.ct_zone, meta.ct_mark, tunnel.vni, tunnel.remote_ip,
             tunnel.local_ip,
         )
-        actions = self.flows.lookup(key, ctx)
+        mask_hits = flows.n_mask_hit
+        actions = flows.lookup(key, ctx)
         if actions is None:
             self._upcall(pkt, key, ctx)
             return
+        if token is not None:
+            cells = self._cells
+            if len(cells) >= FLOW_CACHE_MAX:
+                cells.clear()
+            cells[token] = (key, flows.version, actions,
+                            flows.n_mask_hit - mask_hits)
         self.execute_actions(pkt, actions, ctx, depth)
 
     def _upcall(self, pkt: Packet, key: FlowKey, ctx: ExecContext) -> None:
@@ -295,7 +373,8 @@ class KernelDatapath:
         for act in actions:
             ctx.charge(costs.action_ns, label="odp_action")
             if isinstance(act, odp.Output):
-                self._output(pkt.with_data(data), act.port_no, ctx)
+                out = pkt if data is pkt.data else pkt.with_data(data)
+                self._output(out, act.port_no, ctx)
             elif isinstance(act, odp.SetField):
                 data = set_field(data, act.field, act.value)
             elif isinstance(act, odp.PushVlan):

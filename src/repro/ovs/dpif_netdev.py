@@ -51,7 +51,7 @@ from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
 from repro.ovs.ct_userspace import UserspaceConntrack
-from repro.ovs.emc import ExactMatchCache
+from repro.ovs.emc import FLOW_CACHE_MAX, ExactMatchCache
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.meter import MeterTable
 from repro.ovs.ofproto import TranslationError
@@ -73,10 +73,6 @@ FLOW_LIMIT_STEP = 1000
 #: Read by nothing under ``src/``: ``bench/spec.py``'s host fingerprint
 #: is its only reader, and goes when the bench is re-based (ROADMAP 1).
 BATCH_CLASSIFY = True
-
-#: Cap on the per-EMC cross-burst flow cache (token -> classification);
-#: cleared wholesale when full, like a generation flip.
-FLOW_CACHE_MAX = 16384
 
 
 class PortAdapter(Protocol):

@@ -44,6 +44,11 @@ from repro.sim import trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
 
+#: Cap on a token-keyed replay cache (the EMC's cross-burst flow cache,
+#: the kernel datapath's cells); cleared wholesale when full, like a
+#: generation flip.
+FLOW_CACHE_MAX = 16384
+
 
 class ExactMatchCache:
     def __init__(self, n_entries: int = 8192) -> None:

@@ -30,9 +30,6 @@ class Rule:
     n_packets: int = 0
     n_bytes: int = 0
 
-    def __post_init__(self) -> None:
-        self.actions = tuple(self.actions)
-
 
 class _Subtable:
     __slots__ = ("mask", "spec", "rules", "n_at_priority", "max_priority")

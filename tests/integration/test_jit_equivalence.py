@@ -10,7 +10,8 @@ one helper, :func:`diff`:
 
 * ``reference-vm`` — every eBPF run on the step-by-step reference VM
   (``tests/reference/ebpf_vm.py``);
-* ``reference-mode`` — every wall-clock memo bypassed
+* ``reference-mode`` — every wall-clock memo bypassed: the XDP verdict
+  memo, the kernel datapath's replay cells and the rxhash memo
   (``tests/reference/memos.py``);
 * ``inert-telemetry`` — a ``Telemetry()`` session installed with its
   sampler and exporter off;
@@ -38,6 +39,7 @@ processes must equal the serial run's.
 
 import contextlib
 import functools
+from unittest import mock
 
 import pytest
 
@@ -47,6 +49,7 @@ from repro.experiments.fig2_single_flow import run_fig2
 from repro.experiments.fig9_forwarding import run_fig9
 from repro.experiments.table2_optimizations import run_table2
 from repro.experiments.table5_xdp_cost import run_table5
+from repro.kernel.ovs_module import KernelDatapath
 from repro.net import flow
 from repro.perfmatrix.matrix import MatrixGrid, run_matrix
 from repro.sim import faults, profile, trace
@@ -215,18 +218,29 @@ def test_jit_actually_ran_the_experiments():
 
 def test_reference_mode_bypasses_both_memos():
     """Under reference mode the XDP verdict memo replays nothing (more
-    frames run compiled) and no rxhash is read from its memo."""
+    frames run compiled), no rxhash is read from its memo and no kernel
+    datapath replays a lookup from its cells."""
     def memo_use(*contexts):
         jit.reset_stats()
         flow._RXHASH_MEMO.clear()
-        record("fig9", *contexts, profiled=False)
-        return (sum(st.jit_runs for st in jit.stats().values()),
-                len(flow._RXHASH_MEMO))
+        datapaths = []
+        create = KernelDatapath.__init__
 
-    compiled, hashed = memo_use()
-    compiled_ref, hashed_ref = memo_use(reference_mode())
+        def collect(self, name, namespace):
+            create(self, name, namespace)
+            datapaths.append(self)
+
+        with mock.patch.object(KernelDatapath, "__init__", collect):
+            record("fig9", *contexts, profiled=False)
+        return (sum(st.jit_runs for st in jit.stats().values()),
+                len(flow._RXHASH_MEMO),
+                sum(dp.n_replays for dp in datapaths))
+
+    compiled, hashed, replayed = memo_use()
+    compiled_ref, hashed_ref, replayed_ref = memo_use(reference_mode())
     assert hashed > 0 and hashed_ref == 0
     assert compiled_ref > compiled
+    assert replayed > 0 and replayed_ref == 0
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

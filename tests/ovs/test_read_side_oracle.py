@@ -331,7 +331,7 @@ def _run(cls, ops):
             if kind == "add":
                 table, priority, match, actions = spec
                 bridge.add_flow(table, Rule(priority, Match(**match),
-                                            actions))
+                                            tuple(actions)))
             elif kind == "delete":
                 table, priority, match, _actions = spec
                 t = bridge.table(table)
