@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.ebpf import jit as _jit
 from repro.ebpf.program import Program
@@ -26,6 +26,7 @@ from repro.sim import costs as _costs
 from repro.sim import faults as _faults
 from repro.sim import trace as _trace
 from repro.sim.cpu import ExecContext
+from repro.sim.replay import ReplayCells
 from repro.telemetry.drops import DropReason
 
 _map_version = attrgetter("version")
@@ -75,31 +76,16 @@ class XdpContext:
     """A program attached at a driver hook, ready to run per packet.
 
     Running the program is by far the slowest part of the simulated
-    driver, so identical runs are memoized: a run over the same frame and
-    context metadata, with every program map at the same version and the
-    same cost table, must produce the same verdict and the same charges.
-    A replay re-issues exactly the charge sequence a live run would have
-    made (setup, first-touch, aggregate insn+helper cost) and the same
-    trace counters — observables stay byte-identical.  Runs that fault,
-    return unknown verdicts, or mutate a map are never memoized; the
-    prandom helper is deterministic per run (the VM seeds a fresh RNG
-    from the program name), so it needs no special casing.
+    driver, so runs are replay cells (:mod:`repro.sim.replay`): a run
+    over the same frame and context metadata, with every program map at
+    the same version, the same cost table and the same program token,
+    replays its verdict and re-issues exactly the charge sequence a live
+    run would make (setup, first-touch, aggregate insn+helper cost) and
+    the same trace counters.  Runs that fault, return unknown verdicts,
+    or mutate a map are never stored; the prandom helper is
+    deterministic per run (the VM seeds a fresh RNG from the program
+    name), so it needs no special casing.
     """
-
-    #: Memo entries kept per attached program before a full clear.
-    MEMO_MAX = 8192
-    #: After this many consecutive misses the memo stands aside for a
-    #: bypass window before probing again: on all-distinct traffic
-    #: (every frame its own flow) the key build, lookup, and store are
-    #: pure overhead on top of compiled execution.  The window doubles
-    #: while probes stay fruitless (up to MEMO_BYPASS_MAX) and resets on
-    #: the first hit, so cyclic traffic keeps full replay service while
-    #: diverse traffic converges to near-zero memo overhead.  Replays
-    #: and executions are observably identical, so the policy can never
-    #: change a ledger byte — only wall-clock time.
-    MEMO_MISS_LIMIT = 256
-    MEMO_BYPASS_WINDOW = 256
-    MEMO_BYPASS_MAX = 8192
 
     def __init__(self, program: Program) -> None:
         if not program.verified:
@@ -112,10 +98,7 @@ class XdpContext:
         #: (data, ifindex, rx_queue, ktime) -> (tag, verdict,
         #: helper_calls, charge_ns).  The verdict object itself is
         #: shared across replays; consumers treat verdicts as read-only.
-        self._memo: Dict[Tuple, Tuple] = {}
-        self._memo_misses = 0
-        self._memo_bypass = 0
-        self._memo_window = self.MEMO_BYPASS_WINDOW
+        self.memo = ReplayCells()
 
     def run(
         self,
@@ -167,9 +150,12 @@ class XdpContext:
                 rec.count("ebpf.runs")
             return XdpVerdict(XdpAction.PASS, data)
 
+        if exec_ctx is not None:
+            exec_ctx.charge(costs.xdp_ctx_setup_ns, label="xdp_setup")
+        memo = self.memo
         memo_key = tag = None
-        if self._memo_bypass:
-            self._memo_bypass -= 1
+        if memo.bypass:
+            memo.bypass -= 1
         else:
             memo_key = (data, ingress_ifindex, rx_queue_index, ktime_ns)
             # The tag: every map's version, the cost table's, and the
@@ -183,13 +169,11 @@ class XdpContext:
                 token = program._jit_token
             tag = (tuple(map(_map_version, program.maps.values())),
                    _costs.VERSION, token[1])
-            hit = self._memo.get(memo_key)
+            hit = memo.get(memo_key)
             if hit is not None and hit[0] == tag:
-                self._memo_misses = 0
-                self._memo_window = self.MEMO_BYPASS_WINDOW
+                memo.n_replays += 1
                 _, verdict, helper_calls, charge_ns = hit
                 if exec_ctx is not None:
-                    exec_ctx.charge(costs.xdp_ctx_setup_ns, label="xdp_setup")
                     if verdict.touched_data:
                         exec_ctx.charge(costs.dma_first_touch_ns,
                                         label="dma_first_touch")
@@ -201,15 +185,8 @@ class XdpContext:
                         rec.count("ebpf.helper_calls", helper_calls)
                     rec.count("ebpf.runs")
                 return verdict
-            self._memo_misses += 1
-            if self._memo_misses >= self.MEMO_MISS_LIMIT:
-                self._memo_misses = 0
-                self._memo_bypass = self._memo_window
-                self._memo_window = min(self._memo_window * 2,
-                                        self.MEMO_BYPASS_MAX)
+            memo.missed()
 
-        if exec_ctx is not None:
-            exec_ctx.charge(costs.xdp_ctx_setup_ns, label="xdp_setup")
         # A memo miss runs the compiled program; a replay re-issues
         # exactly that run's charges and counters.
         vm = EbpfVm(self.program, exec_ctx=exec_ctx, ktime_ns=ktime_ns)
@@ -240,9 +217,7 @@ class XdpContext:
             # program cannot change mid-run, so only the version vector
             # needs rechecking): it is a pure function of the memo key
             # and may be replayed.
-            if len(self._memo) >= self.MEMO_MAX:
-                self._memo.clear()
-            self._memo[memo_key] = (
+            memo.store(memo_key, (
                 tag, result, vm.last_helper_calls, vm.last_charge_ns,
-            )
+            ))
         return result

@@ -8,11 +8,9 @@ CPU received the packet, which with RSS means "almost 8 CPU cores" at
 high load (§5.2).
 
 Like the userspace datapath, the module replays lookups it has already
-made: a token of everything ``extract_flow`` reads keys a cell of the
-FlowKey, the flow table's version and the actions and probe count of a
-lookup that hit.  A replay issues exactly the charges and counters of
-that lookup, so it is a wall-clock shortcut only.  The cells follow
-the XDP verdict memo's bypass policy and the EMC flow cache's cap.
+made (:mod:`repro.sim.replay`): a token of everything ``extract_flow``
+reads keys a cell of the FlowKey, the flow table's version and the
+actions and probe count of a lookup that hit.
 """
 
 from __future__ import annotations
@@ -22,35 +20,21 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.ebpf.xdp import XdpContext
 from repro.kernel.netdev import NetDevice
 from repro.net.addresses import MacAddress
 from repro.net.flow import FlowKey, FlowMask, MaskSpec, extract_flow
 from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
-from repro.ovs.emc import FLOW_CACHE_MAX
 from repro.ovs.packet_ops import do_pop_vlan, do_push_vlan, set_field
 from repro import telemetry
 from repro.sim import faults, trace
 from repro.telemetry.drops import DropReason
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
+from repro.sim.replay import ReplayCells
 
 MAX_RECIRC_DEPTH = 8
-
-#: The replay cells' bypass policy is the XDP verdict memo's: after
-#: MEMO_MISS_LIMIT consecutive misses they stand aside for a window that
-#: doubles while probes stay fruitless (up to MEMO_BYPASS_MAX) and
-#: resets on the first replay.  While it stands aside no token is built.
-#: A bypass entered at the full window also clears the cells: every
-#: probe over some 10,000 frames has missed, so what they hold is dead
-#: weight.  Below the full window the cells one probe stored stay for
-#: the next lap, which is how traffic that cycles more flows than one
-#: probe sees (1,000 against 256) comes to replay every packet.
-MEMO_MISS_LIMIT = XdpContext.MEMO_MISS_LIMIT
-MEMO_BYPASS_WINDOW = XdpContext.MEMO_BYPASS_WINDOW
-MEMO_BYPASS_MAX = XdpContext.MEMO_BYPASS_MAX
 
 
 @dataclass
@@ -190,12 +174,7 @@ class KernelDatapath:
         self.now_ns_fn: Callable[[], int] = lambda: 0
         #: Replay cells: token -> (FlowKey, flows.version, actions,
         #: probed), stored only by lookups that hit.
-        self._cells: Dict[Tuple, Tuple] = {}
-        self._cell_misses = 0
-        self._cell_bypass = 0
-        self._cell_window = MEMO_BYPASS_WINDOW
-        #: Lookups replayed from a cell.
-        self.n_replays = 0
+        self.cells = ReplayCells()
 
     # ------------------------------------------------------------------
     # Port management.
@@ -284,22 +263,21 @@ class KernelDatapath:
         meta = pkt.meta
         tunnel = meta.tunnel
         flows = self.flows
+        cells = self.cells
         token = cell = None
-        if self._cell_bypass:
-            self._cell_bypass -= 1
+        if cells.bypass:
+            cells.bypass -= 1
         else:
             # Everything extract_flow reads, so equal tokens imply equal
             # FlowKeys.
             token = (data, meta.in_port, meta.recirc_id, meta.ct_state,
                      meta.ct_zone, meta.ct_mark,
                      tunnel.vni, tunnel.remote_ip, tunnel.local_ip)
-            cell = self._cells.get(token)
+            cell = cells.get(token)
             if cell is not None and cell[1] == flows.version:
                 # The table has not moved since this lookup hit: issue
                 # its charge and counters without the walk.
-                self._cell_misses = 0
-                self._cell_window = MEMO_BYPASS_WINDOW
-                self.n_replays += 1
+                cells.n_replays += 1
                 probed = cell[3]
                 ctx.charge(probed * costs.megaflow_subtable_ns,
                            label="megaflow")
@@ -307,15 +285,7 @@ class KernelDatapath:
                 flows.n_mask_hit += probed
                 self.execute_actions(pkt, cell[2], ctx, depth)
                 return
-            self._cell_misses += 1
-            if self._cell_misses >= MEMO_MISS_LIMIT:
-                self._cell_misses = 0
-                if self._cell_window == MEMO_BYPASS_MAX:
-                    self._cells.clear()
-                self._cell_bypass = self._cell_window
-                self._cell_window = min(self._cell_window * 2,
-                                        MEMO_BYPASS_MAX)
-                token = None
+            cells.missed()
         # A stale cell's key is still the frame's: only the outcome moved.
         key = cell[0] if cell is not None else extract_flow(
             data, meta.in_port, meta.recirc_id, meta.ct_state,
@@ -328,11 +298,8 @@ class KernelDatapath:
             self._upcall(pkt, key, ctx)
             return
         if token is not None:
-            cells = self._cells
-            if len(cells) >= FLOW_CACHE_MAX:
-                cells.clear()
-            cells[token] = (key, flows.version, actions,
-                            flows.n_mask_hit - mask_hits)
+            cells.store(token, (key, flows.version, actions,
+                                flows.n_mask_hit - mask_hits))
         self.execute_actions(pkt, actions, ctx, depth)
 
     def _upcall(self, pkt: Packet, key: FlowKey, ctx: ExecContext) -> None:

@@ -51,7 +51,7 @@ from repro.net.packet import Packet
 from repro.net.tunnel import decapsulate, encapsulate
 from repro.ovs import odp
 from repro.ovs.ct_userspace import UserspaceConntrack
-from repro.ovs.emc import FLOW_CACHE_MAX, ExactMatchCache
+from repro.ovs.emc import ExactMatchCache
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.meter import MeterTable
 from repro.ovs.ofproto import TranslationError
@@ -386,15 +386,20 @@ class DpifNetdev:
             data = pkt.data
             meta = pkt.meta
             tun = meta.tunnel
-            # Everything extract_flow reads, so equal tokens imply equal
-            # FlowKeys.
-            token = (data, meta.in_port, meta.recirc_id, meta.ct_state,
-                     meta.ct_zone, meta.ct_mark,
-                     tun.vni, tun.remote_ip, tun.local_ip)
-            cell = flow_cache.get(token)
+            if flow_cache.bypass:
+                flow_cache.bypass -= 1
+                token = cell = None
+            else:
+                # Everything extract_flow reads, so equal tokens imply
+                # equal FlowKeys.
+                token = (data, meta.in_port, meta.recirc_id, meta.ct_state,
+                         meta.ct_zone, meta.ct_mark,
+                         tun.vni, tun.remote_ip, tun.local_ip)
+                cell = flow_cache.get(token)
             if cell is not None and replay_hit(cell, ctx):
                 # Cross-burst fast path: this shape hit the EMC before
                 # and its two slots still hold what that probe saw.
+                flow_cache.n_replays += 1
                 entry = cell[1]
                 for s in statses:
                     s.emc_hits += 1
@@ -421,10 +426,13 @@ class DpifNetdev:
                     entry.touch(now, len(data))
                     # Remember the hit for future bursts: a frame that
                     # never repeats never gets here, and leaves no cell.
-                    if len(flow_cache) >= FLOW_CACHE_MAX:
-                        flow_cache.clear()
-                    flow_cache[token] = probed
+                    if token is not None:
+                        flow_cache.store(token, probed)
                 else:
+                    if token is not None:
+                        # Fruitless only now: a frame no EMC probe hit
+                        # could hold no cell.
+                        flow_cache.missed()
                     entry = megaflows.lookup_entry(
                         key, ctx, now_ns=now, nbytes=len(data))
                     if entry is not None:

@@ -12,17 +12,13 @@ Sized like the real one (8192 entries, 2-way pseudo-LRU by hash).
 Replay cells
 ============
 
-The burst-oriented datapath (``DpifNetdev._classify_execute_burst``)
-wants to skip re-extracting and re-hashing a 31-field :class:`FlowKey`
-for packets whose bytes have hit before.  A *cell* is what a hitting
-probe saw: ``(key, entry, p1, s1, p2, s2)`` — the key, the entry the
-probe returned, and the two slot positions with the slot *objects*
-found there.  :meth:`lookup_cell` returns one on a hit, built from the
-positions it already hashed; :attr:`flow_cache` is scratch space for
-the datapath to keep them.  Cells come from hits only: a frame seen
-once (the never-repeating traffic of §5.2's worst case) leaves none.
-A probe that misses returns its two positions instead, and
-:meth:`insert` takes them rather than hashing the key a second time.
+The datapath's cross-burst flow cache, :attr:`flow_cache`, holds replay
+cells (:mod:`repro.sim.replay`).  A cell is what a hitting probe saw:
+``(key, entry, p1, s1, p2, s2)`` — the key, the entry the probe
+returned, and the two slot positions with the slot *objects* found
+there, as :meth:`lookup_cell` returns them on a hit.  A probe that
+misses returns its two positions instead, and :meth:`insert` takes
+them rather than hashing the key a second time.
 
 :meth:`replay_hit` accounts a cell's hit — the charges and counters of
 :meth:`lookup` returning that entry — iff both slots still hold those
@@ -43,11 +39,7 @@ from repro.net.flow import FlowKey
 from repro.sim import trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import ExecContext
-
-#: Cap on a token-keyed replay cache (the EMC's cross-burst flow cache,
-#: the kernel datapath's cells); cleared wholesale when full, like a
-#: generation flip.
-FLOW_CACHE_MAX = 16384
+from repro.sim.replay import ReplayCells
 
 
 class ExactMatchCache:
@@ -60,10 +52,9 @@ class ExactMatchCache:
         self.misses = 0
         self.insertions = 0
         self.occupancy = 0
-        #: Burst-classification scratch: token -> replay cell.  Owned by
-        #: the datapath; a cell is checked by :meth:`replay_hit` before
-        #: use.  Lives here so it shares the EMC's per-PMD affinity.
-        self.flow_cache: dict = {}
+        #: token -> replay cell, owned by the datapath and checked by
+        #: :meth:`replay_hit`; here for the EMC's per-PMD affinity.
+        self.flow_cache = ReplayCells()
 
     def _positions(self, key: FlowKey) -> Tuple[int, int]:
         h = hash(key)

@@ -10,9 +10,9 @@ one helper, :func:`diff`:
 
 * ``reference-vm`` — every eBPF run on the step-by-step reference VM
   (``tests/reference/ebpf_vm.py``);
-* ``reference-mode`` — every wall-clock memo bypassed: the XDP verdict
-  memo, the kernel datapath's replay cells and the rxhash memo
-  (``tests/reference/memos.py``);
+* ``reference-mode`` — every wall-clock memo bypassed: the replay cells
+  of the XDP verdict memo, dpif-netdev's flow cache and the kernel
+  datapath, and the rxhash memo (``tests/reference/memos.py``);
 * ``inert-telemetry`` — a ``Telemetry()`` session installed with its
   sampler and exporter off;
 * ``inert-faults`` — a fault plan with every ``FAULT_POINTS`` rule at
@@ -49,8 +49,10 @@ from repro.experiments.fig2_single_flow import run_fig2
 from repro.experiments.fig9_forwarding import run_fig9
 from repro.experiments.table2_optimizations import run_table2
 from repro.experiments.table5_xdp_cost import run_table5
+from repro.ebpf.xdp import XdpContext
 from repro.kernel.ovs_module import KernelDatapath
 from repro.net import flow
+from repro.ovs.emc import ExactMatchCache
 from repro.perfmatrix.matrix import MatrixGrid, run_matrix
 from repro.sim import faults, profile, trace
 from repro.sim.faults import FaultPlan, FaultRule
@@ -217,30 +219,39 @@ def test_jit_actually_ran_the_experiments():
 
 
 def test_reference_mode_bypasses_both_memos():
-    """Under reference mode the XDP verdict memo replays nothing (more
-    frames run compiled), no rxhash is read from its memo and no kernel
-    datapath replays a lookup from its cells."""
+    """By default every layer's replay cells replay: the XDP verdict
+    memo, dpif-netdev's flow cache and the kernel datapath's cells.
+    Under reference mode none replays (more frames run compiled) and no
+    rxhash is read from its memo."""
     def memo_use(*contexts):
         jit.reset_stats()
         flow._RXHASH_MEMO.clear()
-        datapaths = []
-        create = KernelDatapath.__init__
-
-        def collect(self, name, namespace):
-            create(self, name, namespace)
-            datapaths.append(self)
-
-        with mock.patch.object(KernelDatapath, "__init__", collect):
+        built = {XdpContext: [], KernelDatapath: [], ExactMatchCache: []}
+        with contextlib.ExitStack() as stack:
+            for cls, objs in built.items():
+                def collect(self, *args, _init=cls.__init__, _objs=objs,
+                            **kwargs):
+                    _init(self, *args, **kwargs)
+                    _objs.append(self)
+                stack.enter_context(
+                    mock.patch.object(cls, "__init__", collect))
             record("fig9", *contexts, profiled=False)
+        replays = {
+            "xdp": sum(x.memo.n_replays for x in built[XdpContext]),
+            "kernel": sum(dp.cells.n_replays
+                          for dp in built[KernelDatapath]),
+            "dpif": sum(emc.flow_cache.n_replays
+                        for emc in built[ExactMatchCache]),
+        }
         return (sum(st.jit_runs for st in jit.stats().values()),
-                len(flow._RXHASH_MEMO),
-                sum(dp.n_replays for dp in datapaths))
+                len(flow._RXHASH_MEMO), replays)
 
-    compiled, hashed, replayed = memo_use()
-    compiled_ref, hashed_ref, replayed_ref = memo_use(reference_mode())
+    compiled, hashed, replays = memo_use()
+    compiled_ref, hashed_ref, replays_ref = memo_use(reference_mode())
     assert hashed > 0 and hashed_ref == 0
     assert compiled_ref > compiled
-    assert replayed > 0 and replayed_ref == 0
+    assert all(replays.values()), replays
+    assert not any(replays_ref.values()), replays_ref
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

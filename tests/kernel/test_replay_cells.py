@@ -1,23 +1,31 @@
-"""The kernel datapath's replay cells change no observable.
+"""Replay cells change no observable, in every layer that keeps them.
 
-A cell replays a lookup that hit while ``KernelFlowTable.version`` has
-not moved.  The property test drives a kernel P2P world over a few
-frames, with ``flow_put``, ``flow_del`` and ``flow_flush`` and a cost
-override between the bursts, once as it is and once under reference
-mode (no cells), and compares everything the lookups feed: egress, the
-flow table's hit, miss and mask counters, upcalls, drops and every busy
-lane.
+A cell replays a lookup while its stamp holds: the XDP verdict memo's
+map versions, cost-table version and program token, dpif-netdev's two
+EMC slots, ``KernelFlowTable.version``.  The property drives a P2P
+world over a few frames with churn between the bursts, once as it is
+and once under reference mode (no cells), and compares everything the
+lookups feed: egress, the EMC, megaflow, flow-table and upcall
+counters, every trace counter (``ebpf.runs`` among them) and every busy
+lane.  Two worlds:
+
+* ``kernel`` — ``flow_put``, ``flow_del``, ``flow_flush`` and a cost
+  override against the kernel datapath's cells;
+* ``afxdp_zc`` — an XSK map write, a megaflow delete, an EMC evict or
+  flush and a cost override against the XDP verdict memo and
+  dpif-netdev's flow cache (an evict leaves the flow cache's cells
+  stale; a flush empties it).
 """
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.world import build_world
 from repro.kernel.ovs_module import KernelFlowTable
 from repro.net.flow import EXACT_MASK, FlowKey, extract_flow
 from repro.ovs import odp
-from repro.sim import costs
+from repro.sim import costs, trace
 from repro.sim.cpu import CpuCategory
 from repro.traffic.trex import FlowSpec, TrexStream
 from tests.reference.memos import reference_mode
@@ -26,22 +34,47 @@ from .test_ovs_module import _captured, _udp, world  # noqa: F401
 
 FLOWS = 4
 
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("burst"), st.integers(1, 24)),
-    st.tuples(st.just("put"), st.integers(0, FLOWS - 1),
-              st.sampled_from(("ens2", "drop", "nowhere"))),
-    st.tuples(st.just("del"), st.integers(0, 7)),
-    st.tuples(st.just("flush")),
-    st.tuples(st.just("costlier"), st.integers(1, 24)),
-), max_size=14)
+#: A burst is drawn three times as often as any churn op: a cell
+#: replays only from a flow's third sighting, so a stale cell shows only
+#: after two bursts, a churn op and a third burst.
+BURSTS = (st.tuples(st.just("burst"), st.integers(1, 24)),) * 3 + (
+    st.tuples(st.just("costlier"), st.integers(1, 24)),)
+OPS = {
+    "kernel": st.lists(st.one_of(
+        *BURSTS,
+        st.tuples(st.just("put"), st.integers(0, FLOWS - 1),
+                  st.sampled_from(("ens2", "drop", "nowhere"))),
+        st.tuples(st.just("del"), st.integers(0, 7)),
+        st.tuples(st.just("flush")),
+    ), max_size=14),
+    "afxdp_zc": st.lists(st.one_of(
+        *BURSTS,
+        st.tuples(st.just("xsk"), st.booleans()),
+        st.tuples(st.just("mf_del"), st.integers(0, 7)),
+        st.tuples(st.just("evict"), st.integers(0, FLOWS - 1)),
+        st.tuples(st.just("emc_flush")),
+    ), max_size=14),
+}
+#: What ``costlier`` overrides: costs the world's replays re-issue.
+COSTLIER = {
+    "kernel": ("megaflow_subtable_ns",),
+    "afxdp_zc": ("ebpf_insn_ns", "emc_hit_ns"),
+}
+#: Drives with churn that do replay, in every layer of their world.
+CHURN = {
+    "kernel": [("burst", 12), ("put", 1, "drop"), ("burst", 12),
+               ("del", 1), ("burst", 8), ("costlier", 8), ("flush",),
+               ("burst", 12)],
+    "afxdp_zc": [("burst", 12), ("burst", 12), ("xsk", True),
+                 ("burst", 12), ("mf_del", 0), ("burst", 8),
+                 ("evict", 1), ("costlier", 8), ("emc_flush",),
+                 ("burst", 12), ("burst", 12)],
+}
 
 
-def run(ops):
-    """One kernel P2P world through ``ops``; everything it observed."""
-    bench = build_world("kernel", "P2P")
+def _kernel_churn(bench, frames):
+    """The kernel world's ops, and its observed counters and replays."""
     dp = bench.vs.dpif_netlink.dp
-    stream = TrexStream(FlowSpec(n_flows=FLOWS), frame_len=64, seed=3)
-    frames = [pkt.data for pkt in stream.burst(FLOWS)]
     in_port = dp.port_no("ens1")
     put = {"ens2": (odp.Output(dp.port_no("ens2")),), "drop": (),
            "nowhere": (odp.Output(99),)}
@@ -52,19 +85,8 @@ def run(ops):
         installed.append((key, mask))
         flow_put(key, mask, actions)
 
-    dp.flow_put = recording_put
-    inject, pump = bench.nic_in.host_receive, bench.pump
-    for op in ops:
-        if op[0] == "burst":
-            for pkt in stream.burst(op[1]):
-                inject(pkt)
-            pump()
-        elif op[0] == "costlier":
-            with costs.overridden(megaflow_subtable_ns=17.0 * op[1]):
-                for pkt in stream.burst(op[1]):
-                    inject(pkt)
-                pump()
-        elif op[0] == "put":
+    def apply(op):
+        if op[0] == "put":
             key = extract_flow(frames[op[1]], in_port=in_port)
             dp.flow_put(key, EXACT_MASK, put[op[2]])
         elif op[0] == "del":
@@ -76,35 +98,114 @@ def run(ops):
                     pass  # already gone
         else:
             dp.flow_flush()
+
+    def observe():
+        flows = dp.flows
+        return ((flows.n_hit, flows.n_missed, flows.n_mask_hit,
+                 dp.n_upcalls, dict(dp.dropped)),
+                {"kernel": dp.cells.n_replays})
+
+    dp.flow_put = recording_put
+    return apply, observe
+
+
+def _afxdp_churn(bench, frames):
+    """The AF_XDP world's ops, and its observed counters and replays."""
+    xdp = bench.nic_in.xdp_program_for(0)
+    (xsks,) = xdp.program.maps.values()
+    dpif = bench.vs.dpif_netdev
+    in_port = dpif.port_no("ens1")
+    megaflows = dpif.megaflows
+    emcs = [pmd.emc for pmd in bench.pmds]
+
+    def apply(op):
+        if op[0] == "xsk":
+            if op[1]:
+                xsks.set_dev(0, 1)
+            elif xsks.get_dev(0) is not None:
+                xsks.delete((0).to_bytes(4, "little"))
+        elif op[0] == "mf_del":
+            entries = megaflows.entries()
+            if entries:
+                entry = entries[op[1] % len(entries)]
+                megaflows.remove(entry.key, entry.mask)
+        elif op[0] == "evict":
+            key = extract_flow(frames[op[1]], in_port=in_port)
+            for emc in emcs:
+                emc.evict(key)
+        else:
+            for emc in emcs:
+                emc.flush()
+
+    def observe():
+        return ((repr(dpif.stats), megaflows.hits, megaflows.misses,
+                 len(megaflows),
+                 [(emc.hits, emc.misses, emc.insertions, emc.occupancy)
+                  for emc in emcs]),
+                {"xdp": xdp.memo.n_replays,
+                 "dpif": sum(emc.flow_cache.n_replays for emc in emcs)})
+
+    return apply, observe
+
+
+CHURNS = {"kernel": _kernel_churn, "afxdp_zc": _afxdp_churn}
+
+
+def run(datapath, ops):
+    """One P2P world through ``ops``: everything it observed, and each
+    layer's replays."""
+    bench = build_world(datapath, "P2P")
+    stream = TrexStream(FlowSpec(n_flows=FLOWS), frame_len=64, seed=3)
+    frames = [pkt.data for pkt in stream.burst(FLOWS)]
+    apply, observe = CHURNS[datapath](bench, frames)
+    inject, pump = bench.nic_in.host_receive, bench.pump
+
+    def burst(n):
+        for pkt in stream.burst(n):
+            inject(pkt)
+        pump()
+
+    with trace.recording() as rec:
+        for op in ops:
+            if op[0] == "burst":
+                burst(op[1])
+            elif op[0] == "costlier":
+                with costs.overridden(**{name: 17.0 * op[1]
+                                         for name in COSTLIER[datapath]}):
+                    burst(op[1])
+            else:
+                apply(op)
     cpu = bench.host.cpu
     lanes = [cpu.busy_ns(c, cat) for c in range(cpu.n_cpus)
              for cat in CpuCategory]
-    flows = dp.flows
-    observed = (bench.nic_out.wire_peer.stats.rx_packets, flows.n_hit,
-                flows.n_missed, flows.n_mask_hit, dp.n_upcalls,
-                dict(dp.dropped), lanes)
-    return observed, dp.n_replays
+    counters, replays = observe()
+    observed = (bench.nic_out.wire_peer.stats.rx_packets, counters,
+                sorted(rec.counters.items()), rec.ledger(), lanes)
+    return observed, replays
 
 
+@pytest.mark.parametrize("datapath", sorted(OPS))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(OPS)
-@example([("burst", 12), ("put", 1, "drop"), ("burst", 12), ("del", 1),
-          ("burst", 8), ("costlier", 8), ("flush",), ("burst", 12)])
-def test_replays_are_invisible_under_flow_table_churn(ops):
-    default, _replays = run(ops)
+@given(data=st.data())
+def test_replays_are_invisible_under_flow_table_churn(datapath, data):
+    ops = data.draw(OPS[datapath], label="ops")
+    default, _replays = run(datapath, ops)
     with reference_mode():
-        reference, replays = run(ops)
-    assert replays == 0
+        reference, replays = run(datapath, ops)
+    assert not any(replays.values()), replays
     assert default == reference
 
 
-def test_the_churn_drive_replays():
-    """The property's explicit example does replay: it tests cells."""
-    _observed, replays = run(
-        [("burst", 12), ("put", 1, "drop"), ("burst", 12), ("del", 1),
-         ("burst", 8), ("costlier", 8), ("flush",), ("burst", 12)])
-    assert replays > 0
+@pytest.mark.parametrize("datapath", sorted(CHURN))
+def test_the_churn_drive_replays(datapath):
+    """Each world's churn drive replays in every layer it has, and is
+    invisible: the property tests cells, not their absence."""
+    default, replays = run(datapath, CHURN[datapath])
+    assert all(replays.values()), replays
+    with reference_mode():
+        reference, _replays = run(datapath, CHURN[datapath])
+    assert default == reference
 
 
 def test_a_deleted_flow_upcalls_on_the_very_next_packet(world):  # noqa: F811
@@ -116,11 +217,11 @@ def test_a_deleted_flow_upcalls_on_the_very_next_packet(world):  # noqa: F811
     dp.flow_put(key, EXACT_MASK, [odp.Output(v2.port_no)])
     p1.deliver(_udp(), ctx)
     p1.deliver(_udp(), ctx)
-    assert dp.n_replays == 1 and len(got) == 2
+    assert dp.cells.n_replays == 1 and len(got) == 2
     dp.flow_del(key, EXACT_MASK)
     p1.deliver(_udp(), ctx)
     assert len(upcalls) == 1 and dp.n_upcalls == 1
-    assert len(got) == 2 and dp.n_replays == 1
+    assert len(got) == 2 and dp.cells.n_replays == 1
 
 
 def test_the_version_moves_on_every_mutation_and_nothing_else():
